@@ -19,6 +19,7 @@ from .analysis import (
     check_stability,
     classify,
     lyapunov_value,
+    lyapunov_values,
     solve_equilibrium,
     stability_margin,
     validate_assumptions,
@@ -94,6 +95,7 @@ __all__ = [
     "load_scenario",
     "lookup",
     "lyapunov_value",
+    "lyapunov_values",
     "make_history",
     "price",
     "rhs",

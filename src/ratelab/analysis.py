@@ -36,6 +36,10 @@ WARNING = "warning"
 # its analytic limit (the difference quotients are 0/0 there).
 EPS_BAND_REL = 1e-6
 
+# Samples per quadrature block in lyapunov_values: bounds the
+# (samples x theta_nodes) temporaries.
+LYAPUNOV_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class AssumptionViolation:
@@ -84,7 +88,12 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
     h_factor = p.h_gain ** (1.0 / p.b)
 
     def f(x: float) -> float:
-        return law.value(x) - h_factor * x ** exponent
+        try:
+            power = x ** exponent
+        except OverflowError:
+            # x**exponent beyond the float range: the residual is -inf
+            return -math.inf
+        return law.value(x) - h_factor * power
 
     lo, hi = p.x_min, p.x_max
     f_lo, f_hi = f(lo), f(hi)
@@ -261,31 +270,62 @@ def lyapunov_value(
 
     Composite trapezoid quadrature with ``theta_nodes`` nodes; trajectory
     samples between grid points come from the Hermite interpolant.  sgn(0)
-    is 0, so a trajectory pinned at the equilibrium gives exactly 0.
+    is 0, so a trajectory pinned at the equilibrium gives exactly 0.  A
+    batch of one of :func:`lyapunov_values`.
+    """
+    return float(lyapunov_values(traj, [t], p, eq, theta_nodes)[0])
+
+
+def lyapunov_values(
+    traj: Trajectory,
+    ts,
+    p: ModelParams,
+    eq: Equilibrium,
+    theta_nodes: int = 201,
+) -> np.ndarray:
+    """:func:`lyapunov_value` at each sample time in ``ts``, bit for bit.
+
+    The quadrature windows of ``LYAPUNOV_BLOCK`` samples at a time form one
+    (samples x theta) grid, so each block costs one interpolation per delay
+    and one trapezoid reduction along theta; every element goes through the
+    same floating-point operations as in a single-sample call.  The block
+    bounds the temporaries.  Horizon errors name the first sample outside
+    the recorded window and are raised before any sample is evaluated.
     """
     if theta_nodes < 3:
         raise ModelDomainError(f"theta_nodes must be at least 3, got {theta_nodes}")
-    if t - p.max_delay < traj.t_start - 1e-9 * traj.step:
-        raise HorizonError(
-            f"need max(tau, T) = {p.max_delay} of recorded history before t = {t}; "
-            f"trajectory starts at {traj.t_start}"
-        )
-    if t > traj.t_end + 1e-9 * traj.step:
-        raise HorizonError(f"t = {t} beyond trajectory end {traj.t_end}")
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    early = ts - p.max_delay < traj.t_start - 1e-9 * traj.step
+    late = ts > traj.t_end + 1e-9 * traj.step
+    if np.any(early | late):
+        i = int(np.argmax(early | late))
+        if early[i]:
+            raise HorizonError(
+                f"need max(tau, T) = {p.max_delay} of recorded history before "
+                f"t = {ts[i]}; trajectory starts at {traj.t_start}"
+            )
+        raise HorizonError(f"t = {ts[i]} beyond trajectory end {traj.t_end}")
 
     b, h = p.b, p.h_gain
     theta = np.linspace(-1.0, 0.0, theta_nodes)
-    x_tau = traj.interp_x(t + theta * p.tau)
-    x_t = traj.interp_x(t + theta * p.T_delay)
-    c_t = traj.law.value(x_t)
-    if np.any(c_t <= 0):
-        raise ModelDomainError("capacity nonpositive along the quadrature window")
-    term = h * x_tau ** (b + 1.0) * c_t ** -b
+    theta_tau = theta * p.tau
+    theta_t = theta * p.T_delay
     term_star = h * eq.x_star ** (b + 1.0) * eq.c_star ** -b
-    integral = float(np.trapezoid(term - term_star, dx=1.0 / (theta_nodes - 1)))
-    dev = traj.interp_x(t) - eq.x_star
-    sign = 0.0 if dev == 0.0 else math.copysign(1.0, dev)
-    return abs(dev) + p.kappa * sign * integral
+    integral = np.empty(len(ts))
+    for lo in range(0, len(ts), LYAPUNOV_BLOCK):
+        block = ts[lo:lo + LYAPUNOV_BLOCK, None]
+        x_tau = traj.interp_x(block + theta_tau)
+        x_t = traj.interp_x(block + theta_t)
+        c_t = traj.law.value(x_t)
+        if np.any(c_t <= 0):
+            raise ModelDomainError("capacity nonpositive along the quadrature window")
+        term = h * x_tau ** (b + 1.0) * c_t ** -b
+        integral[lo:lo + LYAPUNOV_BLOCK] = np.trapezoid(
+            term - term_star, dx=1.0 / (theta_nodes - 1), axis=1
+        )
+    dev = traj.interp_x(ts) - eq.x_star
+    sign = np.where(dev == 0.0, 0.0, np.copysign(1.0, dev))
+    return np.abs(dev) + p.kappa * sign * integral
 
 
 def classify(

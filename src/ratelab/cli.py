@@ -11,6 +11,7 @@ Exit codes: 0 Converged, 10 Oscillating, 11 Saturated, 12 Undetermined;
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -77,8 +78,8 @@ def _load_with_overrides(path, step=None, t_end=None):
 
     cfg = load_scenario(path)
     if t_end is not None:
-        if not t_end > 0:
-            raise ConfigError(f"--t-end must be positive, got {t_end}")
+        if not (math.isfinite(t_end) and t_end > 0):
+            raise ConfigError(f"--t-end must be positive and finite, got {t_end}")
         cfg = replace(cfg, t_end=t_end)
     if step is not None:
         if not step > 0:

@@ -18,7 +18,7 @@ from .errors import (
     IntegrationDivergedError,
     ModelDomainError,
 )
-from .model import CapacityLaw, ModelParams, capacity, clamp, rhs
+from .model import CapacityLaw, ModelParams, stage_kernels
 
 # Exact-hit snap tolerance for time queries, as a fraction of the step.
 GRID_SNAP = 1e-12
@@ -196,11 +196,20 @@ def integrate(
 
     Stage derivatives use the derivative projection at the rate bounds, and
     delayed arguments come from the growing history: grid-aligned delays are
-    read exactly, half-grid stage times through the cubic Hermite rule (the
-    same rule as :meth:`HistoryBuffer.lookup`).  The accepted state is
-    projected into [x_min, x_max] and recorded with its projected derivative.
-    t_end is rounded to the nearest whole number of steps; the trajectory
-    reports the grid-aligned horizon actually covered.
+    read exactly, half-grid stage times through the cubic Hermite midpoint
+    of the enclosing interval.  The accepted state is projected into
+    [x_min, x_max] and recorded with its projected derivative.  t_end is
+    rounded to the nearest whole number of steps; the trajectory reports the
+    grid-aligned horizon actually covered.
+
+    Each step evaluates every distinct quantity once: the recorded
+    derivative of the previous step is this step's first stage (first same
+    as last), and the delayed price flow is computed once per distinct
+    delayed time, shared by k2/k3 at t + step/2 and by k4 and the recorded
+    derivative at t + step (see :func:`model.stage_kernels`).  That is four
+    projected slopes and two price flows per step, with the floating-point
+    operations of the plain five-stage loop in the same order, so results
+    are bit-identical to it.
 
     Two runs with identical inputs produce bit-identical trajectories: the
     loop is sequential pure-float arithmetic with no ambient state.
@@ -237,52 +246,58 @@ def integrate(
     xs = list(map(float, history.x)) + [0.0] * n_steps
     ds = list(map(float, history.dxdt)) + [0.0] * n_steps
     i0 = n_pre
+    x_min, x_max = params.x_min, params.x_max
+    flow, slope = stage_kernels(params, law)
 
-    def x_at_half(jh: int) -> float:
-        # jh counts half-steps from the buffer origin; even -> grid sample,
-        # odd -> Hermite midpoint of the enclosing interval.
-        j, r = divmod(jh, 2)
-        if r == 0:
-            return xs[j]
-        x0, x1 = xs[j], xs[j + 1]
-        d0 = d0_dyn if j == i0 else ds[j]
-        d1 = ds[j + 1]
-        return 0.5 * (x0 + x1) + 0.125 * step * (d0 - d1)
-
-    def stage(jh: int, x_now: float, t_now: float) -> float:
-        xd_tau = x_at_half(jh - 2 * k_tau)
-        xd_t = x_at_half(jh - 2 * k_t)
-        try:
-            c_d = capacity(law, xd_t)
-            d = rhs(x_now, xd_tau, c_d, params)
-        except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
-            raise IntegrationDivergedError(
-                f"integration left the model domain at t = {t_now:.6g}: {exc}", t_now
-            ) from exc
-        return clamp(x_now, d, params)
+    def diverged(exc: Exception, t_now: float) -> IntegrationDivergedError:
+        return IntegrationDivergedError(
+            f"integration left the model domain at t = {t_now:.6g}: {exc}", t_now
+        )
 
     half = 0.5 * step
     sixth = step / 6.0
-    d0_dyn = stage(2 * i0, xs[i0], t0)
+    eighth = 0.125 * step
+    try:
+        d0_dyn = slope(xs[i0], flow(xs[i0], xs[i0 - k_tau], xs[i0 - k_t]))
+    except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
+        raise diverged(exc, t0) from exc
+    k1 = d0_dyn
     for i in range(i0, i0 + n_steps):
-        t = t0 + (i - i0) * step
         x = xs[i]
-        jh = 2 * i
-        k1 = stage(jh, x, t)
-        k2 = stage(jh + 1, x + half * k1, t + half)
-        k3 = stage(jh + 1, x + half * k2, t + half)
-        k4 = stage(jh + 2, x + step * k3, t + step)
-        x_next = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not math.isfinite(x_next):
-            raise IntegrationDivergedError(
-                f"state became non-finite at t = {t + step:.6g}", t + step
-            )
-        if x_next > params.x_max:
-            x_next = params.x_max
-        elif x_next < params.x_min:
-            x_next = params.x_min
-        xs[i + 1] = x_next
-        ds[i + 1] = stage(jh + 2, x_next, t + step)
+        # Hermite midpoints of the intervals starting at i - k_t and i - k_tau
+        j = i - k_t
+        xd_t = 0.5 * (xs[j] + xs[j + 1]) + eighth * (
+            (d0_dyn if j == i0 else ds[j]) - ds[j + 1]
+        )
+        j = i - k_tau
+        xd_tau = 0.5 * (xs[j] + xs[j + 1]) + eighth * (
+            (d0_dyn if j == i0 else ds[j]) - ds[j + 1]
+        )
+        try:
+            x_half = x + half * k1
+            f = flow(x_half, xd_tau, xd_t)
+            k2 = slope(x_half, f)
+            k3 = slope(x + half * k2, f)
+        except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
+            raise diverged(exc, t0 + (i - i0) * step + half) from exc
+        try:
+            x_full = x + step * k3
+            f = flow(x_full, xs[i + 1 - k_tau], xs[i + 1 - k_t])
+            k4 = slope(x_full, f)
+            x_next = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            if not math.isfinite(x_next):
+                t = t0 + (i - i0) * step + step
+                raise IntegrationDivergedError(
+                    f"state became non-finite at t = {t:.6g}", t
+                )
+            if x_next > x_max:
+                x_next = x_max
+            elif x_next < x_min:
+                x_next = x_min
+            xs[i + 1] = x_next
+            k1 = ds[i + 1] = slope(x_next, f)
+        except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
+            raise diverged(exc, t0 + (i - i0) * step + step) from exc
 
     t_arr = t0 + step * np.arange(n_steps + 1)
     x_arr = np.array(xs[i0:], dtype=float)

@@ -135,17 +135,67 @@ def capacity(law: CapacityLaw, x: float) -> float:
     return c
 
 
+def _require_positive(name: str, v: float) -> None:
+    if not v > 0:
+        raise ModelDomainError(f"rhs requires {name} > 0, got {v}")
+
+
+def price_flow(x_delayed: float, c_delayed: float, p: ModelParams) -> float:
+    """Delayed price flow h*x_d**(b+1)*c_d**-b, the feedback term of :func:`rhs`.
+
+    Unchecked: :func:`rhs` enforces positivity before calling it.
+    """
+    return p.h_gain * x_delayed ** (p.b + 1.0) * c_delayed ** -p.b
+
+
 def rhs(x_now: float, x_delayed: float, c_delayed: float, p: ModelParams) -> float:
     """Rate derivative kappa*(x**-a - h*x_d**(b+1)*c_d**-b) before projection."""
-    if not x_now > 0:
-        raise ModelDomainError(f"rhs requires x_now > 0, got {x_now}")
-    if not x_delayed > 0:
-        raise ModelDomainError(f"rhs requires x_delayed > 0, got {x_delayed}")
-    if not c_delayed > 0:
-        raise ModelDomainError(f"rhs requires c_delayed > 0, got {c_delayed}")
-    return p.kappa * (
-        x_now ** -p.a - p.h_gain * x_delayed ** (p.b + 1.0) * c_delayed ** -p.b
-    )
+    _require_positive("x_now", x_now)
+    _require_positive("x_delayed", x_delayed)
+    _require_positive("c_delayed", c_delayed)
+    return p.kappa * (x_now ** -p.a - price_flow(x_delayed, c_delayed, p))
+
+
+def stage_kernels(p: ModelParams, law: CapacityLaw):
+    """The projected right-hand side split for a fused RK stage loop.
+
+    Returns ``(flow, slope)``:
+
+    - ``flow(x_now, x_delayed, x_cap)`` is :func:`price_flow` at
+      c_d = g(x_cap), after the checks of :func:`capacity` and :func:`rhs`
+      in their order (capacity, then x_now, then x_delayed);
+    - ``slope(x_now, f)`` is ``clamp(x_now, kappa*(x_now**-a - f), p)``
+      after the x_now check.
+
+    Together they perform the floating-point operations of
+    ``clamp(x, rhs(x, x_d, capacity(law, x_cap), p), p)`` in the same order,
+    so stages that share their delayed arguments can share one flow.  The
+    constants are bound once, and a failing check re-raises through
+    :func:`capacity` or :func:`rhs`'s own check, so errors read the same.
+    """
+    kappa, neg_a, x_min, x_max = p.kappa, -p.a, p.x_min, p.x_max
+    h, b_plus_1, neg_b = p.h_gain, p.b + 1.0, -p.b
+    c0, slope_g = law.c0, law.slope
+
+    def flow(x_now: float, x_delayed: float, x_cap: float) -> float:
+        c_delayed = c0 - slope_g * x_cap
+        if not (c_delayed > 0 and x_now > 0 and x_delayed > 0):
+            capacity(law, x_cap)
+            _require_positive("x_now", x_now)
+            _require_positive("x_delayed", x_delayed)
+        return h * x_delayed ** b_plus_1 * c_delayed ** neg_b
+
+    def slope(x_now: float, f: float) -> float:
+        if not x_now > 0:
+            _require_positive("x_now", x_now)
+        d = kappa * (x_now ** neg_a - f)
+        if x_now >= x_max:
+            return min(d, 0.0)
+        if x_now <= x_min:
+            return max(d, 0.0)
+        return d
+
+    return flow, slope
 
 
 def clamp(x: float, dxdt: float, p: ModelParams) -> float:

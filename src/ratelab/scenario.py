@@ -13,6 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
     CERTIFIED,
     CONVERGED,
@@ -23,7 +25,7 @@ from .analysis import (
     StabilityReport,
     check_stability,
     classify,
-    lyapunov_value,
+    lyapunov_values,
     solve_equilibrium,
 )
 from .dde import Trajectory, integrate, make_history
@@ -34,6 +36,8 @@ from .svgplot import line_plot_svg
 DEFAULT_T_END = 200.0
 DEFAULT_STEP = 0.01
 DEFAULT_GRID_N = 256
+# Rows formatted per write by write_csv: bounds the text held in memory.
+CSV_CHUNK_ROWS = 4096
 
 EXIT_CODES = {CONVERGED: 0, OSCILLATING: 10, SATURATED: 11, UNDETERMINED: 12}
 
@@ -148,9 +152,12 @@ def _get_float(section, key, path, default=None):
             raise ConfigError(f"{path}: missing required key '{key}' in [{section.name}]")
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{path}: key '{key}' is not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: key '{key}' must be finite, got {raw!r}")
+    return value
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -233,8 +240,7 @@ def load_scenario(path) -> ScenarioConfig:
     out_dir = r.get("out_dir") or None
 
     a_sec = cp["analysis"] if "analysis" in cp else {}
-    margin_raw = a_sec.get("margin_range", "auto") if a_sec else "auto"
-    margin_raw = margin_raw.strip()
+    margin_raw = a_sec.get("margin_range", "auto").strip()
     if margin_raw.lower() == "auto":
         margin_range = None
     else:
@@ -256,13 +262,12 @@ def load_scenario(path) -> ScenarioConfig:
                 f"and inside the rate bounds"
             )
         margin_range = (lo, hi)
-    grid_n_raw = a_sec.get("grid_n") if a_sec else None
-    grid_n = DEFAULT_GRID_N if grid_n_raw is None else int(float(grid_n_raw))
+    grid_n = int(_get_float(a_sec, "grid_n", path, DEFAULT_GRID_N))
     if grid_n < 16:
         raise ConfigError(f"{path}: [analysis] grid_n must be at least 16, got {grid_n}")
-    tol_conv = _get_float(a_sec, "tol_conv", path, 1e-2) if a_sec else 1e-2
-    tol_osc = _get_float(a_sec, "tol_osc", path, 0.1) if a_sec else 0.1
-    tail_fraction = _get_float(a_sec, "tail_fraction", path, 0.2) if a_sec else 0.2
+    tol_conv = _get_float(a_sec, "tol_conv", path, 1e-2)
+    tol_osc = _get_float(a_sec, "tol_osc", path, 0.1)
+    tail_fraction = _get_float(a_sec, "tail_fraction", path, 0.2)
     if not (tol_conv > 0 and tol_osc > 0):
         raise ConfigError(f"{path}: [analysis] tolerances must be positive")
     if not (0 < tail_fraction <= 0.5):
@@ -331,10 +336,8 @@ def _execute(cfg: ScenarioConfig) -> RunResult:
             settling_time=None,
         )
     t_first = math.ceil(cfg.params.max_delay - 1e-9)
-    lyap = tuple(
-        (float(s), lyapunov_value(traj, float(s), cfg.params, eq))
-        for s in range(t_first, int(math.floor(traj.t_end + 1e-9)) + 1)
-    )
+    ts = [float(s) for s in range(t_first, int(math.floor(traj.t_end + 1e-9)) + 1)]
+    lyap = tuple(zip(ts, lyapunov_values(traj, ts, cfg.params, eq).tolist()))
     return RunResult(
         config=cfg,
         trajectory=traj,
@@ -350,20 +353,29 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    lines = ["t,x,c,dxdt"]
-    for t, x, c, d in zip(traj.t, traj.x, traj.c, traj.dxdt):
-        lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(c)},{_fmt(d)}")
+def write_csv(path, header: str, row_format: str, columns) -> None:
+    """Write ``header`` and one ``row_format`` line per row of the equal-length
+    columns (numpy arrays or lists), CSV_CHUNK_ROWS rows per write."""
+    n = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            chunk = [
+                c[lo:lo + CSV_CHUNK_ROWS].tolist() if isinstance(c, np.ndarray)
+                else c[lo:lo + CSV_CHUNK_ROWS]
+                for c in columns
+            ]
+            fh.write("".join(map(row_format.format, *chunk)))
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    write_csv(path, "t,x,c,dxdt", "{:.17g},{:.17g},{:.17g},{:.17g}\n",
+              [traj.t, traj.x, traj.c, traj.dxdt])
 
 
 def write_lyapunov_csv(samples, path) -> None:
-    lines = ["t,V"]
-    for t, v in samples:
-        lines.append(f"{_fmt(t)},{_fmt(v)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "t,V", "{:.17g},{:.17g}\n",
+              [[t for t, _ in samples], [v for _, v in samples]])
 
 
 def format_report(res_or_report, cfg: ScenarioConfig | None = None) -> str:
@@ -552,8 +564,11 @@ def _sweep_one(args) -> SweepRow:
     try:
         cfg_v = apply_param(cfg, name, value)
         res = _execute(cfg_v)
-    except RatelabError as exc:
-        return SweepRow(param=name, value=value, status="error", message=str(exc))
+    except Exception as exc:
+        message = str(exc)
+        if not isinstance(exc, RatelabError):
+            message = f"{type(exc).__name__}: {message}"
+        return SweepRow(param=name, value=value, status="error", message=message)
     return SweepRow(
         param=name,
         value=value,
@@ -576,7 +591,8 @@ def sweep(
 ) -> SweepReport:
     """Run the full pipeline once per value and summarize.
 
-    Per-value failures become status=error rows and the sweep continues.
+    Per-value failures (any exception) become status=error rows and the
+    sweep continues.
     Results are gathered by index, so the output order equals the input
     order regardless of worker scheduling.
     """
@@ -624,30 +640,27 @@ def sweep(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / "sweep.csv"
-        lines = ["param,value,status,step,x_star,min_margin,verdict,classification,final_error,message"]
 
         def cell(v):
             return "" if v is None else (_fmt(v) if isinstance(v, float) else str(v))
 
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.param,
-                        _fmt(r.value),
-                        r.status,
-                        cell(r.step),
-                        cell(r.x_star),
-                        cell(r.min_margin),
-                        cell(r.verdict),
-                        cell(r.classification),
-                        cell(r.final_error),
-                        r.message.replace(",", ";").replace("\n", " "),
-                    ]
-                )
-            )
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(
+            csv_path,
+            "param,value,status,step,x_star,min_margin,verdict,classification,"
+            "final_error,message",
+            "{},{:.17g},{},{},{},{},{},{},{},{}\n",
+            [
+                [r.param for r in rows],
+                [r.value for r in rows],
+                [r.status for r in rows],
+                *(
+                    [cell(getattr(r, f)) for r in rows]
+                    for f in ("step", "x_star", "min_margin", "verdict",
+                              "classification", "final_error")
+                ),
+                [r.message.replace(",", ";").replace("\n", " ") for r in rows],
+            ],
+        )
         paths["sweep_csv"] = str(csv_path)
         summary_path = out / "sweep_report.txt"
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:

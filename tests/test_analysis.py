@@ -21,12 +21,14 @@ from ratelab import (
     check_stability,
     classify,
     lyapunov_value,
+    lyapunov_values,
     price,
     solve_equilibrium,
     stability_margin,
     utility_derivative,
     validate_assumptions,
 )
+from ratelab import analysis
 from conftest import BASE_LAW, base_params, synthetic_trajectory
 
 
@@ -60,6 +62,13 @@ class TestSolveEquilibrium:
             lhs = utility_derivative(eq.x_star, p.a)
             rhs_price = price(eq.x_star, eq.c_star, p.b, p.h_gain)
             assert lhs == pytest.approx(rhs_price, rel=1e-9)
+
+    def test_small_b_power_overflow_maps_to_minus_inf(self):
+        # x_max**((a+b+1)/b) = 1e3**251 overflows a float; the root is still found
+        p = base_params(0.01)
+        eq = solve_equilibrium(p, BASE_LAW)
+        assert eq.x_star == pytest.approx(1.00553282, rel=1e-8)
+        assert eq.residual < 1e-12
 
     def test_no_bracket(self):
         p = base_params(0.8, x_min=1.0)
@@ -219,6 +228,70 @@ class TestCheckTheorem2:
                 reference = report
             assert report.verdict == reference.verdict
             assert np.array_equal(report.profile_margin, reference.profile_margin)
+
+
+def reference_lyapunov(traj, t, p, eq, theta_nodes=201):
+    """The single-sample quadrature as it was before batching: the oracle
+    that lyapunov_values must match bit for bit."""
+    b, h = p.b, p.h_gain
+    theta = np.linspace(-1.0, 0.0, theta_nodes)
+    x_tau = traj.interp_x(t + theta * p.tau)
+    c_t = traj.law.value(traj.interp_x(t + theta * p.T_delay))
+    term = h * x_tau ** (b + 1.0) * c_t ** -b
+    term_star = h * eq.x_star ** (b + 1.0) * eq.c_star ** -b
+    integral = float(np.trapezoid(term - term_star, dx=1.0 / (theta_nodes - 1)))
+    dev = traj.interp_x(t) - eq.x_star
+    sign = 0.0 if dev == 0.0 else math.copysign(1.0, dev)
+    return abs(dev) + p.kappa * sign * integral
+
+
+class TestLyapunovValues:
+    @pytest.mark.parametrize("result", ["fig1_result", "fig2_result"])
+    def test_run_samples_match_reference(self, result, request):
+        res = request.getfixturevalue(result)
+        traj, p, eq = res.trajectory, res.config.params, res.report.equilibrium
+        ts = [t for t, _ in res.lyapunov]
+        expected = [reference_lyapunov(traj, t, p, eq) for t in ts]
+        assert [v for _, v in res.lyapunov] == expected
+        assert lyapunov_values(traj, ts, p, eq).tolist() == expected
+
+    def test_batch_equals_single_calls_across_blocks(self, fig2_result):
+        # off-grid times; 3 * LYAPUNOV_BLOCK + 5 samples straddle three block seams
+        traj, p = fig2_result.trajectory, fig2_result.config.params
+        eq = fig2_result.report.equilibrium
+        n = 3 * analysis.LYAPUNOV_BLOCK + 5
+        ts = 3.0 + 0.3771 * np.arange(n)
+        batch = lyapunov_values(traj, ts, p, eq, theta_nodes=57)
+        single = [lyapunov_value(traj, t, p, eq, theta_nodes=57) for t in ts]
+        ref = [reference_lyapunov(traj, t, p, eq, theta_nodes=57) for t in ts]
+        assert batch.tolist() == single == ref
+        seam = analysis.LYAPUNOV_BLOCK
+        assert lyapunov_values(traj, ts[seam - 1 : seam + 1], p, eq, 57).tolist() == ref[
+            seam - 1 : seam + 1
+        ]
+
+    def test_gain_and_kappa_not_one(self):
+        from ratelab import integrate, make_history
+
+        p = base_params(0.5, h_gain=1.3, kappa=0.7)
+        eq = solve_equilibrium(p, BASE_LAW)
+        traj = integrate(p, BASE_LAW, make_history(0.01, 3.0, 1.0), 40.0, 0.01)
+        ts = np.arange(3.0, 40.0, 0.9)
+        expected = [reference_lyapunov(traj, t, p, eq) for t in ts]
+        assert lyapunov_values(traj, ts, p, eq).tolist() == expected
+
+    def test_horizon_error_names_first_bad_sample(self, fig2_result):
+        traj, p = fig2_result.trajectory, fig2_result.config.params
+        eq = fig2_result.report.equilibrium
+        with pytest.raises(HorizonError, match="t = 2.5"):
+            lyapunov_values(traj, [10.0, 2.5, 250.0], p, eq)
+        with pytest.raises(HorizonError, match="t = 250.0 beyond"):
+            lyapunov_values(traj, [10.0, 250.0, 2.5], p, eq)
+
+    def test_empty_batch(self, fig2_result):
+        traj, p = fig2_result.trajectory, fig2_result.config.params
+        eq = fig2_result.report.equilibrium
+        assert lyapunov_values(traj, [], p, eq).shape == (0,)
 
 
 class TestLyapunovValue:

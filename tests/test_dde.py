@@ -4,17 +4,69 @@ import numpy as np
 import pytest
 
 from ratelab import (
+    CapacityLaw,
     GridMismatchError,
     HistoryRangeError,
     IntegrationDivergedError,
     ModelDomainError,
+    capacity,
+    clamp,
     integrate,
+    load_scenario,
     lookup,
     make_history,
+    rhs,
     solve_equilibrium,
 )
 from ratelab.dde import HistoryBuffer
-from conftest import BASE_LAW, base_params
+from conftest import BASE_LAW, SCENARIOS, base_params
+
+
+def reference_integrate(params, law, history, t_end, step):
+    """The plain five-stage RK4 loop (one full stage evaluation per stage,
+    plus one for the recorded derivative), kept as the oracle that the
+    fused loop in :func:`integrate` must match bit for bit."""
+    k_tau, k_t = round(params.tau / step), round(params.T_delay / step)
+    n_steps = round(t_end / step)
+    xs = list(map(float, history.x)) + [0.0] * n_steps
+    ds = list(map(float, history.dxdt)) + [0.0] * n_steps
+    i0 = len(history) - 1
+
+    def x_at_half(jh):
+        j, r = divmod(jh, 2)
+        if r == 0:
+            return xs[j]
+        d0 = d0_dyn if j == i0 else ds[j]
+        return 0.5 * (xs[j] + xs[j + 1]) + 0.125 * step * (d0 - ds[j + 1])
+
+    def stage(jh, x_now, t_now):
+        xd_tau, xd_t = x_at_half(jh - 2 * k_tau), x_at_half(jh - 2 * k_t)
+        try:
+            d = rhs(x_now, xd_tau, capacity(law, xd_t), params)
+        except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
+            raise IntegrationDivergedError(
+                f"integration left the model domain at t = {t_now:.6g}: {exc}", t_now
+            ) from exc
+        return clamp(x_now, d, params)
+
+    half, sixth = 0.5 * step, step / 6.0
+    d0_dyn = stage(2 * i0, xs[i0], 0.0)
+    for i in range(i0, i0 + n_steps):
+        t, x, jh = (i - i0) * step, xs[i], 2 * i
+        k1 = stage(jh, x, t)
+        k2 = stage(jh + 1, x + half * k1, t + half)
+        k3 = stage(jh + 1, x + half * k2, t + half)
+        k4 = stage(jh + 2, x + step * k3, t + step)
+        x_next = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if not math.isfinite(x_next):
+            raise IntegrationDivergedError(
+                f"state became non-finite at t = {t + step:.6g}", t + step
+            )
+        xs[i + 1] = min(max(x_next, params.x_min), params.x_max)
+        ds[i + 1] = stage(jh + 2, xs[i + 1], t + step)
+    d_arr = np.array(ds[i0:])
+    d_arr[0] = d0_dyn
+    return np.array(xs[i0:]), d_arr
 
 
 class TestMakeHistory:
@@ -90,6 +142,63 @@ class TestLookup:
             buf.lookup(-3.1)
         with pytest.raises(HistoryRangeError):
             buf.lookup(0.5)
+
+
+def _scenario_run(name):
+    cfg = load_scenario(SCENARIOS / f"{name}.scenario")
+    history = make_history(cfg.step, cfg.params.max_delay, cfg.init_x)
+    return cfg.params, cfg.law, history, cfg.t_end, cfg.step
+
+
+def _run(t_end=60.0, init_x=1.0, law=BASE_LAW, **overrides):
+    p = base_params(overrides.pop("b", 0.8), **overrides)
+    return p, law, make_history(0.01, p.max_delay, init_x), t_end, 0.01
+
+
+class TestFusedStepMatchesReference:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(lambda: _scenario_run("fig1"), id="fig1"),
+            pytest.param(lambda: _scenario_run("fig2"), id="fig2"),
+            pytest.param(lambda: _run(x_max=1.2), id="x_max-projection"),
+            pytest.param(lambda: _run(init_x=0.5, x_min=0.9), id="x_min-projection"),
+            pytest.param(lambda: _run(tau=2.0, T_delay=2.0), id="tau-equals-T"),
+            pytest.param(lambda: _run(b=0.5, h_gain=1.3, kappa=0.7), id="h-gain"),
+            pytest.param(
+                lambda: _run(law=CapacityLaw.constant(4.0), b=0.2), id="constant-law"
+            ),
+        ],
+    )
+    def test_bitwise_equal(self, args):
+        inputs = args()
+        traj = integrate(*inputs)
+        x_ref, d_ref = reference_integrate(*inputs)
+        assert np.array_equal(traj.x, x_ref)
+        assert np.array_equal(traj.dxdt, d_ref)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param(dict(kappa=10.0, init_x=0.05, b=0.2), id="exhausted-half-step"),
+            pytest.param(dict(kappa=10.0, init_x=0.05, b=0.8), id="exhausted-full-step"),
+            pytest.param(dict(kappa=10.0, init_x=0.5, b=0.8), id="negative-rate"),
+            pytest.param(dict(kappa=1e9), id="non-finite"),
+        ],
+    )
+    def test_same_failure(self, overrides):
+        inputs = _run(t_end=30.0, **overrides)
+        with pytest.raises(IntegrationDivergedError) as ref:
+            reference_integrate(*inputs)
+        with pytest.raises(IntegrationDivergedError) as got:
+            integrate(*inputs)
+        assert str(got.value) == str(ref.value)
+        assert got.value.t_fail == ref.value.t_fail
+        assert type(got.value.__cause__) is type(ref.value.__cause__)
+
+    def test_exhaustion_case_exhausts_capacity(self):
+        with pytest.raises(IntegrationDivergedError, match="capacity law returned"):
+            integrate(*_run(t_end=30.0, kappa=10.0, init_x=0.05, b=0.2))
 
 
 class TestIntegrate:

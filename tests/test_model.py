@@ -16,6 +16,7 @@ from ratelab import (
     solve_equilibrium,
     utility_derivative,
 )
+from ratelab.model import price_flow, stage_kernels
 from conftest import BASE_LAW, base_params
 
 positive = st.floats(min_value=1e-2, max_value=1e2)
@@ -143,6 +144,43 @@ class TestRhs:
             above = eq.x_star + dx
             assert rhs(below, below, BASE_LAW.value(below), p) > 0
             assert rhs(above, above, BASE_LAW.value(above), p) < 0
+
+
+class TestStageKernels:
+    @given(
+        x=st.floats(min_value=1e-3, max_value=1e3),
+        x_d=positive,
+        x_c=st.floats(min_value=0.0, max_value=4.99),
+        b=exponents,
+        h=st.floats(min_value=0.5, max_value=2.0),
+    )
+    def test_bitwise_equal_to_projected_rhs(self, x, x_d, x_c, b, h):
+        p = ModelParams(kappa=1.7, a=1.5, b=b, tau=1.0, T_delay=1.0, h_gain=h,
+                        x_min=0.01, x_max=50.0)
+        flow, slope = stage_kernels(p, BASE_LAW)
+        c_d = capacity(BASE_LAW, x_c)
+        f = flow(x, x_d, x_c)
+        assert f == price_flow(x_d, c_d, p)
+        assert slope(x, f) == clamp(x, rhs(x, x_d, c_d, p), p)
+
+    @pytest.mark.parametrize(
+        "x_now, x_d, x_c, match",
+        [
+            (-1.0, -1.0, 6.0, "capacity law returned"),
+            (-1.0, -1.0, 1.0, "x_now > 0"),
+            (1.0, float("nan"), 1.0, "x_delayed > 0"),
+        ],
+    )
+    def test_checks_in_rhs_order(self, x_now, x_d, x_c, match):
+        p = base_params(0.8)
+        flow, slope = stage_kernels(p, BASE_LAW)
+        with pytest.raises(ModelDomainError, match=match) as got:
+            flow(x_now, x_d, x_c)
+        with pytest.raises(ModelDomainError) as ref:
+            rhs(x_now, x_d, capacity(BASE_LAW, x_c), p)
+        assert str(got.value) == str(ref.value)
+        with pytest.raises(ModelDomainError, match="x_now > 0"):
+            slope(0.0, 1.0)
 
 
 class TestClamp:

@@ -123,6 +123,20 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="grid_n"):
             load_scenario(write_scenario(tmp_path, text))
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "section, key",
+        [("run", "t_end"), ("run", "step"), ("run", "init_x"), ("analysis", "grid_n"),
+         ("analysis", "tol_conv"), ("analysis", "tol_osc"), ("analysis", "tail_fraction")],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, section, key, value):
+        text = MINIMAL.replace("init_x = 1.0\n", "") + "\n[analysis]\n"
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        if key != "init_x":
+            text = text.replace("[run]\n", "[run]\ninit_x = 1.0\n")
+        with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
+            load_scenario(write_scenario(tmp_path, text))
+
     def test_constant_law(self, tmp_path):
         text = MINIMAL.replace(
             "kind = affine\nintercept = 5.0\nslope = 1.0", "kind = constant\nlevel = 4.0"
