@@ -24,7 +24,7 @@ from .analysis import (
     stability_margin,
     validate_assumptions,
 )
-from .dde import HistoryBuffer, Trajectory, integrate, lookup, make_history
+from .dde import HistoryBuffer, Trajectory, integrate, make_history
 from .errors import (
     CapacityExhaustedError,
     ConfigError,
@@ -93,7 +93,6 @@ __all__ = [
     "classify",
     "integrate",
     "load_scenario",
-    "lookup",
     "lyapunov_value",
     "lyapunov_values",
     "make_history",

@@ -85,7 +85,13 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
     stays tiny even for steep exponents (small b).
     """
     exponent = (p.a + p.b + 1.0) / p.b
-    h_factor = p.h_gain ** (1.0 / p.b)
+    try:
+        h_factor = p.h_gain ** (1.0 / p.b)
+    except OverflowError:
+        raise EquilibriumBracketError(
+            f"h**(1/b) exceeds the float range (h = {p.h_gain}, b = {p.b}), so the "
+            f"equilibrium residual cannot be evaluated in floating point"
+        ) from None
 
     def f(x: float) -> float:
         try:

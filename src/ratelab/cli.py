@@ -11,9 +11,8 @@ Exit codes: 0 Converged, 10 Oscillating, 11 Saturated, 12 Undetermined;
 """
 
 import argparse
-import math
 import sys
-from dataclasses import replace
+from pathlib import Path
 
 from .analysis import CERTIFIED, check_stability, solve_equilibrium
 from .errors import (
@@ -23,6 +22,7 @@ from .errors import (
     RatelabError,
 )
 from .scenario import (
+    apply_param,
     auto_margin_range,
     format_report,
     format_sweep_summary,
@@ -74,39 +74,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_with_overrides(path, step=None, t_end=None):
-    from .scenario import snap_step
-
     cfg = load_scenario(path)
     if t_end is not None:
-        if not (math.isfinite(t_end) and t_end > 0):
-            raise ConfigError(f"--t-end must be positive and finite, got {t_end}")
-        cfg = replace(cfg, t_end=t_end)
+        cfg = apply_param(cfg, "t_end", t_end)
     if step is not None:
-        if not step > 0:
-            raise ConfigError(f"--step must be positive, got {step}")
-        snapped = snap_step(step, cfg.params.tau, cfg.params.T_delay)
-        cfg = replace(cfg, step=snapped, step_requested=step)
+        cfg = apply_param(cfg, "step", step)
     return cfg
 
 
 def _cmd_run(args) -> int:
     cfg = _load_with_overrides(args.scenario, args.step, args.t_end)
     res = run_scenario(cfg, out_dir=args.out)
-    sys.stdout.write(format_report(res))
+    sys.stdout.write(format_report(cfg, res.report, res.classification, res.exit_code))
     print(f"outputs: {res.paths['trajectory']}")
     return res.exit_code
 
 
 def _cmd_check(args) -> int:
-    cfg = _load_with_overrides(args.scenario)
+    cfg = load_scenario(args.scenario)
     eq = solve_equilibrium(cfg.params, cfg.law)
     x_range = cfg.margin_range or auto_margin_range(cfg, None, eq.x_star)
     report = check_stability(cfg.params, cfg.law, x_range, cfg.grid_n)
-    text = format_report(report, cfg)
+    text = format_report(cfg, report)
     sys.stdout.write(text)
     if args.out is not None:
-        from pathlib import Path
-
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "report.txt", "w", encoding="utf-8", newline="\n") as fh:

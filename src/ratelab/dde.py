@@ -38,16 +38,6 @@ def hermite_value(x0, x1, d0, d1, h, theta):
     )
 
 
-def hermite_slope(x0, x1, d0, d1, h, theta):
-    """Time derivative of the cubic Hermite interpolant at theta."""
-    t2 = theta * theta
-    return (
-        (6.0 * t2 - 6.0 * theta) * (x0 - x1) / h
-        + (3.0 * t2 - 4.0 * theta + 1.0) * d0
-        + (3.0 * t2 - 2.0 * theta) * d1
-    )
-
-
 @dataclass(frozen=True)
 class HistoryBuffer:
     """Uniformly sampled past rates with their derivatives.
@@ -72,33 +62,6 @@ class HistoryBuffer:
     @property
     def span(self) -> float:
         return (len(self.x) - 1) * self.step
-
-    def lookup(self, t_query: float) -> tuple[float, float]:
-        """Value and derivative at t_query: stored sample on a grid hit
-        (within GRID_SNAP*step), cubic Hermite between samples otherwise."""
-        rel = (t_query - self.origin) / self.step
-        n = len(self.x)
-        # Range slack scales with rel: the division itself carries ~rel*eps noise.
-        tol = GRID_SNAP * max(1.0, n - 1.0)
-        if rel < -tol or rel > (n - 1) + tol:
-            raise HistoryRangeError(
-                f"t = {t_query} outside buffered span [{self.origin}, {self.t_last}]"
-            )
-        j = int(math.floor(rel))
-        j = min(max(j, 0), n - 2) if n > 1 else 0
-        theta = rel - j
-        if abs(theta) <= tol:
-            return float(self.x[j]), float(self.dxdt[j])
-        if abs(theta - 1.0) <= tol:
-            return float(self.x[j + 1]), float(self.dxdt[j + 1])
-        x = hermite_value(self.x[j], self.x[j + 1], self.dxdt[j], self.dxdt[j + 1], self.step, theta)
-        d = hermite_slope(self.x[j], self.x[j + 1], self.dxdt[j], self.dxdt[j + 1], self.step, theta)
-        return float(x), float(d)
-
-
-def lookup(buffer: HistoryBuffer, t_query: float) -> tuple[float, float]:
-    """Module-level alias of :meth:`HistoryBuffer.lookup`."""
-    return buffer.lookup(t_query)
 
 
 def make_history(step: float, span: float, init) -> HistoryBuffer:

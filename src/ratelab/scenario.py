@@ -1,17 +1,20 @@
 """Scenario configs, the end-to-end run pipeline, sweeps, and file emission.
 
-A scenario file is flat INI-style key/value text (see ``KEYS`` below and the
-shipped files under scenarios/).  Loading fills defaults, validates every
-embedded invariant, and snaps the step down so both delays are integer
-multiples of it.
+A scenario file is flat INI-style key/value text.  ``FIELDS`` lists every
+key with its section, parser and default, and drives loading, the config
+echo, CLI overrides and sweeps; :func:`build_config` fills defaults,
+validates every embedded invariant, and snaps the step down so both delays
+are integer multiples of it.
 """
 
 import configparser
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,55 +36,91 @@ from .errors import ConfigError, HorizonError, RatelabError
 from .model import AFFINE, CONSTANT, CapacityLaw, ModelParams
 from .svgplot import line_plot_svg
 
-DEFAULT_T_END = 200.0
-DEFAULT_STEP = 0.01
-DEFAULT_GRID_N = 256
 # Rows formatted per write by write_csv: bounds the text held in memory.
 CSV_CHUNK_ROWS = 4096
+# Ceiling on t_end / step, checked before integrate allocates its grid:
+# 500x the 2e4 steps of the shipped scenarios.
+MAX_STEPS = 10_000_000
 
 EXIT_CODES = {CONVERGED: 0, OSCILLATING: 10, SATURATED: 11, UNDETERMINED: 12}
 
-# section -> {key: required}
-KEYS = {
-    "model": {
-        "kappa": True,
-        "a": True,
-        "b": True,
-        "tau": True,
-        "t": True,
-        "h": False,
-        "x_min": False,
-        "x_max": False,
-    },
-    "capacity": {"kind": True, "intercept": False, "slope": False, "level": False},
-    "run": {"init_x": True, "t_end": False, "step": False, "out_dir": False},
-    "analysis": {
-        "margin_range": False,
-        "grid_n": False,
-        "tol_conv": False,
-        "tol_osc": False,
-        "tail_fraction": False,
-    },
-}
-
 SWEEPABLE = ("a", "b", "kappa", "tau", "T", "intercept", "slope")
+
+REQUIRED = object()  # Field.default of a key without a default
+
+
+def _parse_range(text: str):
+    if text.lower() == "auto":
+        return "auto"
+    pieces = text.replace(",", " ").split()
+    if len(pieces) != 2:
+        raise ValueError(f"expected 'auto' or two numbers, got {text!r}")
+    return float(pieces[0]), float(pieces[1])
+
+
+class Field(NamedTuple):
+    """One scenario key.  ``parse`` turns its file text into a value;
+    ``default`` is REQUIRED for a key without one; ``kind`` names the
+    capacity law that requires the key (a law of the other kind ignores it).
+    """
+
+    section: str
+    key: str
+    parse: Callable[[str], object]
+    default: object = REQUIRED
+    kind: str | None = None
+
+
+# In echo order.  Keys of the run and analysis sections are the
+# ScenarioConfig fields of the same name.
+FIELDS = (
+    Field("model", "kappa", float),
+    Field("model", "a", float),
+    Field("model", "b", float),
+    Field("model", "tau", float),
+    Field("model", "T", float),
+    Field("model", "h", float, 1.0),
+    Field("model", "x_min", float, 1e-3),
+    Field("model", "x_max", float, 1e3),
+    Field("capacity", "kind", str.lower),
+    Field("capacity", "intercept", float, kind=AFFINE),
+    Field("capacity", "slope", float, kind=AFFINE),
+    Field("capacity", "level", float, kind=CONSTANT),
+    Field("run", "init_x", float),
+    Field("run", "t_end", float, 200.0),
+    Field("run", "step", float, 0.01),
+    Field("run", "out_dir", lambda text: text or None, None),
+    Field("analysis", "margin_range", _parse_range, "auto"),
+    Field("analysis", "grid_n", float, 256),
+    Field("analysis", "tol_conv", float, 1e-2),
+    Field("analysis", "tol_osc", float, 0.1),
+    Field("analysis", "tail_fraction", float, 0.2),
+)
+_FIELD_BY_KEY = {f.key: f for f in FIELDS}
+# section -> {key as configparser reports it, in lower case: Field}
+_SECTIONS = {sec: {f.key.lower(): f for f in FIELDS if f.section == sec}
+             for sec in dict.fromkeys(f.section for f in FIELDS)}
+_CONFIG_KEYS = tuple(f.key for f in FIELDS if f.section in ("run", "analysis"))
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated scenario.  Build it with :func:`build_config`; FIELDS
+    holds the defaults."""
+
     params: ModelParams
     law: CapacityLaw
     init_x: float
-    t_end: float = DEFAULT_T_END
-    step: float = DEFAULT_STEP
-    step_requested: float = DEFAULT_STEP
-    margin_range: tuple[float, float] | None = None  # None means auto
-    grid_n: int = DEFAULT_GRID_N
-    tol_conv: float = 1e-2
-    tol_osc: float = 0.1
-    tail_fraction: float = 0.2
-    out_dir: str | None = None
-    name: str = "scenario"
+    t_end: float
+    step: float  # snapped
+    step_requested: float
+    margin_range: tuple[float, float] | None  # None means auto
+    grid_n: int
+    tol_conv: float
+    tol_osc: float
+    tail_fraction: float
+    out_dir: str | None
+    name: str
 
 
 @dataclass(frozen=True)
@@ -90,9 +129,20 @@ class RunResult:
     trajectory: Trajectory
     report: StabilityReport
     classification: Classification
-    lyapunov: tuple  # (t, V) pairs at whole seconds
     exit_code: int
     paths: dict
+
+    @cached_property
+    def lyapunov(self) -> tuple:
+        """(t, V) energy samples at whole seconds from the longest delay on.
+
+        Computed on first use: sweeps report no V and never pay for it.
+        """
+        p, traj = self.config.params, self.trajectory
+        t_first = math.ceil(p.max_delay - 1e-9)
+        ts = [float(s) for s in range(t_first, int(math.floor(traj.t_end + 1e-9)) + 1)]
+        values = lyapunov_values(traj, ts, p, self.report.equilibrium)
+        return tuple(zip(ts, values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -145,19 +195,92 @@ def snap_step(step: float, tau: float, t_delay: float) -> float:
     )
 
 
-def _get_float(section, key, path, default=None):
-    raw = section.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"{path}: missing required key '{key}' in [{section.name}]")
-        return default
+def build_config(values: dict, where: str, name: str = "scenario") -> ScenarioConfig:
+    """Check one scenario's key values (FIELDS names) and assemble its config.
+
+    Missing keys take their FIELDS defaults.  Scenario files, CLI overrides
+    and sweep values all come through here, so they share every check;
+    ``where`` prefixes the error messages.
+    """
+    kind = values.get("kind")
+    v = {}
+    for section, key, _, default, needed_by in FIELDS:
+        value = v[key] = values.get(key, default)
+        if value is REQUIRED:
+            if needed_by is None or needed_by == kind:
+                raise ConfigError(f"{where}: missing required key '{key}' in [{section}]")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}: [{section}] key '{key}' must be finite, got {value!r}")
+    c0, slope = (v["intercept"], v["slope"]) if kind == AFFINE else (v["level"], 0.0)
     try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: key '{key}' is not a number: {raw!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: key '{key}' must be finite, got {raw!r}")
-    return value
+        params = ModelParams(v["kappa"], v["a"], v["b"], v["tau"], v["T"],
+                             v["h"], v["x_min"], v["x_max"])
+        law = CapacityLaw(kind, c0, slope)
+    except RatelabError as exc:
+        raise ConfigError(f"{where}: invalid: {exc}") from exc
+    if params.tau < params.T_delay:
+        raise ConfigError(
+            f"{where}: [model] violates assumption A1: tau >= T required, "
+            f"got tau = {params.tau}, T = {params.T_delay}"
+        )
+
+    # x_min > 0, so the bounds also keep init_x positive
+    if not params.x_min <= v["init_x"] <= params.x_max:
+        raise ConfigError(
+            f"{where}: [run] init_x = {v['init_x']} outside rate bounds "
+            f"[{params.x_min}, {params.x_max}]"
+        )
+    if not v["t_end"] > 0:
+        raise ConfigError(f"{where}: [run] t_end must be positive, got {v['t_end']}")
+    try:
+        step = snap_step(v["step"], params.tau, params.T_delay)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: [run] {exc}") from exc
+    if v["t_end"] / step > MAX_STEPS:
+        raise ConfigError(
+            f"{where}: [run] t_end / step = {v['t_end'] / step:.4g} steps exceeds "
+            f"the ceiling of {MAX_STEPS}"
+        )
+
+    margin_range = v["margin_range"]
+    if margin_range == "auto":
+        margin_range = None
+    elif not params.x_min <= margin_range[0] < margin_range[1] <= params.x_max:
+        raise ConfigError(
+            f"{where}: [analysis] margin_range [{margin_range[0]}, {margin_range[1]}] "
+            f"must be increasing and inside the rate bounds"
+        )
+    grid_n = int(v["grid_n"])
+    if grid_n < 16:
+        raise ConfigError(f"{where}: [analysis] grid_n must be at least 16, got {grid_n}")
+    if not (v["tol_conv"] > 0 and v["tol_osc"] > 0):
+        raise ConfigError(f"{where}: [analysis] tolerances must be positive")
+    if not 0 < v["tail_fraction"] <= 0.5:
+        raise ConfigError(
+            f"{where}: [analysis] tail_fraction must be in (0, 0.5], got {v['tail_fraction']}"
+        )
+
+    fields = {key: v[key] for key in _CONFIG_KEYS}
+    fields.update(step=step, margin_range=margin_range, grid_n=grid_n)
+    return ScenarioConfig(params, law, step_requested=v["step"], name=name, **fields)
+
+
+def config_values(cfg: ScenarioConfig) -> dict:
+    """The key values of ``cfg``, named as in FIELDS: the inverse of
+    :func:`build_config`.  ``step`` is the snapped step; capacity keys that
+    the law's kind does not use are absent."""
+    p, law = cfg.params, cfg.law
+    values = {"kappa": p.kappa, "a": p.a, "b": p.b, "tau": p.tau, "T": p.T_delay,
+              "h": p.h_gain, "x_min": p.x_min, "x_max": p.x_max, "kind": law.kind}
+    if law.kind == AFFINE:
+        values["intercept"], values["slope"] = law.c0, law.slope
+    else:
+        values["level"] = law.c0
+    for key in _CONFIG_KEYS:
+        values[key] = getattr(cfg, key)
+    if cfg.margin_range is None:
+        values["margin_range"] = "auto"
+    return values
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -165,131 +288,48 @@ def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"scenario file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), strict=True)
+    cp = configparser.ConfigParser(
+        inline_comment_prefixes=("#",), strict=True, interpolation=None
+    )
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: parse error: {exc}") from exc
 
+    values = {}
     for sec in cp.sections():
-        if sec not in KEYS:
+        if sec not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{sec}]")
-        for key in cp[sec]:
-            if key not in KEYS[sec]:
+        for key, text in cp.items(sec):
+            f = _SECTIONS[sec].get(key)
+            if f is None:
                 raise ConfigError(f"{path}: unknown key '{key}' in [{sec}]")
-    for sec, keys in KEYS.items():
-        required = [k for k, req in keys.items() if req]
-        if required and sec not in cp:
-            raise ConfigError(f"{path}: missing section [{sec}]")
+            try:
+                values[f.key] = f.parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: [{sec}] key '{key}': {exc}") from exc
+    return build_config(values, str(path), path.stem)
 
-    m = cp["model"]
-    try:
-        params = ModelParams(
-            kappa=_get_float(m, "kappa", path),
-            a=_get_float(m, "a", path),
-            b=_get_float(m, "b", path),
-            tau=_get_float(m, "tau", path),
-            T_delay=_get_float(m, "t", path),
-            h_gain=_get_float(m, "h", path, 1.0),
-            x_min=_get_float(m, "x_min", path, 1e-3),
-            x_max=_get_float(m, "x_max", path, 1e3),
-        )
-    except RatelabError as exc:
-        raise ConfigError(f"{path}: [model] invalid: {exc}") from exc
-    if params.tau < params.T_delay:
-        raise ConfigError(
-            f"{path}: [model] violates assumption A1: tau >= T required, "
-            f"got tau = {params.tau}, T = {params.T_delay}"
-        )
 
-    cap = cp["capacity"]
-    kind = cap.get("kind", "").strip().lower()
-    try:
-        if kind == AFFINE:
-            law = CapacityLaw.affine(
-                _get_float(cap, "intercept", path), _get_float(cap, "slope", path)
-            )
-        elif kind == CONSTANT:
-            law = CapacityLaw.constant(_get_float(cap, "level", path))
-        else:
-            raise ConfigError(
-                f"{path}: [capacity] kind must be 'affine' or 'constant', got {kind!r}"
-            )
-    except RatelabError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: [capacity] invalid: {exc}") from exc
+def apply_param(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
+    """Return ``cfg`` with one key of FIELDS replaced, checked and re-snapped
+    from the requested step by :func:`build_config`.
 
-    r = cp["run"]
-    init_x = _get_float(r, "init_x", path)
-    if not init_x > 0:
-        raise ConfigError(f"{path}: [run] init_x must be positive, got {init_x}")
-    if not (params.x_min <= init_x <= params.x_max):
-        raise ConfigError(
-            f"{path}: [run] init_x = {init_x} outside rate bounds "
-            f"[{params.x_min}, {params.x_max}]"
-        )
-    t_end = _get_float(r, "t_end", path, DEFAULT_T_END)
-    if not t_end > 0:
-        raise ConfigError(f"{path}: [run] t_end must be positive, got {t_end}")
-    step_req = _get_float(r, "step", path, DEFAULT_STEP)
-    if not step_req > 0:
-        raise ConfigError(f"{path}: [run] step must be positive, got {step_req}")
-    step = snap_step(step_req, params.tau, params.T_delay)
-    out_dir = r.get("out_dir") or None
-
-    a_sec = cp["analysis"] if "analysis" in cp else {}
-    margin_raw = a_sec.get("margin_range", "auto").strip()
-    if margin_raw.lower() == "auto":
-        margin_range = None
-    else:
-        pieces = margin_raw.replace(",", " ").split()
-        if len(pieces) != 2:
-            raise ConfigError(
-                f"{path}: [analysis] margin_range must be 'auto' or two numbers, "
-                f"got {margin_raw!r}"
-            )
-        try:
-            lo, hi = float(pieces[0]), float(pieces[1])
-        except ValueError as exc:
-            raise ConfigError(
-                f"{path}: [analysis] margin_range values are not numbers: {margin_raw!r}"
-            ) from exc
-        if not (params.x_min <= lo < hi <= params.x_max):
-            raise ConfigError(
-                f"{path}: [analysis] margin_range [{lo}, {hi}] must be increasing "
-                f"and inside the rate bounds"
-            )
-        margin_range = (lo, hi)
-    grid_n = int(_get_float(a_sec, "grid_n", path, DEFAULT_GRID_N))
-    if grid_n < 16:
-        raise ConfigError(f"{path}: [analysis] grid_n must be at least 16, got {grid_n}")
-    tol_conv = _get_float(a_sec, "tol_conv", path, 1e-2)
-    tol_osc = _get_float(a_sec, "tol_osc", path, 0.1)
-    tail_fraction = _get_float(a_sec, "tail_fraction", path, 0.2)
-    if not (tol_conv > 0 and tol_osc > 0):
-        raise ConfigError(f"{path}: [analysis] tolerances must be positive")
-    if not (0 < tail_fraction <= 0.5):
-        raise ConfigError(
-            f"{path}: [analysis] tail_fraction must be in (0, 0.5], got {tail_fraction}"
-        )
-
-    return ScenarioConfig(
-        params=params,
-        law=law,
-        init_x=init_x,
-        t_end=t_end,
-        step=step,
-        step_requested=step_req,
-        margin_range=margin_range,
-        grid_n=grid_n,
-        tol_conv=tol_conv,
-        tol_osc=tol_osc,
-        tail_fraction=tail_fraction,
-        out_dir=out_dir,
-        name=path.stem,
-    )
+    ``intercept`` sets a constant law's level; a capacity key that the law's
+    kind does not use is refused.
+    """
+    if key == "intercept" and cfg.law.kind == CONSTANT:
+        key = "level"
+    f = _FIELD_BY_KEY.get(key)
+    if f is None:
+        raise ConfigError(f"unknown scenario key {key!r}")
+    if f.kind not in (None, cfg.law.kind):
+        raise ConfigError(f"cannot sweep {key!r} of a {cfg.law.kind} capacity law")
+    values = config_values(cfg)
+    values["step"] = cfg.step_requested
+    values[key] = value
+    return build_config(values, f"{key} = {value}", cfg.name)
 
 
 def auto_margin_range(cfg: ScenarioConfig, traj: Trajectory | None, x_star: float):
@@ -320,7 +360,7 @@ def auto_margin_range(cfg: ScenarioConfig, traj: Trajectory | None, x_star: floa
 
 def _execute(cfg: ScenarioConfig) -> RunResult:
     """Full in-memory pipeline: equilibrium, integration, margin check,
-    classification, energy sampling.  No files are written here."""
+    classification.  No files are written here."""
     eq = solve_equilibrium(cfg.params, cfg.law)
     history = make_history(cfg.step, cfg.params.max_delay, cfg.init_x)
     traj = integrate(cfg.params, cfg.law, history, cfg.t_end, cfg.step)
@@ -335,15 +375,11 @@ def _execute(cfg: ScenarioConfig) -> RunResult:
             tail_peak_to_peak=float(traj.x.max() - traj.x.min()),
             settling_time=None,
         )
-    t_first = math.ceil(cfg.params.max_delay - 1e-9)
-    ts = [float(s) for s in range(t_first, int(math.floor(traj.t_end + 1e-9)) + 1)]
-    lyap = tuple(zip(ts, lyapunov_values(traj, ts, cfg.params, eq).tolist()))
     return RunResult(
         config=cfg,
         trajectory=traj,
         report=report,
         classification=cls,
-        lyapunov=lyap,
         exit_code=EXIT_CODES[cls.kind],
         paths={},
     )
@@ -378,30 +414,22 @@ def write_lyapunov_csv(samples, path) -> None:
               [[t for t, _ in samples], [v for _, v in samples]])
 
 
-def format_report(res_or_report, cfg: ScenarioConfig | None = None) -> str:
-    """Human- and grep-friendly key: value report."""
-    if isinstance(res_or_report, RunResult):
-        report = res_or_report.report
-        cls = res_or_report.classification
-        cfg = res_or_report.config
-        exit_code = res_or_report.exit_code
-    else:
-        report, cls, exit_code = res_or_report, None, None
+def format_report(cfg: ScenarioConfig, report: StabilityReport, cls=None, exit_code=None) -> str:
+    """Human- and grep-friendly key: value report; the classification and
+    exit code lines only when given (``check`` has neither)."""
     eq = report.equilibrium
-    lines = []
-    if cfg is not None:
-        lines.append(f"scenario: {cfg.name}")
-        p = cfg.params
-        lines.append(
-            f"params: kappa={p.kappa:g} a={p.a:g} b={p.b:g} h={p.h_gain:g} "
-            f"tau={p.tau:g} T={p.T_delay:g} bounds=[{p.x_min:g}, {p.x_max:g}]"
-        )
-        if cfg.law.kind == AFFINE:
-            lines.append(f"capacity: g(x) = {cfg.law.c0:g} - {cfg.law.slope:g}*x")
-        else:
-            lines.append(f"capacity: g(x) = {cfg.law.c0:g} (constant)")
-        lines.append(f"step: {cfg.step:.17g} (requested {cfg.step_requested:g})")
-        lines.append(f"t_end: {cfg.t_end:g}")
+    p = cfg.params
+    lines = [
+        f"scenario: {cfg.name}",
+        f"params: kappa={p.kappa:g} a={p.a:g} b={p.b:g} h={p.h_gain:g} "
+        f"tau={p.tau:g} T={p.T_delay:g} bounds=[{p.x_min:g}, {p.x_max:g}]",
+    ]
+    if cfg.law.kind == AFFINE:
+        lines.append(f"capacity: g(x) = {cfg.law.c0:g} - {cfg.law.slope:g}*x")
+    else:
+        lines.append(f"capacity: g(x) = {cfg.law.c0:g} (constant)")
+    lines.append(f"step: {cfg.step:.17g} (requested {cfg.step_requested:g})")
+    lines.append(f"t_end: {cfg.t_end:g}")
     lines.append(
         f"equilibrium: x_star={eq.x_star:.10g} c_star={eq.c_star:.10g} "
         f"residual={eq.residual:.3e}"
@@ -429,51 +457,29 @@ def format_report(res_or_report, cfg: ScenarioConfig | None = None) -> str:
 
 
 def write_config_echo(cfg: ScenarioConfig, path) -> None:
-    """Emit the effective config in the loadable scenario format."""
-    p = cfg.params
+    """Emit the effective config in the loadable scenario format, one line
+    per key of FIELDS that has a value.
+
+    ``out_dir`` is left out, so re-running an echo cannot overwrite the
+    outputs of the run that wrote it.
+    """
+    values = config_values(cfg)
     lines = ["# effective configuration echo"]
     if abs(cfg.step - cfg.step_requested) > 1e-15 * cfg.step_requested:
         lines.append(f"# step snapped down from {cfg.step_requested:g}")
-    lines += [
-        "[model]",
-        f"kappa = {p.kappa:.17g}",
-        f"a = {p.a:.17g}",
-        f"b = {p.b:.17g}",
-        f"tau = {p.tau:.17g}",
-        f"T = {p.T_delay:.17g}",
-        f"h = {p.h_gain:.17g}",
-        f"x_min = {p.x_min:.17g}",
-        f"x_max = {p.x_max:.17g}",
-        "",
-        "[capacity]",
-        f"kind = {cfg.law.kind}",
-    ]
-    if cfg.law.kind == AFFINE:
-        lines.append(f"intercept = {cfg.law.c0:.17g}")
-        lines.append(f"slope = {cfg.law.slope:.17g}")
-    else:
-        lines.append(f"level = {cfg.law.c0:.17g}")
-    lines += [
-        "",
-        "[run]",
-        f"init_x = {cfg.init_x:.17g}",
-        f"t_end = {cfg.t_end:.17g}",
-        f"step = {cfg.step:.17g}",
-        "",
-        "[analysis]",
-    ]
-    if cfg.margin_range is None:
-        lines.append("margin_range = auto")
-    else:
-        lines.append(
-            f"margin_range = {cfg.margin_range[0]:.17g} {cfg.margin_range[1]:.17g}"
-        )
-    lines += [
-        f"grid_n = {cfg.grid_n}",
-        f"tol_conv = {cfg.tol_conv:.17g}",
-        f"tol_osc = {cfg.tol_osc:.17g}",
-        f"tail_fraction = {cfg.tail_fraction:.17g}",
-    ]
+    section = None
+    for f in FIELDS:
+        value = values.get(f.key)
+        if value is None or f.key == "out_dir":
+            continue
+        if f.section != section:
+            lines += [f"[{f.section}]"] if section is None else ["", f"[{f.section}]"]
+            section = f.section
+        if isinstance(value, tuple):
+            value = " ".join(map(_fmt, value))
+        elif isinstance(value, float):
+            value = _fmt(value)
+        lines.append(f"{f.key} = {value}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -487,6 +493,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     left behind.
     """
     res = _execute(cfg)
+    lyapunov = res.lyapunov
     out = Path(out_dir or cfg.out_dir or os.path.join("out", cfg.name))
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -500,10 +507,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     try:
         write_trajectory_csv(res.trajectory, paths["trajectory"])
         written.append(paths["trajectory"])
-        write_lyapunov_csv(res.lyapunov, paths["lyapunov"])
+        write_lyapunov_csv(lyapunov, paths["lyapunov"])
         written.append(paths["lyapunov"])
         with open(paths["report"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_report(res))
+            fh.write(format_report(cfg, res.report, res.classification, res.exit_code))
         written.append(paths["report"])
         line_plot_svg(
             paths["plot"],
@@ -523,40 +530,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
             except OSError:
                 pass
         raise
-    return replace(res, paths={k: str(v) for k, v in paths.items()})
-
-
-def apply_param(cfg: ScenarioConfig, name: str, value: float) -> ScenarioConfig:
-    """Return a config with one swept parameter replaced (re-snapping the step
-    when a delay changes)."""
-    if name in ("a", "b", "kappa"):
-        params = replace(cfg.params, **{name: value})
-        law = cfg.law
-    elif name == "tau":
-        params = replace(cfg.params, tau=value)
-        law = cfg.law
-    elif name in ("T", "T_delay"):
-        params = replace(cfg.params, T_delay=value)
-        law = cfg.law
-    elif name == "intercept":
-        params = cfg.params
-        law = CapacityLaw(cfg.law.kind, value, cfg.law.slope)
-    elif name == "slope":
-        if cfg.law.kind != AFFINE:
-            raise ConfigError("cannot sweep 'slope' of a constant capacity law")
-        params = cfg.params
-        law = CapacityLaw.affine(cfg.law.c0, value)
-    else:
-        raise ConfigError(
-            f"unknown sweep parameter {name!r}; choose one of {SWEEPABLE}"
-        )
-    if params.tau < params.T_delay:
-        raise ConfigError(
-            f"sweep value {name} = {value} violates assumption A1 "
-            f"(tau = {params.tau} < T = {params.T_delay})"
-        )
-    step = snap_step(cfg.step_requested, params.tau, params.T_delay)
-    return replace(cfg, params=params, law=law, step=step)
+    # filled in place: a copy would drop the cached energy samples
+    res.paths.update((k, str(v)) for k, v in paths.items())
+    return res
 
 
 def _sweep_one(args) -> SweepRow:
@@ -596,7 +572,7 @@ def sweep(
     Results are gathered by index, so the output order equals the input
     order regardless of worker scheduling.
     """
-    if param_name not in SWEEPABLE and param_name != "T_delay":
+    if param_name not in SWEEPABLE:
         raise ConfigError(
             f"unknown sweep parameter {param_name!r}; choose one of {SWEEPABLE}"
         )
@@ -617,25 +593,18 @@ def sweep(
     ]
     largest_certified = max(certified) if certified else None
     smallest_oscillating = min(oscillating) if oscillating else None
-    boundary = None
-    if certified and uncertified:
-        above = [v for v in uncertified if v > largest_certified]
-        if above:
-            boundary = (largest_certified, min(above))
+    above = [v for v in uncertified if certified and v > largest_certified]
+    boundary = (largest_certified, min(above)) if above else None
 
     monotone = None
     if param_name == "b":
+        # in increasing b, no certified value may follow an uncertified one
         ordered = sorted((r for r in rows if r.status == "ok"), key=lambda r: r.value)
-        seen_uncertified = False
-        monotone = True
-        for r in ordered:
-            if r.verdict != CERTIFIED:
-                seen_uncertified = True
-            elif seen_uncertified:
-                monotone = False
-                break
+        flags = [r.verdict == CERTIFIED for r in ordered]
+        monotone = flags == sorted(flags, reverse=True)
 
-    paths: dict = {}
+    rep = SweepReport(param_name, rows, largest_certified, smallest_oscillating,
+                      boundary, monotone, paths={})
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -661,24 +630,11 @@ def sweep(
                 [r.message.replace(",", ";").replace("\n", " ") for r in rows],
             ],
         )
-        paths["sweep_csv"] = str(csv_path)
         summary_path = out / "sweep_report.txt"
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_sweep_summary(
-                SweepReport(param_name, rows, largest_certified, smallest_oscillating,
-                            boundary, monotone, {})
-            ))
-        paths["sweep_report"] = str(summary_path)
-
-    return SweepReport(
-        param=param_name,
-        rows=rows,
-        largest_certified=largest_certified,
-        smallest_oscillating=smallest_oscillating,
-        certified_boundary=boundary,
-        monotone_consistent=monotone,
-        paths=paths,
-    )
+            fh.write(format_sweep_summary(rep))
+        rep.paths.update(sweep_csv=str(csv_path), sweep_report=str(summary_path))
+    return rep
 
 
 def format_sweep_summary(rep: SweepReport) -> str:

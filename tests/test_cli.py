@@ -112,6 +112,17 @@ def test_check_small_b_has_no_traceback(fig2_path, tmp_path):
     assert "equilibrium: x_star=1.00553282" in proc.stdout
 
 
+def test_check_overflowing_h_factor_exits_65(fig2_path, tmp_path):
+    # h**(1/b) = 1e4**100 is beyond the float range, though an equilibrium exists
+    path = tmp_path / "big_h.scenario"
+    text = fig2_path.read_text().replace("\nb = 0.2\n", "\nb = 0.01\nh = 1e4\n")
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli("check", path)
+    assert proc.returncode == 65
+    assert "Traceback" not in proc.stderr
+    assert "h**(1/b) exceeds the float range (h = 10000.0, b = 0.01)" in proc.stderr
+
+
 def test_sweep_isolates_non_ratelab_errors(fig2_path, tmp_path, monkeypatch, capsys):
     real = scenario._execute
 
@@ -147,6 +158,14 @@ def test_non_finite_t_end_is_config_error(fig2_path, tmp_path):
     path.write_text(text, encoding="utf-8")
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 65
     assert main(["run", str(fig2_path), "--t-end", "inf", "--out", str(tmp_path / "o")]) == 65
+
+
+def test_step_ceiling_exits_65(fig2_path, tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", str(fig2_path), "--t-end", "1e9", "--out", str(out)]) == 65
+    assert main(["sweep", str(fig2_path), "--param", "b", "--values", "0.2",
+                 "--t-end", "1e9", "--out", str(out)]) == 65
+    assert not out.exists()
 
 
 def test_non_numeric_grid_n_exits_65(fig2_path, tmp_path):

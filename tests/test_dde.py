@@ -9,16 +9,15 @@ from ratelab import (
     HistoryRangeError,
     IntegrationDivergedError,
     ModelDomainError,
+    Trajectory,
     capacity,
     clamp,
     integrate,
     load_scenario,
-    lookup,
     make_history,
     rhs,
     solve_equilibrium,
 )
-from ratelab.dde import HistoryBuffer
 from conftest import BASE_LAW, SCENARIOS, base_params
 
 
@@ -107,41 +106,29 @@ class TestMakeHistory:
             make_history(0.3, 1.0, 1.0)
 
 
-class TestLookup:
-    def test_constant_buffer(self):
-        buf = make_history(0.01, 3.0, 1.0)
-        for t in (-3.0, -2.71828, -1.0, -0.005, 0.0):
-            x, d = lookup(buf, t)
-            assert x == pytest.approx(1.0, abs=1e-15)
-            assert d == pytest.approx(0.0, abs=1e-15)
-
-    def test_linear_data_reproduced(self):
-        buf = HistoryBuffer(step=1.0, origin=0.0, x=np.array([0.0, 1.0]), dxdt=np.array([1.0, 1.0]))
-        x, d = buf.lookup(0.5)
-        assert x == pytest.approx(0.5, abs=1e-15)
-        assert d == pytest.approx(1.0, abs=1e-15)
+class TestInterpX:
+    @staticmethod
+    def cubic_trajectory():
+        # exact node values and slopes of x = t**3 on [0, 4]
+        ts = np.arange(5, dtype=float)
+        return Trajectory(step=1.0, t_start=0.0, t_end=4.0, t=ts, x=ts**3,
+                          c=BASE_LAW.value(ts**3), dxdt=3.0 * ts**2,
+                          params=base_params(0.2), law=BASE_LAW)
 
     def test_cubic_data_reproduced(self):
         # Hermite is exact for cubics given exact node values and slopes
-        ts = np.arange(5, dtype=float)
-        buf = HistoryBuffer(step=1.0, origin=0.0, x=ts**3, dxdt=3.0 * ts**2)
-        for t in (0.3, 1.7, 2.25, 3.9):
-            x, d = buf.lookup(t)
-            assert x == pytest.approx(t**3, rel=1e-13)
-            assert d == pytest.approx(3 * t**2, rel=1e-13)
-
-    def test_grid_hit_returns_stored_sample(self):
-        buf = make_history(0.01, 3.0, lambda t: 1.0 + t * t)
-        x, d = buf.lookup(-1.0)
-        assert x == buf.x[200]
-        assert d == buf.dxdt[200]
+        traj = self.cubic_trajectory()
+        ts = np.array([0.3, 1.7, 2.25, 3.9])
+        for t in ts:
+            assert traj.interp_x(t) == pytest.approx(t**3, rel=1e-13)
+        np.testing.assert_allclose(traj.interp_x(ts), ts**3, rtol=1e-13)
 
     def test_out_of_range_names_span(self):
-        buf = make_history(1.0, 3.0, 1.0)
-        with pytest.raises(HistoryRangeError, match=r"\[-3.0, 0.0\]"):
-            buf.lookup(-3.1)
-        with pytest.raises(HistoryRangeError):
-            buf.lookup(0.5)
+        traj = self.cubic_trajectory()
+        with pytest.raises(HistoryRangeError, match=r"\[0.0, 4.0\]"):
+            traj.interp_x(-0.1)
+        with pytest.raises(HistoryRangeError, match="t = 4.5"):
+            traj.interp_x(np.array([1.0, 4.5]))
 
 
 def _scenario_run(name):

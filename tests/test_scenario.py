@@ -1,9 +1,12 @@
 import math
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratelab import (
     CERTIFIED,
@@ -18,7 +21,16 @@ from ratelab import (
     snap_step,
     sweep,
 )
-from ratelab.scenario import EXIT_CODES, apply_param, auto_margin_range, _execute
+from ratelab.model import AFFINE, CONSTANT
+from ratelab.scenario import (
+    EXIT_CODES,
+    FIELDS,
+    apply_param,
+    auto_margin_range,
+    build_config,
+    write_config_echo,
+    _execute,
+)
 from conftest import BASE_LAW, base_params
 
 MINIMAL = """\
@@ -135,6 +147,17 @@ class TestLoadScenario:
         if key != "init_x":
             text = text.replace("[run]\n", "[run]\ninit_x = 1.0\n")
         with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
+            load_scenario(write_scenario(tmp_path, text))
+
+    def test_percent_sign_read_literally(self, tmp_path):
+        # values are plain text: configparser interpolation is off
+        text = MINIMAL.replace("init_x = 1.0", "init_x = 1.0\nout_dir = out/100%")
+        assert load_scenario(write_scenario(tmp_path, text)).out_dir == "out/100%"
+
+    def test_step_ceiling_checked_at_load(self, tmp_path):
+        # 1e11 steps: refused before anything is allocated
+        text = MINIMAL.replace("init_x = 1.0", "init_x = 1.0\nt_end = 1e9")
+        with pytest.raises(ConfigError, match="ceiling"):
             load_scenario(write_scenario(tmp_path, text))
 
     def test_constant_law(self, tmp_path):
@@ -292,3 +315,87 @@ class TestSweep:
         assert apply_param(cfg, "T", 1.0).params.T_delay == 1.0
         # re-snap on delay change
         assert apply_param(cfg, "tau", 2.5).step == pytest.approx(0.01, rel=1e-12)
+
+    def test_apply_param_runs_the_scenario_checks(self, fig2_path):
+        cfg = load_scenario(fig2_path)
+        with pytest.raises(ConfigError, match="ceiling"):
+            apply_param(cfg, "t_end", 1e9)
+        with pytest.raises(ConfigError, match="'step' must be finite"):
+            apply_param(cfg, "step", math.inf)
+        with pytest.raises(ConfigError, match="unknown scenario key"):
+            apply_param(cfg, "T_delay", 1.0)
+        # a tau that halves the snapped step doubles the step count past the ceiling
+        long_cfg = apply_param(cfg, "t_end", 9e4)
+        row = sweep(long_cfg, "tau", [2.015]).rows[0]
+        assert row.status == "error" and "ceiling" in row.message
+
+    def test_apply_param_constant_law(self, tmp_path):
+        text = MINIMAL.replace(
+            "kind = affine\nintercept = 5.0\nslope = 1.0", "kind = constant\nlevel = 4.0"
+        )
+        cfg = load_scenario(write_scenario(tmp_path, text))
+        assert apply_param(cfg, "intercept", 6.0).law == apply_param(cfg, "level", 6.0).law
+        assert apply_param(cfg, "intercept", 6.0).law.c0 == 6.0
+        with pytest.raises(ConfigError, match="cannot sweep 'slope' of a constant"):
+            apply_param(cfg, "slope", 2.0)
+
+
+# Drawn values for the keys whose default is not a number to scale (below).
+# (tau, T) pairs and requested steps: some steps divide both delays, the
+# others are snapped down.
+_DRAWN = {
+    "kappa": st.floats(0.1, 5.0),
+    "a": st.floats(0.1, 3.0),
+    "b": st.floats(0.05, 2.0),
+    "kind": st.sampled_from([AFFINE, CONSTANT]),
+    "intercept": st.floats(1.0, 10.0),
+    "slope": st.floats(0.1, 3.0),
+    "level": st.floats(1.0, 10.0),
+    "init_x": st.floats(0.1, 10.0),
+    "step": st.sampled_from([0.01, 0.02, 0.025, 0.007, 0.015, 0.03]),
+    "out_dir": st.sampled_from([None, "out/elsewhere"]),
+    "margin_range": st.one_of(
+        st.just("auto"), st.tuples(st.floats(0.01, 1.0), st.floats(1.5, 100.0))
+    ),
+}
+
+
+@st.composite
+def scenario_values(draw):
+    """One value per key of FIELDS: a number with a default is drawn from
+    [default/2, default], so a row that parse or echo drops shows."""
+    values = {}
+    for f in FIELDS:
+        if f.key in ("tau", "T"):
+            continue
+        if f.key in _DRAWN:
+            values[f.key] = draw(_DRAWN[f.key])
+        else:
+            values[f.key] = type(f.default)(f.default * draw(st.floats(0.5, 1.0)))
+    values["tau"], values["T"] = draw(
+        st.sampled_from([(3.0, 2.0), (0.5, 0.25), (1.0, 1.0), (2.0, 0.5)])
+    )
+    return values
+
+
+@settings(deadline=None, max_examples=60)
+@given(values=scenario_values())
+def test_config_echo_round_trip(values):
+    cfg = build_config(values, "drawn", "drawn")
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.scenario", Path(tmp) / "second.scenario"
+        write_config_echo(cfg, first)
+        loaded = load_scenario(first)
+        write_config_echo(loaded, second)
+        echo, echo_again = first.read_text(), second.read_text()
+    ignored = dict(name="", out_dir=None, step_requested=0.0)
+    assert replace(loaded, **ignored) == replace(cfg, **ignored)
+    assert "out_dir" not in echo
+    # a fixed point, except that the reloaded step is no longer snapped
+    unsnapped = "".join(
+        line for line in echo.splitlines(keepends=True)
+        if not line.startswith("# step snapped down")
+    )
+    assert echo_again == unsnapped
+    if cfg.step == cfg.step_requested:
+        assert echo_again == echo
