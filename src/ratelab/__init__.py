@@ -13,9 +13,6 @@ from .analysis import (
     OSCILLATING,
     SATURATED,
     UNDETERMINED,
-    AssumptionViolation,
-    Classification,
-    StabilityReport,
     check_stability,
     classify,
     lyapunov_value,
@@ -24,7 +21,7 @@ from .analysis import (
     stability_margin,
     validate_assumptions,
 )
-from .dde import HistoryBuffer, Trajectory, integrate, make_history
+from .dde import Trajectory, integrate
 from .errors import (
     CapacityExhaustedError,
     ConfigError,
@@ -38,7 +35,6 @@ from .errors import (
 )
 from .model import (
     CapacityLaw,
-    Equilibrium,
     ModelParams,
     capacity,
     clamp,
@@ -47,10 +43,6 @@ from .model import (
     utility_derivative,
 )
 from .scenario import (
-    RunResult,
-    ScenarioConfig,
-    SweepReport,
-    SweepRow,
     load_scenario,
     run_scenario,
     snap_step,
@@ -60,17 +52,13 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionViolation",
     "CapacityExhaustedError",
     "CapacityLaw",
     "CERTIFIED",
-    "Classification",
     "ConfigError",
     "CONVERGED",
-    "Equilibrium",
     "EquilibriumBracketError",
     "GridMismatchError",
-    "HistoryBuffer",
     "HistoryRangeError",
     "HorizonError",
     "IntegrationDivergedError",
@@ -79,12 +67,7 @@ __all__ = [
     "NOT_CERTIFIED",
     "OSCILLATING",
     "RatelabError",
-    "RunResult",
     "SATURATED",
-    "ScenarioConfig",
-    "StabilityReport",
-    "SweepReport",
-    "SweepRow",
     "Trajectory",
     "UNDETERMINED",
     "capacity",
@@ -95,7 +78,6 @@ __all__ = [
     "load_scenario",
     "lyapunov_value",
     "lyapunov_values",
-    "make_history",
     "price",
     "rhs",
     "run_scenario",

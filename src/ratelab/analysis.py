@@ -220,16 +220,21 @@ def stability_margin(
     a, b, h = p.a, p.b, p.h_gain
     if not x > 0:
         raise ModelDomainError(f"margin requires x > 0, got {x}")
-    if abs(x - xs) < eps_band:
-        lhs = a * xs ** -(a + 1.0)
-        rhs = h * (
-            (b + 1.0) * xs ** b * cs ** -b
-            - b * xs ** (b + 1.0) * cs ** -(b + 1.0) * law.derivative()
-        )
-        return lhs - rhs
-    c = capacity(law, x)
-    lhs = (xs ** -a - x ** -a) / (x - xs)
-    rhs = h * (x ** (b + 1.0) * c ** -b - xs ** (b + 1.0) * cs ** -b) / (x - xs)
+    try:
+        if abs(x - xs) < eps_band:
+            lhs = a * xs ** -(a + 1.0)
+            rhs = h * (
+                (b + 1.0) * xs ** b * cs ** -b
+                - b * xs ** (b + 1.0) * cs ** -(b + 1.0) * law.derivative()
+            )
+            return lhs - rhs
+        c = capacity(law, x)
+        lhs = (xs ** -a - x ** -a) / (x - xs)
+        rhs = h * (x ** (b + 1.0) * c ** -b - xs ** (b + 1.0) * cs ** -b) / (x - xs)
+    except OverflowError as exc:
+        raise ModelDomainError(
+            f"margin at x = {x:.6g} exceeds the float range (a = {a}, b = {b})"
+        ) from exc
     return lhs - rhs
 
 
@@ -301,14 +306,14 @@ def lyapunov_values(
     if theta_nodes < 3:
         raise ModelDomainError(f"theta_nodes must be at least 3, got {theta_nodes}")
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    early = ts - p.max_delay < traj.t_start - 1e-9 * traj.step
+    early = ts - p.max_delay < -1e-9 * traj.step
     late = ts > traj.t_end + 1e-9 * traj.step
     if np.any(early | late):
         i = int(np.argmax(early | late))
         if early[i]:
             raise HorizonError(
                 f"need max(tau, T) = {p.max_delay} of recorded history before "
-                f"t = {ts[i]}; trajectory starts at {traj.t_start}"
+                f"t = {ts[i]}; trajectory starts at 0.0"
             )
         raise HorizonError(f"t = {ts[i]} beyond trajectory end {traj.t_end}")
 
@@ -349,7 +354,7 @@ def classify(
     of the same length).  Saturated: the tail sits at a rate bound.
     Anything else (e.g. still-decaying transients) is Undetermined.
     """
-    horizon = traj.t_end - traj.t_start
+    horizon = traj.t_end
     if horizon < 10.0 * traj.params.tau - 1e-9:
         raise HorizonError(
             f"horizon {horizon:.6g} shorter than 10*tau = {10 * traj.params.tau:.6g}"
@@ -361,7 +366,7 @@ def classify(
     t = traj.t
     window = tail_fraction * horizon
     tail = x[t >= traj.t_end - window]
-    mid_lo = traj.t_start + 0.5 * (horizon - window)
+    mid_lo = 0.5 * (horizon - window)
     mid = x[(t >= mid_lo) & (t <= mid_lo + window)]
 
     tail_pp = float(tail.max() - tail.min())
@@ -372,7 +377,7 @@ def classify(
     if outside[-1]:
         settling = None
     elif not outside.any():
-        settling = float(traj.t_start)
+        settling = 0.0
     else:
         idx_last_outside = len(x) - 1 - int(np.argmax(outside[::-1]))
         settling = float(t[idx_last_outside + 1])

@@ -45,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+def _value_list(text: str) -> list[float]:
+    """A --values argument: comma- or space-separated numbers."""
+    try:
+        return [float(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ratelab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -63,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("scenario", help="path to a .scenario file")
     sweep_p.add_argument("--param", required=True,
                          help="one of a, b, kappa, tau, T, intercept, slope")
-    sweep_p.add_argument("--values", required=True,
+    sweep_p.add_argument("--values", required=True, type=_value_list,
                          help="comma- or space-separated list of values")
     sweep_p.add_argument("--out", default=None, help="output directory (default out/sweep-<param>)")
     sweep_p.add_argument("--jobs", type=int, default=1, help="parallel workers")
@@ -107,9 +115,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_with_overrides(args.scenario, args.step, args.t_end)
-    values = [float(v) for v in args.values.replace(",", " ").split()]
     out = args.out or f"out/sweep-{args.param}"
-    rep = sweep(cfg, args.param, values, out_dir=out, n_jobs=args.jobs)
+    rep = sweep(cfg, args.param, args.values, out_dir=out, n_jobs=args.jobs)
     sys.stdout.write(format_sweep_summary(rep))
     for r in rep.rows:
         if r.status == "ok":

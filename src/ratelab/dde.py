@@ -39,64 +39,8 @@ def hermite_value(x0, x1, d0, d1, h, theta):
 
 
 @dataclass(frozen=True)
-class HistoryBuffer:
-    """Uniformly sampled past rates with their derivatives.
-
-    Sample j sits at time origin + j*step.  The pre-history produced by
-    :func:`make_history` stores derivative 0 everywhere: it is given data,
-    not dynamics.
-    """
-
-    step: float
-    origin: float
-    x: np.ndarray
-    dxdt: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    @property
-    def t_last(self) -> float:
-        return self.origin + (len(self.x) - 1) * self.step
-
-    @property
-    def span(self) -> float:
-        return (len(self.x) - 1) * self.step
-
-
-def make_history(step: float, span: float, init) -> HistoryBuffer:
-    """Populate a buffer over [-span, 0] from a constant or a callable t -> x.
-
-    Every produced value must be strictly positive (rates are positive by
-    assumption); a violating value is rejected together with the offending
-    time.  Derivatives are stored as 0.
-    """
-    if not (math.isfinite(step) and step > 0):
-        raise GridMismatchError(f"history step must be positive, got {step}")
-    if not (math.isfinite(span) and span > 0):
-        raise GridMismatchError(f"history span must be positive, got {span}")
-    n = span / step
-    n_int = round(n)
-    if n_int < 1 or abs(n - n_int) > DELAY_MULTIPLE_RTOL * max(1.0, n):
-        raise GridMismatchError(
-            f"history span {span} is not an integer multiple of step {step}"
-        )
-    fn = init if callable(init) else (lambda _t, _v=float(init): _v)
-    xs = np.empty(n_int + 1)
-    for j in range(n_int + 1):
-        t = (j - n_int) * step
-        v = float(fn(t))
-        if not (math.isfinite(v) and v > 0):
-            raise ModelDomainError(
-                f"initial history must be strictly positive, got {v} at t = {t}"
-            )
-        xs[j] = v
-    return HistoryBuffer(step=step, origin=-n_int * step, x=xs, dxdt=np.zeros(n_int + 1))
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Integration output on the uniform grid [t_start, t_end].
+    """Integration output on the uniform grid [0, t_end].
 
     ``c`` is the capacity g(x) at each sample and ``dxdt`` the accepted
     (projected) rate derivative.  ``params`` and ``law`` echo the inputs that
@@ -104,7 +48,6 @@ class Trajectory:
     """
 
     step: float
-    t_start: float
     t_end: float
     t: np.ndarray
     x: np.ndarray
@@ -116,14 +59,14 @@ class Trajectory:
     def interp_x(self, t_query):
         """Hermite-interpolated x at scalar or array times within the span."""
         tq = np.asarray(t_query, dtype=float)
-        rel = (tq - self.t_start) / self.step
+        rel = tq / self.step
         n = len(self.x)
         tol = GRID_SNAP * max(1.0, n - 1.0)
         out_of_range = (rel < -tol) | (rel > (n - 1) + tol)
         if np.any(out_of_range):
             bad = tq.flat[int(np.argmax(out_of_range))]
             raise HistoryRangeError(
-                f"t = {bad} outside trajectory span [{self.t_start}, {self.t_end}]"
+                f"t = {bad} outside trajectory span [0.0, {self.t_end}]"
             )
         j = np.clip(np.floor(rel).astype(np.int64), 0, n - 2)
         theta = np.clip(rel - j, 0.0, 1.0)
@@ -151,11 +94,16 @@ def _delay_steps(delay: float, step: float, name: str) -> int:
 def integrate(
     params: ModelParams,
     law: CapacityLaw,
-    history: HistoryBuffer,
+    init_x: float,
     t_end: float,
     step: float,
 ) -> Trajectory:
     """Advance the delayed rate dynamics with classical RK4 over [0, t_end].
+
+    The initial function is the constant ``init_x`` on [-max(tau, T), 0],
+    stored with zero slopes: it is given data, not dynamics.  With a
+    constant initial function and grid-aligned delays every breaking point
+    of the solution lies on the grid, so the caller supplies only the rate.
 
     Stage derivatives use the derivative projection at the rate bounds, and
     delayed arguments come from the growing history: grid-aligned delays are
@@ -181,34 +129,23 @@ def integrate(
         raise GridMismatchError(f"t_end must be positive, got {t_end}")
     if not (math.isfinite(step) and step > 0):
         raise GridMismatchError(f"step must be positive, got {step}")
-    if abs(history.step - step) > GRID_SNAP * step:
-        raise GridMismatchError(
-            f"history step {history.step} does not match integration step {step}"
-        )
+    if not (math.isfinite(init_x) and init_x > 0):
+        raise ModelDomainError(f"init_x must be positive and finite, got {init_x}")
     k_tau = _delay_steps(params.tau, step, "tau")
     k_t = _delay_steps(params.T_delay, step, "T_delay")
-    if history.span < params.max_delay - DELAY_MULTIPLE_RTOL * step:
-        raise GridMismatchError(
-            f"history span {history.span} shorter than max delay {params.max_delay}"
-        )
-    if abs(history.t_last) > DELAY_MULTIPLE_RTOL * step:
-        raise GridMismatchError(
-            f"history must end at t = 0 to start a run, ends at {history.t_last}"
-        )
 
     n_steps = round(t_end / step)
     if n_steps < 1:
         raise GridMismatchError(f"t_end = {t_end} shorter than one step {step}")
-    n_pre = len(history) - 1
     t0 = 0.0
 
-    # Flat working arrays over [-span, t_end]; index i0 is t = 0.  The
+    # Flat working arrays over [-max delay, t_end]; index i0 is t = 0.  The
     # junction at t = 0 carries two one-sided derivatives: ds[i0] stays the
     # stored pre-history value (data side, left of 0) while d0_dyn holds the
     # dynamic derivative used for the interval [0, step].
-    xs = list(map(float, history.x)) + [0.0] * n_steps
-    ds = list(map(float, history.dxdt)) + [0.0] * n_steps
-    i0 = n_pre
+    i0 = max(k_tau, k_t)
+    xs = [float(init_x)] * (i0 + 1) + [0.0] * n_steps
+    ds = [0.0] * (i0 + 1 + n_steps)
     x_min, x_max = params.x_min, params.x_max
     flow, slope = stage_kernels(params, law)
 
@@ -275,7 +212,6 @@ def integrate(
         )
     return Trajectory(
         step=step,
-        t_start=t0,
         t_end=float(t_arr[-1]),
         t=t_arr,
         x=x_arr,

@@ -18,7 +18,7 @@ class CapacityExhaustedError(ModelDomainError):
 
 
 class HistoryRangeError(RatelabError, ValueError):
-    """A time query fell outside the buffered or recorded span."""
+    """A time query fell outside the recorded span."""
 
 
 class GridMismatchError(RatelabError, ValueError):

@@ -31,15 +31,15 @@ from .analysis import (
     lyapunov_values,
     solve_equilibrium,
 )
-from .dde import Trajectory, integrate, make_history
+from .dde import Trajectory, integrate
 from .errors import ConfigError, HorizonError, RatelabError
 from .model import AFFINE, CONSTANT, CapacityLaw, ModelParams
 from .svgplot import line_plot_svg
 
 # Rows formatted per write by write_csv: bounds the text held in memory.
 CSV_CHUNK_ROWS = 4096
-# Ceiling on t_end / step, checked before integrate allocates its grid:
-# 500x the 2e4 steps of the shipped scenarios.
+# Ceiling on t_end / step and on grid_n, checked before integrate or the
+# margin scan allocates its grid: 500x the 2e4 steps of the shipped scenarios.
 MAX_STEPS = 10_000_000
 
 EXIT_CODES = {CONVERGED: 0, OSCILLATING: 10, SATURATED: 11, UNDETERMINED: 12}
@@ -173,14 +173,19 @@ class SweepReport:
 def snap_step(step: float, tau: float, t_delay: float) -> float:
     """Largest h <= step with tau/h and T/h both integral (within 1e-9 rel).
 
-    Refinement is capped at 1000x below the requested step: past that the
+    Refinement is capped at 1000x below the requested step and at MAX_STEPS
+    steps per tau, the pre-history that integrate allocates: past that the
     delays are treated as incommensurable rather than silently exploding the
-    grid.
+    grid or the search.
     """
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"step must be positive, got {step}")
-    n = max(1, math.ceil(tau / step - 1e-9))
-    while True:
+    if tau / step > MAX_STEPS:
+        raise ConfigError(
+            f"tau / step = {tau / step:.4g} steps of pre-history exceeds the "
+            f"ceiling of {MAX_STEPS}"
+        )
+    for n in range(max(1, math.ceil(tau / step - 1e-9)), MAX_STEPS + 1):
         h = tau / n
         if h < step / 1000.0:
             break
@@ -188,10 +193,9 @@ def snap_step(step: float, tau: float, t_delay: float) -> float:
         r_int = round(r)
         if r_int >= 1 and abs(r - r_int) <= 1e-9 * max(1.0, r):
             return h
-        n += 1
     raise ConfigError(
-        f"could not find a step in [{step / 1000.0:.3g}, {step:.3g}] dividing both "
-        f"tau = {tau} and T = {t_delay}"
+        f"could not find a step in [{max(step / 1000.0, tau / MAX_STEPS):.3g}, "
+        f"{step:.3g}] dividing both tau = {tau} and T = {t_delay}"
     )
 
 
@@ -251,8 +255,10 @@ def build_config(values: dict, where: str, name: str = "scenario") -> ScenarioCo
             f"must be increasing and inside the rate bounds"
         )
     grid_n = int(v["grid_n"])
-    if grid_n < 16:
-        raise ConfigError(f"{where}: [analysis] grid_n must be at least 16, got {grid_n}")
+    if not 16 <= grid_n <= MAX_STEPS:
+        raise ConfigError(
+            f"{where}: [analysis] grid_n must be in [16, {MAX_STEPS}], got {grid_n}"
+        )
     if not (v["tol_conv"] > 0 and v["tol_osc"] > 0):
         raise ConfigError(f"{where}: [analysis] tolerances must be positive")
     if not 0 < v["tail_fraction"] <= 0.5:
@@ -362,8 +368,7 @@ def _execute(cfg: ScenarioConfig) -> RunResult:
     """Full in-memory pipeline: equilibrium, integration, margin check,
     classification.  No files are written here."""
     eq = solve_equilibrium(cfg.params, cfg.law)
-    history = make_history(cfg.step, cfg.params.max_delay, cfg.init_x)
-    traj = integrate(cfg.params, cfg.law, history, cfg.t_end, cfg.step)
+    traj = integrate(cfg.params, cfg.law, cfg.init_x, cfg.t_end, cfg.step)
     x_range = cfg.margin_range or auto_margin_range(cfg, traj, eq.x_star)
     report = check_stability(cfg.params, cfg.law, x_range, cfg.grid_n)
     try:

@@ -19,13 +19,13 @@ def base_params(b: float, **overrides) -> ModelParams:
 
 
 def synthetic_trajectory(t, x, params, law=BASE_LAW) -> Trajectory:
-    """Build a trajectory directly from arrays (dxdt by finite differences)."""
+    """Build a trajectory directly from arrays that start at t = 0 (dxdt by
+    finite differences)."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     step = float(t[1] - t[0])
     return Trajectory(
         step=step,
-        t_start=float(t[0]),
         t_end=float(t[-1]),
         t=t,
         x=x,

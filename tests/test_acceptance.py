@@ -38,7 +38,6 @@ from ratelab import (
     integrate,
     load_scenario,
     lyapunov_value,
-    make_history,
     snap_step,
     solve_equilibrium,
     sweep,
@@ -94,10 +93,10 @@ def test_criterion_02_oscillating_benchmark_qualitative(fig1_path):
     elapsed = time.perf_counter() - t0
     cls = res.classification
     traj = res.trajectory
-    horizon = traj.t_end - traj.t_start
+    horizon = traj.t_end
     window = 0.2 * horizon
     tail = traj.x[traj.t >= traj.t_end - window]
-    mid_lo = traj.t_start + 0.5 * (horizon - window)
+    mid_lo = 0.5 * (horizon - window)
     mid = traj.x[(traj.t >= mid_lo) & (traj.t <= mid_lo + window)]
     tail_pp = float(tail.max() - tail.min())
     mid_pp = float(mid.max() - mid.min())
@@ -194,9 +193,7 @@ def test_criterion_05_delay_independence():
         rep = check_stability(p, BASE_LAW, x_range, 256)
         verdicts.append(rep.verdict)
         step = snap_step(0.01, tau, t_delay)
-        traj = integrate(
-            p, BASE_LAW, make_history(step, p.max_delay, 1.0), horizons[tau], step
-        )
+        traj = integrate(p, BASE_LAW, 1.0, horizons[tau], step)
         kinds.append(classify(traj, rep.equilibrium).kind)
     ok = all(v == CERTIFIED for v in verdicts) and all(k == CONVERGED for k in kinds)
     report(5, ok, f"verdicts={verdicts}, classifications={kinds}")
@@ -239,8 +236,7 @@ def test_criterion_07_integrator_order():
     p = base_params(0.2)
 
     def x_at_50(step: float) -> float:
-        hist = make_history(step, 3.0, 1.0)
-        return float(integrate(p, BASE_LAW, hist, 50.0, step).x[-1])
+        return float(integrate(p, BASE_LAW, 1.0, 50.0, step).x[-1])
 
     errors = []
     for step in (0.04, 0.02, 0.01):
@@ -309,7 +305,7 @@ def test_criterion_08_lyapunov_diagnostic(fig2_result):
 def test_criterion_09_equilibrium_fixed_point():
     p = base_params(0.2)
     eq = solve_equilibrium(p, BASE_LAW)
-    traj = integrate(p, BASE_LAW, make_history(0.01, 3.0, eq.x_star), 200.0, 0.01)
+    traj = integrate(p, BASE_LAW, eq.x_star, 200.0, 0.01)
     max_dev = float(np.abs(traj.x - eq.x_star).max())
     ok = max_dev < 1e-9 * eq.x_star
     report(9, ok, f"max |x(t) - x*| = {max_dev:.2e} over 200 s (budget {1e-9 * eq.x_star:.2e})")

@@ -186,6 +186,11 @@ class TestTheorem2Margin:
             stability_margin(-1.0, p, BASE_LAW, eq)
         with pytest.raises(CapacityExhaustedError):
             stability_margin(5.0, p, BASE_LAW, eq)
+        # 0.5 ** -1e12 is beyond the float range
+        p_steep = base_params(0.2, a=1e12)
+        eq_steep = solve_equilibrium(p_steep, BASE_LAW)
+        with pytest.raises(ModelDomainError, match="float range"):
+            stability_margin(0.5, p_steep, BASE_LAW, eq_steep)
 
 
 class TestCheckTheorem2:
@@ -271,11 +276,11 @@ class TestLyapunovValues:
         ]
 
     def test_gain_and_kappa_not_one(self):
-        from ratelab import integrate, make_history
+        from ratelab import integrate
 
         p = base_params(0.5, h_gain=1.3, kappa=0.7)
         eq = solve_equilibrium(p, BASE_LAW)
-        traj = integrate(p, BASE_LAW, make_history(0.01, 3.0, 1.0), 40.0, 0.01)
+        traj = integrate(p, BASE_LAW, 1.0, 40.0, 0.01)
         ts = np.arange(3.0, 40.0, 0.9)
         expected = [reference_lyapunov(traj, t, p, eq) for t in ts]
         assert lyapunov_values(traj, ts, p, eq).tolist() == expected
@@ -296,11 +301,11 @@ class TestLyapunovValues:
 
 class TestLyapunovValue:
     def test_zero_at_equilibrium(self):
-        from ratelab import integrate, make_history
+        from ratelab import integrate
 
         p = base_params(0.2)
         eq = solve_equilibrium(p, BASE_LAW)
-        traj = integrate(p, BASE_LAW, make_history(0.01, 3.0, eq.x_star), 20.0, 0.01)
+        traj = integrate(p, BASE_LAW, eq.x_star, 20.0, 0.01)
         assert lyapunov_value(traj, 10.0, p, eq) == 0.0
 
     def test_nonnegative_on_one_sided_windows(self, fig2_result):
@@ -372,11 +377,11 @@ class TestClassify:
         assert cls.kind == SATURATED
 
     def test_short_horizon_guard(self, fig2_result):
-        from ratelab import integrate, make_history
+        from ratelab import integrate
 
         p = base_params(0.2)
         eq = fig2_result.report.equilibrium
-        traj = integrate(p, BASE_LAW, make_history(0.01, 3.0, 1.0), 5.0, 0.01)
+        traj = integrate(p, BASE_LAW, 1.0, 5.0, 0.01)
         with pytest.raises(HorizonError):
             classify(traj, eq)
 

@@ -1,12 +1,16 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ratelab import scenario
 from ratelab.cli import main
+from conftest import SCENARIOS
 
 DOCUMENTED_EXIT_CODES = {0, 10, 11, 12, 13, 64, 65, 66, 70}
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -177,6 +181,25 @@ def test_non_numeric_grid_n_exits_65(fig2_path, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_grid_n_ceiling_exits_65(fig2_path, tmp_path):
+    path = tmp_path / "huge_grid.scenario"
+    text = fig2_path.read_text().replace("grid_n = 256", "grid_n = 1e12")
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli("check", path)
+    assert proc.returncode == 65
+    assert "grid_n" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_sweep_non_numeric_values_is_usage_error(fig2_path, tmp_path):
+    out = tmp_path / "o"
+    proc = run_cli("sweep", fig2_path, "--param", "b", "--values", "abc", "--out", out)
+    assert proc.returncode == 64
+    assert "error[usage]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_missing_scenario_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.scenario")]) == 66
 
@@ -203,3 +226,82 @@ def test_step_override_snaps(fig2_path, tmp_path, capsys):
     # 3/201 is the largest divisor of both delays not above 0.015
     echo = (tmp_path / "s" / "config_echo.scenario").read_text()
     assert f"step = {3.0 / 201.0:.17g}" in echo
+
+
+def _exit_code(argv):
+    """cli.main's exit code, whether returned or raised by the argument parser."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Each token runs in well under 0.2 s or is refused before anything is
+# allocated; --jobs is left out so no worker process is started.
+PARAMS = ("b", "tau", "T", "zzz")
+VALUES = ("abc", ",", "nan", "0.2", "1e400", "0.2,0.4")
+ARGV_OPTIONS = (
+    ("--t-end", "5"), ("--t-end", "0"), ("--t-end", "-1"), ("--t-end", "nan"),
+    ("--t-end", "1e9"), ("--t-end", "abc"),
+    ("--step", "0.02"), ("--step", "0.5"), ("--step", "0"), ("--step", "-0.1"),
+    ("--step", "abc"), ("--param", "b"), ("--values", "abc"),
+    ("--t-end",), ("--bogus",), ("extra",),
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand, a scenario path and a few options; a sweep usually gets
+    its two required options."""
+    command = draw(st.sampled_from(("run", "check", "sweep", "sweep", "nope")))
+    name = draw(st.sampled_from(("fig1.scenario", "fig2.scenario", "missing.scenario", "")))
+    argv = [command, str(SCENARIOS / name)]
+    if command == "sweep" and draw(st.integers(0, 4)):
+        argv += ["--param", draw(st.sampled_from(PARAMS)),
+                 "--values", draw(st.sampled_from(VALUES))]
+    for option in draw(st.lists(st.sampled_from(ARGV_OPTIONS), max_size=3)):
+        argv += option
+    return argv
+
+
+@settings(max_examples=50, deadline=None)
+@given(argv=cli_argvs())
+@example(argv=["sweep", str(SCENARIOS / "fig2.scenario"), "--param", "b", "--values", "abc"])
+def test_fuzzed_argv_exits_with_documented_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _exit_code(argv + ["--out", tmp]) in DOCUMENTED_EXIT_CODES
+
+
+FIG2_LINES = (SCENARIOS / "fig2.scenario").read_text(encoding="utf-8").splitlines()
+VALUE_TOKENS = ("", "abc", "nan", "inf", "-1", "0", "0.2", "1", "16", "1e12", "1e400",
+                "auto", "0.5 3.0", "constant", "affine")
+EXTRA_LINES = ("[extra]", "[model]", "bogus = 1", "kappa = 2.0", "level = 4.0",
+               "no equals sign", "% = 1")
+
+
+@st.composite
+def scenario_texts(draw):
+    """fig2's text with a few values replaced, lines dropped or lines added."""
+    lines = list(FIG2_LINES)
+    for _ in range(draw(st.integers(1, 4))):
+        action = draw(st.sampled_from(("set", "drop", "insert")))
+        keyed = [i for i, line in enumerate(lines) if "=" in line]
+        if action == "set" and keyed:
+            i = draw(st.sampled_from(keyed))
+            lines[i] = lines[i].split("=")[0] + "= " + draw(st.sampled_from(VALUE_TOKENS))
+        elif action == "drop" and lines:
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        else:
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(EXTRA_LINES)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=scenario_texts())
+@example(text="\n".join(FIG2_LINES).replace("grid_n = 256", "grid_n = 1e12"))
+@example(text="\n".join(FIG2_LINES).replace("a = 1.5", "a = 1e12"))
+def test_fuzzed_scenario_text_checks_with_documented_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.scenario"
+        path.write_text(text, encoding="utf-8")
+        assert _exit_code(["check", str(path), "--out", tmp]) in DOCUMENTED_EXIT_CODES

@@ -14,22 +14,21 @@ from ratelab import (
     clamp,
     integrate,
     load_scenario,
-    make_history,
     rhs,
     solve_equilibrium,
 )
 from conftest import BASE_LAW, SCENARIOS, base_params
 
 
-def reference_integrate(params, law, history, t_end, step):
+def reference_integrate(params, law, init_x, t_end, step):
     """The plain five-stage RK4 loop (one full stage evaluation per stage,
     plus one for the recorded derivative), kept as the oracle that the
     fused loop in :func:`integrate` must match bit for bit."""
     k_tau, k_t = round(params.tau / step), round(params.T_delay / step)
     n_steps = round(t_end / step)
-    xs = list(map(float, history.x)) + [0.0] * n_steps
-    ds = list(map(float, history.dxdt)) + [0.0] * n_steps
-    i0 = len(history) - 1
+    i0 = max(k_tau, k_t)
+    xs = [float(init_x)] * (i0 + 1) + [0.0] * n_steps
+    ds = [0.0] * (i0 + 1 + n_steps)
 
     def x_at_half(jh):
         j, r = divmod(jh, 2)
@@ -69,41 +68,28 @@ def reference_integrate(params, law, history, t_end, step):
 
 
 class TestMakeHistory:
-    def test_benchmark_history(self):
-        buf = make_history(0.01, 3.0, 1.0)
-        assert len(buf) == 301
-        assert np.all(buf.x == 1.0)
-        assert np.all(buf.dxdt == 0.0)
-        assert buf.origin == -3.0
-        assert buf.t_last == 0.0
-
-    def test_coarse_constant(self):
-        buf = make_history(1.0, 2.0, 4.0)
-        assert len(buf) == 3
-        assert [buf.origin + j * buf.step for j in range(3)] == [-2.0, -1.0, 0.0]
-        assert np.all(buf.x == 4.0)
-
-    def test_callable_init(self):
-        buf = make_history(0.5, 2.0, lambda t: 2.0 + t / 10.0)
-        assert buf.x[0] == pytest.approx(1.8)
-        assert buf.x[-1] == pytest.approx(2.0)
+    """integrate makes the constant pre-history from init_x itself and
+    refuses initial data or a grid it cannot build one from."""
 
     def test_zero_init_rejected(self):
-        with pytest.raises(ModelDomainError):
-            make_history(0.01, 3.0, 0.0)
+        with pytest.raises(ModelDomainError, match="init_x"):
+            integrate(base_params(0.2), BASE_LAW, 0.0, 1.0, 0.01)
 
-    def test_negative_value_names_offending_time(self):
-        with pytest.raises(ModelDomainError, match="t = -1.0"):
-            make_history(0.5, 2.0, lambda t: -1.0 if t == -1.0 else 1.0)
+    @pytest.mark.parametrize("init_x", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_init_rejected(self, init_x):
+        with pytest.raises(ModelDomainError, match="init_x"):
+            integrate(base_params(0.2), BASE_LAW, init_x, 1.0, 0.01)
 
-    @pytest.mark.parametrize("step,span", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -2.0)])
-    def test_nonpositive_grid_rejected(self, step, span):
+    @pytest.mark.parametrize("step,t_end", [(0.0, 1.0), (-0.1, 1.0)])
+    def test_nonpositive_grid_rejected(self, step, t_end):
         with pytest.raises(GridMismatchError):
-            make_history(step, span, 1.0)
+            integrate(base_params(0.2), BASE_LAW, 1.0, t_end, step)
 
     def test_span_must_align_with_step(self):
-        with pytest.raises(GridMismatchError):
-            make_history(0.3, 1.0, 1.0)
+        # the pre-history spans max(tau, T) = 1.0, not a multiple of 0.3
+        p = base_params(0.2, tau=1.0, T_delay=0.6)
+        with pytest.raises(GridMismatchError, match="tau"):
+            integrate(p, BASE_LAW, 1.0, 1.0, 0.3)
 
 
 class TestInterpX:
@@ -111,7 +97,7 @@ class TestInterpX:
     def cubic_trajectory():
         # exact node values and slopes of x = t**3 on [0, 4]
         ts = np.arange(5, dtype=float)
-        return Trajectory(step=1.0, t_start=0.0, t_end=4.0, t=ts, x=ts**3,
+        return Trajectory(step=1.0, t_end=4.0, t=ts, x=ts**3,
                           c=BASE_LAW.value(ts**3), dxdt=3.0 * ts**2,
                           params=base_params(0.2), law=BASE_LAW)
 
@@ -133,13 +119,12 @@ class TestInterpX:
 
 def _scenario_run(name):
     cfg = load_scenario(SCENARIOS / f"{name}.scenario")
-    history = make_history(cfg.step, cfg.params.max_delay, cfg.init_x)
-    return cfg.params, cfg.law, history, cfg.t_end, cfg.step
+    return cfg.params, cfg.law, cfg.init_x, cfg.t_end, cfg.step
 
 
 def _run(t_end=60.0, init_x=1.0, law=BASE_LAW, **overrides):
     p = base_params(overrides.pop("b", 0.8), **overrides)
-    return p, law, make_history(0.01, p.max_delay, init_x), t_end, 0.01
+    return p, law, init_x, t_end, 0.01
 
 
 class TestFusedStepMatchesReference:
@@ -192,14 +177,14 @@ class TestIntegrate:
     def test_equilibrium_is_fixed_point(self):
         p = base_params(0.2)
         eq = solve_equilibrium(p, BASE_LAW)
-        traj = integrate(p, BASE_LAW, make_history(0.01, 3.0, eq.x_star), 200.0, 0.01)
+        traj = integrate(p, BASE_LAW, eq.x_star, 200.0, 0.01)
         assert np.abs(traj.x - eq.x_star).max() <= 1e-9 * eq.x_star
 
     def test_single_step_delays_converge_monotonically(self):
         # tau = T = step behaves like the undelayed scalar flow: no overshoot
         p = base_params(0.8, tau=0.01, T_delay=0.01)
         eq = solve_equilibrium(p, BASE_LAW)
-        traj = integrate(p, BASE_LAW, make_history(0.01, 0.01, 1.0), 60.0, 0.01)
+        traj = integrate(p, BASE_LAW, 1.0, 60.0, 0.01)
         assert np.all(np.diff(traj.x) >= -1e-15)
         assert abs(traj.x[-1] - 1.3671540410) < 1e-6
         assert abs(traj.x[-1] - eq.x_star) < 1e-6
@@ -210,7 +195,7 @@ class TestIntegrate:
         p = base_params(0.2)
 
         def x_end(step):
-            traj = integrate(p, BASE_LAW, make_history(step, 3.0, 1.0), 20.0, step)
+            traj = integrate(p, BASE_LAW, 1.0, 20.0, step)
             return traj.x[-1]
 
         errs = [abs(x_end(s) - x_end(s / 8.0)) for s in (0.05, 0.025)]
@@ -218,8 +203,8 @@ class TestIntegrate:
 
     def test_deterministic_bitwise(self):
         p = base_params(0.8)
-        t1 = integrate(p, BASE_LAW, make_history(0.01, 3.0, 1.0), 50.0, 0.01)
-        t2 = integrate(p, BASE_LAW, make_history(0.01, 3.0, 1.0), 50.0, 0.01)
+        t1 = integrate(p, BASE_LAW, 1.0, 50.0, 0.01)
+        t2 = integrate(p, BASE_LAW, 1.0, 50.0, 0.01)
         assert np.array_equal(t1.x, t2.x)
         assert np.array_equal(t1.dxdt, t2.dxdt)
         assert np.array_equal(t1.c, t2.c)
@@ -227,7 +212,7 @@ class TestIntegrate:
     def test_bounds_respected_under_clamping(self):
         # ceiling below the transient peak forces the projection path
         p = base_params(0.8, x_max=1.2)
-        traj = integrate(p, BASE_LAW, make_history(0.01, 3.0, 1.0), 60.0, 0.01)
+        traj = integrate(p, BASE_LAW, 1.0, 60.0, 0.01)
         assert traj.x.max() <= 1.2
         assert traj.x.min() >= p.x_min
         assert np.any(traj.x == 1.2)
@@ -251,31 +236,21 @@ class TestIntegrate:
     def test_delay_not_multiple_of_step(self):
         p = base_params(0.2, tau=3.005)
         with pytest.raises(GridMismatchError, match="tau"):
-            integrate(p, BASE_LAW, make_history(0.01, 3.01, 1.0), 1.0, 0.01)
+            integrate(p, BASE_LAW, 1.0, 1.0, 0.01)
 
     def test_nonpositive_t_end(self):
         p = base_params(0.2)
         with pytest.raises(GridMismatchError):
-            integrate(p, BASE_LAW, make_history(0.01, 3.0, 1.0), 0.0, 0.01)
-
-    def test_history_too_short(self):
-        p = base_params(0.2)
-        with pytest.raises(GridMismatchError, match="span"):
-            integrate(p, BASE_LAW, make_history(0.01, 2.0, 1.0), 1.0, 0.01)
-
-    def test_history_step_mismatch(self):
-        p = base_params(0.2)
-        with pytest.raises(GridMismatchError, match="step"):
-            integrate(p, BASE_LAW, make_history(0.02, 3.0, 1.0), 1.0, 0.01)
+            integrate(p, BASE_LAW, 1.0, 0.0, 0.01)
 
     def test_divergence_reports_failure_time(self):
         p = base_params(0.8, kappa=1e9)
         with pytest.raises(IntegrationDivergedError) as exc_info:
-            integrate(p, BASE_LAW, make_history(0.01, 3.0, 1.0), 10.0, 0.01)
+            integrate(p, BASE_LAW, 1.0, 10.0, 0.01)
         assert 0.0 < exc_info.value.t_fail <= 10.0
 
     def test_horizon_rounded_to_grid(self):
         p = base_params(0.2)
-        traj = integrate(p, BASE_LAW, make_history(0.01, 3.0, 1.0), 1.004, 0.01)
+        traj = integrate(p, BASE_LAW, 1.0, 1.004, 0.01)
         assert len(traj.x) == 101
         assert traj.t_end == pytest.approx(1.0)

@@ -160,6 +160,18 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="ceiling"):
             load_scenario(write_scenario(tmp_path, text))
 
+    def test_grid_n_ceiling_checked_at_load(self, tmp_path):
+        # 1e12 margin-grid points: refused before anything is allocated
+        text = MINIMAL + "\n[analysis]\ngrid_n = 1e12\n"
+        with pytest.raises(ConfigError, match="grid_n"):
+            load_scenario(write_scenario(tmp_path, text))
+
+    def test_pre_history_ceiling_checked_at_load(self, tmp_path):
+        # tau = 1e6 at step 0.01 would mean 1e8 pre-history samples
+        text = MINIMAL.replace("tau = 3.0", "tau = 1e6")
+        with pytest.raises(ConfigError, match="pre-history exceeds the ceiling"):
+            load_scenario(write_scenario(tmp_path, text))
+
     def test_constant_law(self, tmp_path):
         text = MINIMAL.replace(
             "kind = affine\nintercept = 5.0\nslope = 1.0", "kind = constant\nlevel = 4.0"
