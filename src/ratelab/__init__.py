@@ -15,7 +15,6 @@ from .analysis import (
     UNDETERMINED,
     check_stability,
     classify,
-    lyapunov_value,
     lyapunov_values,
     solve_equilibrium,
     stability_margin,
@@ -33,58 +32,7 @@ from .errors import (
     ModelDomainError,
     RatelabError,
 )
-from .model import (
-    CapacityLaw,
-    ModelParams,
-    capacity,
-    clamp,
-    price,
-    rhs,
-    utility_derivative,
-)
-from .scenario import (
-    load_scenario,
-    run_scenario,
-    snap_step,
-    sweep,
-)
+from .model import CapacityLaw, ModelParams, capacity
+from .scenario import load_scenario, run_scenario, snap_step, sweep
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CapacityExhaustedError",
-    "CapacityLaw",
-    "CERTIFIED",
-    "ConfigError",
-    "CONVERGED",
-    "EquilibriumBracketError",
-    "GridMismatchError",
-    "HistoryRangeError",
-    "HorizonError",
-    "IntegrationDivergedError",
-    "ModelDomainError",
-    "ModelParams",
-    "NOT_CERTIFIED",
-    "OSCILLATING",
-    "RatelabError",
-    "SATURATED",
-    "Trajectory",
-    "UNDETERMINED",
-    "capacity",
-    "check_stability",
-    "clamp",
-    "classify",
-    "integrate",
-    "load_scenario",
-    "lyapunov_value",
-    "lyapunov_values",
-    "price",
-    "rhs",
-    "run_scenario",
-    "snap_step",
-    "solve_equilibrium",
-    "sweep",
-    "stability_margin",
-    "utility_derivative",
-    "validate_assumptions",
-]

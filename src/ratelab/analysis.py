@@ -199,29 +199,21 @@ def validate_assumptions(
     return violations
 
 
-def stability_margin(
-    x: float,
-    p: ModelParams,
-    law: CapacityLaw,
-    eq: Equilibrium,
-    eps_band: float | None = None,
-) -> float:
+def stability_margin(x: float, p: ModelParams, law: CapacityLaw, eq: Equilibrium) -> float:
     """Stability margin (LHS - RHS of the certification inequality) at rate x.
 
-    The capacity is coupled to the rate, c = g(x).  Inside the eps band
-    around x_star the 0/0 quotients are replaced by their analytic limit,
+    The capacity is coupled to the rate, c = g(x).  Within EPS_BAND_REL*x_star
+    of x_star the 0/0 quotients are replaced by their analytic limit,
     the derivative of each side at x_star:
 
         a*xs**-(a+1) - h*[(b+1)*xs**b*cs**-b - b*xs**(b+1)*cs**-(b+1)*g'(xs)]
     """
     xs, cs = eq.x_star, eq.c_star
-    if eps_band is None:
-        eps_band = EPS_BAND_REL * xs
     a, b, h = p.a, p.b, p.h_gain
     if not x > 0:
         raise ModelDomainError(f"margin requires x > 0, got {x}")
     try:
-        if abs(x - xs) < eps_band:
+        if abs(x - xs) < EPS_BAND_REL * xs:
             lhs = a * xs ** -(a + 1.0)
             rhs = h * (
                 (b + 1.0) * xs ** b * cs ** -b
@@ -268,25 +260,6 @@ def check_stability(
     )
 
 
-def lyapunov_value(
-    traj: Trajectory,
-    t: float,
-    p: ModelParams,
-    eq: Equilibrium,
-    theta_nodes: int = 201,
-) -> float:
-    """Energy functional |x - x*| + kappa*sgn(x - x*) * I(t) along the run,
-    where I(t) integrates the delayed price-flow excess over theta in [-1, 0]
-    with arguments x(t + theta*tau) and c(t + theta*T).
-
-    Composite trapezoid quadrature with ``theta_nodes`` nodes; trajectory
-    samples between grid points come from the Hermite interpolant.  sgn(0)
-    is 0, so a trajectory pinned at the equilibrium gives exactly 0.  A
-    batch of one of :func:`lyapunov_values`.
-    """
-    return float(lyapunov_values(traj, [t], p, eq, theta_nodes)[0])
-
-
 def lyapunov_values(
     traj: Trajectory,
     ts,
@@ -294,12 +267,18 @@ def lyapunov_values(
     eq: Equilibrium,
     theta_nodes: int = 201,
 ) -> np.ndarray:
-    """:func:`lyapunov_value` at each sample time in ``ts``, bit for bit.
+    """Energy functional |x - x*| + kappa*sgn(x - x*) * I(t) at each sample
+    time in ``ts``, where I(t) integrates the delayed price-flow excess over
+    theta in [-1, 0] with arguments x(t + theta*tau) and c(t + theta*T).
+
+    Composite trapezoid quadrature with ``theta_nodes`` nodes; trajectory
+    samples between grid points come from the Hermite interpolant.  sgn(0)
+    is 0, so a trajectory pinned at the equilibrium gives exactly 0.
 
     The quadrature windows of ``LYAPUNOV_BLOCK`` samples at a time form one
     (samples x theta) grid, so each block costs one interpolation per delay
     and one trapezoid reduction along theta; every element goes through the
-    same floating-point operations as in a single-sample call.  The block
+    same floating-point operations as a batch of one.  The block
     bounds the temporaries.  Horizon errors name the first sample outside
     the recorded window and are raised before any sample is evaluated.
     """

@@ -7,7 +7,7 @@ Subcommands:
 
 Exit codes: 0 Converged, 10 Oscillating, 11 Saturated, 12 Undetermined;
 ``check`` exits 0 when certified and 13 when not; errors use 64+
-(64 usage, 65 invalid config/data, 66 missing input, 70 runtime failure).
+(64 usage, 65 invalid config/data, 66 missing input, 70 runtime or I/O failure).
 """
 
 import argparse
@@ -53,6 +53,17 @@ def _value_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
 
 
+def _job_count(text: str) -> int:
+    """A --jobs argument: a whole number of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ratelab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -74,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--values", required=True, type=_value_list,
                          help="comma- or space-separated list of values")
     sweep_p.add_argument("--out", default=None, help="output directory (default out/sweep-<param>)")
-    sweep_p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    sweep_p.add_argument("--jobs", type=_job_count, default=1, help="parallel workers")
     sweep_p.add_argument("--step", type=float, default=None, help="override the step")
     sweep_p.add_argument("--t-end", type=float, default=None, help="override the horizon")
 
@@ -93,7 +104,7 @@ def _load_with_overrides(path, step=None, t_end=None):
 def _cmd_run(args) -> int:
     cfg = _load_with_overrides(args.scenario, args.step, args.t_end)
     res = run_scenario(cfg, out_dir=args.out)
-    sys.stdout.write(format_report(cfg, res.report, res.classification, res.exit_code))
+    sys.stdout.write(format_report(cfg, res.report, res.classification))
     print(f"outputs: {res.paths['trajectory']}")
     return res.exit_code
 
@@ -142,6 +153,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error[input]: {exc}", file=sys.stderr)
         return EX_NOINPUT
+    except OSError as exc:
+        print(f"error[io]: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
     except (ConfigError, EquilibriumBracketError) as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return EX_DATAERR

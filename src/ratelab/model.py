@@ -6,9 +6,11 @@ The source adjusts its rate x from delayed feedback:
     c(t)  = g(x(t))
 
 which is the primal rate update kappa*(x*U'(x) - x_d*p(x_d, c_d)) for the
-utility U(x) = -1/(a*x**a) and the price p(x, c) = h*(x/c)**b.  All powers
-act on strictly positive bases; nonpositive bases raise ModelDomainError
-rather than propagating NaN.
+utility U(x) = -1/(a*x**a) and the price p(x, c) = h*(x/c)**b.  The module
+holds the parameter records, the capacity law and the fused projected
+right-hand side (:func:`stage_kernels`) that the integrator steps with.
+All powers act on strictly positive bases; nonpositive bases raise
+ModelDomainError rather than propagating NaN.
 """
 
 import math
@@ -109,24 +111,6 @@ class Equilibrium:
     residual: float
 
 
-def utility_derivative(x: float, a: float) -> float:
-    """Marginal utility U'(x) = x**-(a+1) of U(x) = -1/(a*x**a); decreasing in x."""
-    if not x > 0:
-        raise ModelDomainError(f"utility_derivative requires x > 0, got {x}")
-    if not a > 0:
-        raise ModelDomainError(f"utility_derivative requires a > 0, got {a}")
-    return x ** -(a + 1.0)
-
-
-def price(x: float, c: float, b: float, h_gain: float = 1.0) -> float:
-    """Congestion price h*(x/c)**b charged per unit of rate."""
-    if not x > 0:
-        raise ModelDomainError(f"price requires x > 0, got {x}")
-    if not c > 0:
-        raise ModelDomainError(f"price requires c > 0, got {c}")
-    return h_gain * (x / c) ** b
-
-
 def capacity(law: CapacityLaw, x: float) -> float:
     """g(x) with positivity enforced."""
     c = law.value(x)
@@ -136,42 +120,26 @@ def capacity(law: CapacityLaw, x: float) -> float:
 
 
 def _require_positive(name: str, v: float) -> None:
+    # "rhs" names the right-hand side; the text reaches stderr and sweep.csv
     if not v > 0:
         raise ModelDomainError(f"rhs requires {name} > 0, got {v}")
 
 
-def price_flow(x_delayed: float, c_delayed: float, p: ModelParams) -> float:
-    """Delayed price flow h*x_d**(b+1)*c_d**-b, the feedback term of :func:`rhs`.
-
-    Unchecked: :func:`rhs` enforces positivity before calling it.
-    """
-    return p.h_gain * x_delayed ** (p.b + 1.0) * c_delayed ** -p.b
-
-
-def rhs(x_now: float, x_delayed: float, c_delayed: float, p: ModelParams) -> float:
-    """Rate derivative kappa*(x**-a - h*x_d**(b+1)*c_d**-b) before projection."""
-    _require_positive("x_now", x_now)
-    _require_positive("x_delayed", x_delayed)
-    _require_positive("c_delayed", c_delayed)
-    return p.kappa * (x_now ** -p.a - price_flow(x_delayed, c_delayed, p))
-
-
 def stage_kernels(p: ModelParams, law: CapacityLaw):
-    """The projected right-hand side split for a fused RK stage loop.
+    """The projected right-hand side, split for a fused RK stage loop.
 
     Returns ``(flow, slope)``:
 
-    - ``flow(x_now, x_delayed, x_cap)`` is :func:`price_flow` at
-      c_d = g(x_cap), after the checks of :func:`capacity` and :func:`rhs`
+    - ``flow(x_now, x_delayed, x_cap)`` is the delayed price flow
+      h*x_d**(b+1)*c_d**-b at c_d = g(x_cap), after the positivity checks
       in their order (capacity, then x_now, then x_delayed);
-    - ``slope(x_now, f)`` is ``clamp(x_now, kappa*(x_now**-a - f), p)``
-      after the x_now check.
+    - ``slope(x_now, f)`` is kappa*(x_now**-a - f) after the x_now check,
+      projected at the rate bounds: no outward motion at x_min/x_max.
 
-    Together they perform the floating-point operations of
-    ``clamp(x, rhs(x, x_d, capacity(law, x_cap), p), p)`` in the same order,
-    so stages that share their delayed arguments can share one flow.  The
-    constants are bound once, and a failing check re-raises through
-    :func:`capacity` or :func:`rhs`'s own check, so errors read the same.
+    Stages that share their delayed arguments can share one flow.  The
+    constants are bound once; a failing check raises through
+    :func:`capacity` or :func:`_require_positive`, so errors read the same
+    from every stage.
     """
     kappa, neg_a, x_min, x_max = p.kappa, -p.a, p.x_min, p.x_max
     h, b_plus_1, neg_b = p.h_gain, p.b + 1.0, -p.b
@@ -197,11 +165,3 @@ def stage_kernels(p: ModelParams, law: CapacityLaw):
 
     return flow, slope
 
-
-def clamp(x: float, dxdt: float, p: ModelParams) -> float:
-    """Derivative projection at the rate bounds: no outward motion at x_min/x_max."""
-    if x >= p.x_max:
-        return min(dxdt, 0.0)
-    if x <= p.x_min:
-        return max(dxdt, 0.0)
-    return dxdt

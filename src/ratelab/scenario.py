@@ -300,7 +300,7 @@ def load_scenario(path) -> ScenarioConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh, source=str(path))
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: parse error: {exc}") from exc
 
     values = {}
@@ -419,9 +419,9 @@ def write_lyapunov_csv(samples, path) -> None:
               [[t for t, _ in samples], [v for _, v in samples]])
 
 
-def format_report(cfg: ScenarioConfig, report: StabilityReport, cls=None, exit_code=None) -> str:
+def format_report(cfg: ScenarioConfig, report: StabilityReport, cls=None) -> str:
     """Human- and grep-friendly key: value report; the classification and
-    exit code lines only when given (``check`` has neither)."""
+    exit code lines only when ``cls`` is given (``check`` has none)."""
     eq = report.equilibrium
     p = cfg.params
     lines = [
@@ -456,8 +456,7 @@ def format_report(cfg: ScenarioConfig, report: StabilityReport, cls=None, exit_c
         lines.append(f"tail_peak_to_peak: {cls.tail_peak_to_peak:.10g}")
         st = "none" if cls.settling_time is None else f"{cls.settling_time:.10g}"
         lines.append(f"settling_time: {st}")
-    if exit_code is not None:
-        lines.append(f"exit_code: {exit_code}")
+        lines.append(f"exit_code: {EXIT_CODES[cls.kind]}")
     return "\n".join(lines) + "\n"
 
 
@@ -515,7 +514,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
         write_lyapunov_csv(lyapunov, paths["lyapunov"])
         written.append(paths["lyapunov"])
         with open(paths["report"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_report(cfg, res.report, res.classification, res.exit_code))
+            fh.write(format_report(cfg, res.report, res.classification))
         written.append(paths["report"])
         line_plot_svg(
             paths["plot"],
@@ -585,8 +584,10 @@ def sweep(
     if not values:
         raise ConfigError("sweep needs at least one value")
     jobs = [(cfg, param_name, v) for v in values]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    # fork starts every worker at the first submit: no more than there are values
+    n_workers = min(n_jobs, len(jobs))
+    if n_workers > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             rows = tuple(pool.map(_sweep_one, jobs))
     else:
         rows = tuple(_sweep_one(j) for j in jobs)

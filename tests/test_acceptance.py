@@ -10,7 +10,7 @@ the sufficient condition holds there, but fails above x = 1.2539, so it
 could never certify [0.5, 3].
 
 Criterion 8 is a known failure with a diagnosed cause in the program, not in
-the test: ``lyapunov_value`` adds a signed, unscaled integral to |x - x*|, so
+the test: ``lyapunov_values`` adds a signed, unscaled integral to |x - x*|, so
 it is not the Lyapunov-Krasovskii functional that the margin bounds.  It goes
 negative and rises on the certified fig2 run.  The test stays as stated until
 the functional is corrected; README.md gives the evidence.
@@ -37,7 +37,7 @@ from ratelab import (
     classify,
     integrate,
     load_scenario,
-    lyapunov_value,
+    lyapunov_values,
     snap_step,
     solve_equilibrium,
     sweep,
@@ -251,7 +251,7 @@ def test_criterion_08_lyapunov_diagnostic(fig2_result):
     """The energy functional decreases (within +1e-4) from t = 20 on, and
     V(50) is stable to 1e-6 relative under 201 -> 401 quadrature nodes.
 
-    Known failure, caused by the program: ``lyapunov_value`` computes
+    Known failure, caused by the program: ``lyapunov_values`` computes
     |y| + kappa*sgn(y)*integral_{-1}^{0} (G(theta) - G*) dtheta with
     y = x - x* and G(theta) = h*x(t+theta*tau)^(b+1)*c(t+theta*T)^-b.  The
     integrand is signed, enters with a plus sign and has no tau scale, so
@@ -283,8 +283,8 @@ def test_criterion_08_lyapunov_diagnostic(fig2_result):
         inc = lyap[t2] - lyap[t1]
         if inc > worst_inc:
             worst_inc, worst_pair = inc, (t1, t2)
-    v201 = lyapunov_value(traj, 50.0, p, eq, theta_nodes=201)
-    v401 = lyapunov_value(traj, 50.0, p, eq, theta_nodes=401)
+    v201 = lyapunov_values(traj, [50.0], p, eq, theta_nodes=201)[0]
+    v401 = lyapunov_values(traj, [50.0], p, eq, theta_nodes=401)[0]
     rel_change = abs(v401 - v201) / abs(v201)
     ok_monotone = worst_inc <= 1e-4
     ok_quad = rel_change < 1e-6

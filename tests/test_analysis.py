@@ -20,12 +20,9 @@ from ratelab import (
     ModelParams,
     check_stability,
     classify,
-    lyapunov_value,
     lyapunov_values,
-    price,
     solve_equilibrium,
     stability_margin,
-    utility_derivative,
     validate_assumptions,
 )
 from ratelab import analysis
@@ -59,9 +56,10 @@ class TestSolveEquilibrium:
         for b in (0.2, 0.5, 0.8):
             p = base_params(b)
             eq = solve_equilibrium(p, BASE_LAW)
-            lhs = utility_derivative(eq.x_star, p.a)
-            rhs_price = price(eq.x_star, eq.c_star, p.b, p.h_gain)
-            assert lhs == pytest.approx(rhs_price, rel=1e-9)
+            # U'(x*) = x*^-(a+1) for U(x) = -1/(a x^a); p(x*, c*) = h (x*/c*)^b
+            marginal_utility = eq.x_star ** -(p.a + 1.0)
+            price = p.h_gain * (eq.x_star / eq.c_star) ** p.b
+            assert marginal_utility == pytest.approx(price, rel=1e-9)
 
     def test_small_b_power_overflow_maps_to_minus_inf(self):
         # x_max**((a+b+1)/b) = 1e3**251 overflows a float; the root is still found
@@ -162,6 +160,22 @@ class TestTheorem2Margin:
             1.2 * (math.log(xs) - math.log(cs))
         )
         assert stability_margin(xs, p, BASE_LAW, eq) == pytest.approx(lhs - rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("b", [0.2, 0.3807, 0.8, 1.2251, 2.0])
+    def test_equals_delay_independent_test_at_equilibrium(self, b, kappa):
+        # the linearisation about x* is y' = -A y - B y(t-tau) - C y(t-T), and
+        # kappa*margin(x*) = A - B - C: a certificate covering x* is the
+        # classical delay-independent test A > |B| + |C|
+        p = base_params(b, kappa=kappa)
+        eq = solve_equilibrium(p, BASE_LAW)
+        xs, cs, h, m = eq.x_star, eq.c_star, p.h_gain, BASE_LAW.slope
+        big_a = kappa * p.a * xs ** (-p.a - 1.0)
+        big_b = kappa * h * (b + 1.0) * xs ** b * cs ** -b
+        big_c = kappa * h * b * m * xs ** (b + 1.0) * cs ** (-b - 1.0)
+        margin = stability_margin(xs, p, BASE_LAW, eq)
+        scale = max(abs(big_a), abs(big_b), abs(big_c))
+        assert abs(kappa * margin - (big_a - big_b - big_c)) <= 1e-14 * scale
 
     def test_steep_exponent_negative_at_equilibrium(self):
         p = base_params(0.8)
@@ -267,7 +281,7 @@ class TestLyapunovValues:
         n = 3 * analysis.LYAPUNOV_BLOCK + 5
         ts = 3.0 + 0.3771 * np.arange(n)
         batch = lyapunov_values(traj, ts, p, eq, theta_nodes=57)
-        single = [lyapunov_value(traj, t, p, eq, theta_nodes=57) for t in ts]
+        single = [lyapunov_values(traj, [t], p, eq, theta_nodes=57)[0] for t in ts]
         ref = [reference_lyapunov(traj, t, p, eq, theta_nodes=57) for t in ts]
         assert batch.tolist() == single == ref
         seam = analysis.LYAPUNOV_BLOCK
@@ -306,7 +320,7 @@ class TestLyapunovValue:
         p = base_params(0.2)
         eq = solve_equilibrium(p, BASE_LAW)
         traj = integrate(p, BASE_LAW, eq.x_star, 20.0, 0.01)
-        assert lyapunov_value(traj, 10.0, p, eq) == 0.0
+        assert lyapunov_values(traj, [10.0], p, eq)[0] == 0.0
 
     def test_nonnegative_on_one_sided_windows(self, fig2_result):
         traj = fig2_result.trajectory
@@ -319,7 +333,7 @@ class TestLyapunovValue:
             i1 = int(round(t / traj.step))
             window = sign[i0 : i1 + 1]
             if window[0] != 0 and np.all(window == window[0]):
-                assert lyapunov_value(traj, float(t), p, eq) >= -1e-9
+                assert lyapunov_values(traj, [float(t)], p, eq)[0] >= -1e-9
                 checked += 1
         assert checked > 10
 
@@ -327,8 +341,8 @@ class TestLyapunovValue:
         traj = fig2_result.trajectory
         eq = fig2_result.report.equilibrium
         p = fig2_result.config.params
-        coarse = lyapunov_value(traj, 30.0, p, eq, theta_nodes=201)
-        fine = lyapunov_value(traj, 30.0, p, eq, theta_nodes=2001)
+        coarse = lyapunov_values(traj, [30.0], p, eq, theta_nodes=201)[0]
+        fine = lyapunov_values(traj, [30.0], p, eq, theta_nodes=2001)[0]
         assert coarse == pytest.approx(fine, rel=1e-4, abs=1e-9)
 
     def test_needs_enough_history(self, fig2_result):
@@ -336,9 +350,9 @@ class TestLyapunovValue:
         eq = fig2_result.report.equilibrium
         p = fig2_result.config.params
         with pytest.raises(HorizonError):
-            lyapunov_value(traj, 2.0, p, eq)
+            lyapunov_values(traj, [2.0], p, eq)
         with pytest.raises(HorizonError):
-            lyapunov_value(traj, 201.0, p, eq)
+            lyapunov_values(traj, [201.0], p, eq)
 
 
 class TestClassify:

@@ -200,6 +200,42 @@ def test_sweep_non_numeric_values_is_usage_error(fig2_path, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_jobs_below_one_is_usage_error(fig2_path, tmp_path, jobs):
+    out = tmp_path / "o"
+    proc = run_cli("sweep", fig2_path, "--param", "b", "--values", "0.2", "--jobs", jobs,
+                   "--out", out)
+    assert proc.returncode == 64
+    assert "argument --jobs" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_non_utf8_scenario_is_config_error(fig2_path, tmp_path):
+    path = tmp_path / "latin1.scenario"
+    path.write_bytes(b"# caf\xe9\n" + fig2_path.read_bytes())
+    proc = run_cli("check", path)
+    assert proc.returncode == 65
+    assert "parse error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("run", "--t-end", "30"), ("check",),
+     ("sweep", "--t-end", "30", "--param", "b", "--values", "0.2")],
+    ids=["run", "check", "sweep"],
+)
+def test_out_naming_a_file_is_io_error(fig2_path, tmp_path, args):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    proc = run_cli(args[0], fig2_path, "--out", out, *args[1:])
+    assert proc.returncode == 70
+    assert "error[io]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_missing_scenario_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.scenario")]) == 66
 
@@ -237,7 +273,8 @@ def _exit_code(argv):
 
 
 # Each token runs in well under 0.2 s or is refused before anything is
-# allocated; --jobs is left out so no worker process is started.
+# allocated; --jobs comes only with counts that are refused, so no worker
+# process is started.
 PARAMS = ("b", "tau", "T", "zzz")
 VALUES = ("abc", ",", "nan", "0.2", "1e400", "0.2,0.4")
 ARGV_OPTIONS = (
@@ -246,6 +283,7 @@ ARGV_OPTIONS = (
     ("--step", "0.02"), ("--step", "0.5"), ("--step", "0"), ("--step", "-0.1"),
     ("--step", "abc"), ("--param", "b"), ("--values", "abc"),
     ("--t-end",), ("--bogus",), ("extra",),
+    ("--jobs", "0"), ("--jobs", "-1"), ("--jobs", "abc"),
 )
 
 

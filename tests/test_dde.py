@@ -11,13 +11,12 @@ from ratelab import (
     ModelDomainError,
     Trajectory,
     capacity,
-    clamp,
     integrate,
     load_scenario,
-    rhs,
     solve_equilibrium,
 )
 from conftest import BASE_LAW, SCENARIOS, base_params
+from oracle import clamp, rhs
 
 
 def reference_integrate(params, law, init_x, t_end, step):

@@ -10,68 +10,14 @@ from ratelab import (
     ModelDomainError,
     ModelParams,
     capacity,
-    clamp,
-    price,
-    rhs,
     solve_equilibrium,
-    utility_derivative,
 )
-from ratelab.model import price_flow, stage_kernels
+from ratelab.model import stage_kernels
 from conftest import BASE_LAW, base_params
+from oracle import clamp, price_flow, rhs
 
 positive = st.floats(min_value=1e-2, max_value=1e2)
 exponents = st.floats(min_value=0.1, max_value=3.0)
-
-
-class TestUtilityDerivative:
-    def test_identity_base(self):
-        assert utility_derivative(1.0, 1.5) == 1.0
-
-    def test_closed_form(self):
-        # 4**-(1+1) evaluated exactly
-        assert utility_derivative(4.0, 1.0) == 0.0625
-
-    def test_zero_rate_rejected(self):
-        with pytest.raises(ModelDomainError):
-            utility_derivative(0.0, 1.5)
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ModelDomainError):
-            utility_derivative(-1.0, 1.5)
-
-    @given(a=exponents)
-    def test_strictly_decreasing(self, a):
-        xs = [0.25, 0.5, 1.0, 2.0, 4.0]
-        vals = [utility_derivative(x, a) for x in xs]
-        assert all(u > v for u, v in zip(vals, vals[1:]))
-
-
-class TestPrice:
-    @pytest.mark.parametrize("b", [0.2, 0.8, 1.0, 2.5])
-    def test_ratio_one(self, b):
-        assert price(3.7, 3.7, b) == pytest.approx(1.0, rel=1e-15)
-
-    def test_quarter_ratio(self):
-        # independent evaluation through exp/log rather than pow
-        oracle = math.exp(-0.8 * math.log(4.0))
-        assert price(1.0, 4.0, 0.8) == pytest.approx(oracle, rel=1e-14)
-        assert price(1.0, 4.0, 0.8) == pytest.approx(0.32987697769322355, rel=1e-13)
-
-    def test_gain_passthrough(self):
-        assert price(2.0, 2.0, 0.8, h_gain=0.5) == pytest.approx(0.5, rel=1e-15)
-
-    def test_domain_errors(self):
-        with pytest.raises(ModelDomainError):
-            price(0.0, 1.0, 0.8)
-        with pytest.raises(ModelDomainError):
-            price(1.0, 0.0, 0.8)
-
-    def test_monotone_in_rate_and_capacity(self):
-        xs = [0.5 + 0.25 * i for i in range(12)]
-        up = [price(x, 4.0, 0.8) for x in xs]
-        assert all(u < v for u, v in zip(up, up[1:]))
-        down = [price(1.0, c, 0.8) for c in xs]
-        assert all(u > v for u, v in zip(down, down[1:]))
 
 
 class TestCapacity:
@@ -95,6 +41,9 @@ class TestCapacity:
 
 
 class TestRhs:
+    """The oracle's formula against independent evaluations; TestStageKernels
+    ties the kernels to the oracle bit for bit."""
+
     def test_equilibrium_annihilates(self):
         p = base_params(0.8)
         eq = solve_equilibrium(p, BASE_LAW)
@@ -118,22 +67,6 @@ class TestRhs:
             rhs(-1.0, 1.0, 4.0, p)
         with pytest.raises(ModelDomainError):
             rhs(1.0, 1.0, 0.0, p)
-
-    @given(
-        x=positive,
-        x_d=positive,
-        c_d=positive,
-        a=exponents,
-        b=exponents,
-        h=st.floats(min_value=0.5, max_value=2.0),
-    )
-    def test_matches_utility_price_composition(self, x, x_d, c_d, a, b, h):
-        # the primal form and the utility/price form are the same function
-        p = ModelParams(kappa=1.0, a=a, b=b, tau=1.0, T_delay=1.0, h_gain=h)
-        composed = p.kappa * (x * utility_derivative(x, a) - x_d * price(x_d, c_d, b, h))
-        direct = rhs(x, x_d, c_d, p)
-        scale = x ** -a + h * x_d ** (b + 1.0) * c_d ** -b
-        assert abs(composed - direct) <= 1e-12 * scale
 
     def test_sign_structure_around_equilibrium(self):
         # undelayed closure: x_d = x, c_d = g(x) gives rhs > 0 below x*, < 0 above

@@ -21,6 +21,7 @@ from ratelab import (
     snap_step,
     sweep,
 )
+from ratelab import scenario
 from ratelab.model import AFFINE, CONSTANT
 from ratelab.scenario import (
     EXIT_CODES,
@@ -318,6 +319,32 @@ class TestSweep:
         seq = sweep(cfg, "b", [0.15, 0.45], out_dir=None, n_jobs=1)
         par = sweep(cfg, "b", [0.15, 0.45], out_dir=None, n_jobs=2)
         assert seq.rows == par.rows
+
+    def test_pool_never_outnumbers_values(self, fig2_path, monkeypatch):
+        # fork starts every worker at the first submit; a fake pool records
+        # what the sweep asks for and maps in this process
+        built = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(scenario, "ProcessPoolExecutor", FakePool)
+        cfg = replace(load_scenario(fig2_path), t_end=30.0)
+        rep = sweep(cfg, "b", [0.15, 0.45], n_jobs=10_000)
+        assert built == [2]
+        assert [r.status for r in rep.rows] == ["ok", "ok"]
+        sweep(cfg, "b", [0.15], n_jobs=10_000)
+        assert built == [2]
 
     def test_apply_param_variants(self, fig2_path):
         cfg = load_scenario(fig2_path)
