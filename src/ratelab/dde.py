@@ -115,12 +115,17 @@ def integrate(
 
     Each step evaluates every distinct quantity once: the recorded
     derivative of the previous step is this step's first stage (first same
-    as last), and the delayed price flow is computed once per distinct
-    delayed time, shared by k2/k3 at t + step/2 and by k4 and the recorded
-    derivative at t + step (see :func:`model.stage_kernels`).  That is four
-    projected slopes and two price flows per step, with the floating-point
-    operations of the plain five-stage loop in the same order, so results
-    are bit-identical to it.
+    as last), the delayed price flow is computed once per distinct delayed
+    time, shared by k2/k3 at t + step/2 and by k4 and the recorded
+    derivative at t + step, and each interval's Hermite midpoint is formed
+    once, when its right end is recorded.  That is four projected slopes and
+    two price flows per step.  The stage arithmetic of
+    :func:`model.stage_kernels` is written inline for interior stages
+    (positive capacity and delayed rate, rate strictly inside the bounds);
+    every other stage calls its closures, which raise or project.  Both are
+    the floating-point operations of the plain five-stage loop in the same
+    order, so results, error messages and failure times are bit-identical
+    to it.
 
     Two runs with identical inputs produce bit-identical trajectories: the
     loop is sequential pure-float arithmetic with no ambient state.
@@ -144,9 +149,12 @@ def integrate(
     # stored pre-history value (data side, left of 0) while d0_dyn holds the
     # dynamic derivative used for the interval [0, step].
     i0 = max(k_tau, k_t)
-    xs = [float(init_x)] * (i0 + 1) + [0.0] * n_steps
+    x0 = float(init_x)
+    xs = [x0] * (i0 + 1) + [0.0] * n_steps
     ds = [0.0] * (i0 + 1 + n_steps)
-    x_min, x_max = params.x_min, params.x_max
+    kappa, neg_a, x_min, x_max = params.kappa, -params.a, params.x_min, params.x_max
+    h, b_plus_1, neg_b = params.h_gain, params.b + 1.0, -params.b
+    c0, slope_g = law.c0, law.slope
     flow, slope = stage_kernels(params, law)
 
     def diverged(exc: Exception, t_now: float) -> IntegrationDivergedError:
@@ -158,46 +166,73 @@ def integrate(
     sixth = step / 6.0
     eighth = 0.125 * step
     try:
-        d0_dyn = slope(xs[i0], flow(xs[i0], xs[i0 - k_tau], xs[i0 - k_t]))
+        d0_dyn = slope(x0, flow(x0, xs[i0 - k_tau], xs[i0 - k_t]))
     except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
         raise diverged(exc, t0) from exc
-    k1 = d0_dyn
+    # Ring of Hermite midpoints: slot j % n_mid holds the midpoint of the
+    # interval [j, j + 1], written once x[j + 1] and its slope are recorded
+    # and read at steps j + k_t and j + k_tau <= j + i0.  Every pre-history
+    # interval has the same one: the loop's expression with x0 at both ends
+    # and zero slopes.
+    n_mid = i0 + 1
+    mids = [0.5 * (x0 + x0) + eighth * (0.0 - 0.0)] * n_mid
+    x, k1 = x0, d0_dyn
     for i in range(i0, i0 + n_steps):
-        x = xs[i]
-        # Hermite midpoints of the intervals starting at i - k_t and i - k_tau
-        j = i - k_t
-        xd_t = 0.5 * (xs[j] + xs[j + 1]) + eighth * (
-            (d0_dyn if j == i0 else ds[j]) - ds[j + 1]
-        )
-        j = i - k_tau
-        xd_tau = 0.5 * (xs[j] + xs[j + 1]) + eighth * (
-            (d0_dyn if j == i0 else ds[j]) - ds[j + 1]
-        )
+        # a negative slot index wraps to the end of the ring
+        r = i % n_mid
+        xd_t = mids[r - k_t]
+        xd_tau = mids[r - k_tau]
+        # Stage arithmetic of stage_kernels, inline wherever its closures
+        # would take no branch: positive capacity and delayed rate, and a
+        # rate strictly inside (x_min, x_max).  Any other input goes to the
+        # closures, which raise or project.
         try:
             x_half = x + half * k1
-            f = flow(x_half, xd_tau, xd_t)
-            k2 = slope(x_half, f)
-            k3 = slope(x + half * k2, f)
+            c_d = c0 - slope_g * xd_t
+            if c_d > 0 and x_min < x_half < x_max and xd_tau > 0:
+                f = h * xd_tau ** b_plus_1 * c_d ** neg_b
+                k2 = kappa * (x_half ** neg_a - f)
+            else:
+                f = flow(x_half, xd_tau, xd_t)
+                k2 = slope(x_half, f)
+            x_stage = x + half * k2
+            if x_min < x_stage < x_max:
+                k3 = kappa * (x_stage ** neg_a - f)
+            else:
+                k3 = slope(x_stage, f)
         except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
             raise diverged(exc, t0 + (i - i0) * step + half) from exc
         try:
-            x_full = x + step * k3
-            f = flow(x_full, xs[i + 1 - k_tau], xs[i + 1 - k_t])
-            k4 = slope(x_full, f)
+            x_stage = x + step * k3
+            xd_tau = xs[i + 1 - k_tau]
+            xd_t = xs[i + 1 - k_t]
+            c_d = c0 - slope_g * xd_t
+            if c_d > 0 and x_min < x_stage < x_max and xd_tau > 0:
+                f = h * xd_tau ** b_plus_1 * c_d ** neg_b
+                k4 = kappa * (x_stage ** neg_a - f)
+            else:
+                f = flow(x_stage, xd_tau, xd_t)
+                k4 = slope(x_stage, f)
             x_next = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            if not math.isfinite(x_next):
-                t = t0 + (i - i0) * step + step
-                raise IntegrationDivergedError(
-                    f"state became non-finite at t = {t:.6g}", t
-                )
-            if x_next > x_max:
-                x_next = x_max
-            elif x_next < x_min:
-                x_next = x_min
-            xs[i + 1] = x_next
-            k1 = ds[i + 1] = slope(x_next, f)
+            if x_min < x_next < x_max:
+                k_next = kappa * (x_next ** neg_a - f)
+            else:
+                if not math.isfinite(x_next):
+                    t = t0 + (i - i0) * step + step
+                    raise IntegrationDivergedError(
+                        f"state became non-finite at t = {t:.6g}", t
+                    )
+                if x_next > x_max:
+                    x_next = x_max
+                elif x_next < x_min:
+                    x_next = x_min
+                k_next = slope(x_next, f)
         except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
             raise diverged(exc, t0 + (i - i0) * step + step) from exc
+        xs[i + 1] = x_next
+        ds[i + 1] = k_next
+        mids[r] = 0.5 * (x + x_next) + eighth * (k1 - k_next)
+        x, k1 = x_next, k_next
 
     t_arr = t0 + step * np.arange(n_steps + 1)
     x_arr = np.array(xs[i0:], dtype=float)

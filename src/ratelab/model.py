@@ -8,9 +8,10 @@ The source adjusts its rate x from delayed feedback:
 which is the primal rate update kappa*(x*U'(x) - x_d*p(x_d, c_d)) for the
 utility U(x) = -1/(a*x**a) and the price p(x, c) = h*(x/c)**b.  The module
 holds the parameter records, the capacity law and the fused projected
-right-hand side (:func:`stage_kernels`) that the integrator steps with.
-All powers act on strictly positive bases; nonpositive bases raise
-ModelDomainError rather than propagating NaN.
+right-hand side (:func:`stage_kernels`): the integrator repeats its
+arithmetic inline for interior stages and calls it for the rest, where its
+checks and projection apply.  All powers act on strictly positive bases;
+nonpositive bases raise ModelDomainError rather than propagating NaN.
 """
 
 import math
@@ -140,6 +141,13 @@ def stage_kernels(p: ModelParams, law: CapacityLaw):
     constants are bound once; a failing check raises through
     :func:`capacity` or :func:`_require_positive`, so errors read the same
     from every stage.
+
+    :func:`dde.integrate` writes the no-branch arithmetic of both closures
+    inline, with the same expressions in the same association, and calls
+    them only for a stage that fails a check or sits at a rate bound.  A
+    change to either closure must change that inline copy with it;
+    ``tests/test_dde.py`` compares the integrator bit for bit with a plain
+    loop over the formulas of ``tests/oracle.py`` and catches a drift.
     """
     kappa, neg_a, x_min, x_max = p.kappa, -p.a, p.x_min, p.x_max
     h, b_plus_1, neg_b = p.h_gain, p.b + 1.0, -p.b

@@ -395,8 +395,9 @@ def _fmt(v: float) -> str:
 
 
 def write_csv(path, header: str, row_format: str, columns) -> None:
-    """Write ``header`` and one ``row_format`` line per row of the equal-length
-    columns (numpy arrays or lists), CSV_CHUNK_ROWS rows per write."""
+    """Write ``header`` and one ``row_format % row`` line per row of the
+    equal-length columns (numpy arrays or lists), CSV_CHUNK_ROWS rows per
+    write."""
     n = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
@@ -406,16 +407,16 @@ def write_csv(path, header: str, row_format: str, columns) -> None:
                 else c[lo:lo + CSV_CHUNK_ROWS]
                 for c in columns
             ]
-            fh.write("".join(map(row_format.format, *chunk)))
+            fh.write("".join(map(row_format.__mod__, zip(*chunk))))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    write_csv(path, "t,x,c,dxdt", "{:.17g},{:.17g},{:.17g},{:.17g}\n",
+    write_csv(path, "t,x,c,dxdt", "%.17g,%.17g,%.17g,%.17g\n",
               [traj.t, traj.x, traj.c, traj.dxdt])
 
 
 def write_lyapunov_csv(samples, path) -> None:
-    write_csv(path, "t,V", "{:.17g},{:.17g}\n",
+    write_csv(path, "t,V", "%.17g,%.17g\n",
               [[t for t, _ in samples], [v for _, v in samples]])
 
 
@@ -583,6 +584,10 @@ def sweep(
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if out_dir is not None:
+        # an unusable --out fails here, before any value runs
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, param_name, v) for v in values]
     # fork starts every worker at the first submit: no more than there are values
     n_workers = min(n_jobs, len(jobs))
@@ -612,8 +617,6 @@ def sweep(
     rep = SweepReport(param_name, rows, largest_certified, smallest_oscillating,
                       boundary, monotone, paths={})
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         csv_path = out / "sweep.csv"
 
         def cell(v):
@@ -623,7 +626,7 @@ def sweep(
             csv_path,
             "param,value,status,step,x_star,min_margin,verdict,classification,"
             "final_error,message",
-            "{},{:.17g},{},{},{},{},{},{},{},{}\n",
+            "%s,%.17g,%s,%s,%s,%s,%s,%s,%s,%s\n",
             [
                 [r.param for r in rows],
                 [r.value for r in rows],

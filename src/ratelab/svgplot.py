@@ -104,7 +104,10 @@ def line_plot_svg(
         )
     for i, (label, v) in enumerate(ys):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xs, v))
+        # Python floats: the same IEEE arithmetic as numpy scalars, with less overhead
+        pts = " ".join(
+            f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xs.tolist(), v.tolist())
+        )
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ratelab import (
     CapacityLaw,
@@ -9,6 +11,7 @@ from ratelab import (
     HistoryRangeError,
     IntegrationDivergedError,
     ModelDomainError,
+    ModelParams,
     Trajectory,
     capacity,
     integrate,
@@ -170,6 +173,79 @@ class TestFusedStepMatchesReference:
     def test_exhaustion_case_exhausts_capacity(self):
         with pytest.raises(IntegrationDivergedError, match="capacity law returned"):
             integrate(*_run(t_end=30.0, kappa=10.0, init_x=0.05, b=0.2))
+
+
+HYP_STEP = 0.05
+
+
+@st.composite
+def loop_inputs(draw):
+    """Random inputs to integrate on a 0.05 grid: wide model constants,
+    either law, rate bounds from tight (projection every step) to loose, and
+    horizons up to 15.  Some draws exhaust the capacity or drive the rate
+    negative; both loops must then fail alike."""
+    k_t = draw(st.integers(1, 40))
+    k_tau = draw(st.integers(k_t, 60))
+    x_min = 10.0 ** draw(st.floats(-3.0, 0.3))
+    x_max = x_min * 10.0 ** draw(st.floats(0.01, 3.0))
+    params = ModelParams(
+        kappa=10.0 ** draw(st.floats(-2.0, 3.0)),
+        a=draw(st.floats(0.1, 4.0)),
+        b=draw(st.floats(0.05, 3.0)),
+        tau=k_tau * HYP_STEP,
+        T_delay=k_t * HYP_STEP,
+        h_gain=draw(st.floats(0.1, 5.0)),
+        x_min=x_min,
+        x_max=x_max,
+    )
+    if draw(st.booleans()):
+        law = CapacityLaw.affine(draw(st.floats(0.5, 10.0)), draw(st.floats(0.1, 5.0)))
+    else:
+        law = CapacityLaw.constant(draw(st.floats(0.5, 10.0)))
+    init_x = min(x_min + draw(st.floats(0.0, 1.0)) * (x_max - x_min), x_max)
+    t_end = draw(st.integers(1, 300)) * HYP_STEP
+    return params, law, init_x, t_end, HYP_STEP
+
+
+@settings(max_examples=50, deadline=None)
+@given(inputs=loop_inputs())
+# no draw reaches these branches: pinned by hand
+@example(inputs=(  # x_min**-a near the float ceiling: k1 + 2*(k2 + k3) overflows
+    ModelParams(kappa=1e8, a=1.0, b=0.2, tau=0.05, T_delay=0.05, x_min=1e-300, x_max=1.0),
+    CapacityLaw.constant(1.0), 1e-300, 1.0, HYP_STEP,
+))
+@example(inputs=(  # a stage power overflows at t = 0.625
+    ModelParams(kappa=5.2, a=4.9, b=18.0, tau=0.6, T_delay=0.2, h_gain=110.0,
+                x_min=3.9e-09, x_max=1.5e-07),
+    CapacityLaw.constant(0.0001), 1.1e-07, 1.0, HYP_STEP,
+))
+@example(inputs=(  # the last recorded rate lies past the capacity root 83.9/36
+    ModelParams(kappa=10.0, a=3.2, b=16.0, tau=0.4, T_delay=0.4, h_gain=520.0,
+                x_min=0.074, x_max=5.3),
+    CapacityLaw.affine(83.9, 36.0), 2.1, 0.3, HYP_STEP,
+))
+def test_loop_matches_reference_on_random_inputs(inputs):
+    # the inline interior stages and the closure fallback, against the plain loop
+    try:
+        x_ref, d_ref = reference_integrate(*inputs)
+    except IntegrationDivergedError as ref:
+        with pytest.raises(IntegrationDivergedError) as got:
+            integrate(*inputs)
+        assert str(got.value) == str(ref)
+        assert got.value.t_fail == ref.t_fail
+        assert type(got.value.__cause__) is type(ref.__cause__)
+        return
+    law, step = inputs[1], inputs[4]
+    bad = np.flatnonzero(law.value(x_ref) <= 0)
+    if bad.size:
+        # the loop reads capacities k_t steps late; integrate checks the rest after it
+        with pytest.raises(IntegrationDivergedError, match="capacity nonpositive") as got:
+            integrate(*inputs)
+        assert got.value.t_fail == step * bad[0]
+        return
+    traj = integrate(*inputs)
+    assert np.array_equal(traj.x, x_ref)
+    assert np.array_equal(traj.dxdt, d_ref)
 
 
 class TestIntegrate:

@@ -314,6 +314,19 @@ class TestSweep:
         with pytest.raises(ConfigError, match="unknown sweep parameter"):
             sweep(cfg, "color", [1.0])
 
+    def test_unusable_out_dir_fails_before_any_value(self, fig2_path, tmp_path, monkeypatch):
+        def must_not_run(job):
+            raise AssertionError(f"value ran before --out was checked: {job[1:]}")
+
+        monkeypatch.setattr(scenario, "_sweep_one", must_not_run)
+        not_a_dir = tmp_path / "taken"
+        not_a_dir.write_text("")
+        cfg = load_scenario(fig2_path)
+        with pytest.raises(OSError):
+            sweep(cfg, "b", [0.2, 0.3], out_dir=not_a_dir)
+        with pytest.raises(OSError):
+            sweep(cfg, "b", [0.2, 0.3], out_dir=not_a_dir / "sub", n_jobs=2)
+
     def test_parallel_matches_sequential(self, fig2_path, tmp_path):
         cfg = replace(load_scenario(fig2_path), t_end=60.0)
         seq = sweep(cfg, "b", [0.15, 0.45], out_dir=None, n_jobs=1)
