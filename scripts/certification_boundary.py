@@ -24,11 +24,19 @@ def certified_at(cfg, b: float, x_range) -> bool:
     return check_stability(cfg_b.params, cfg_b.law, x_range, cfg.grid_n).verdict == CERTIFIED
 
 
+def point_count(text: str) -> int:
+    """A --n argument: a whole number of at least 2 (the sweep spans lo to hi)."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+    return n
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--lo", type=float, default=0.05)
     parser.add_argument("--hi", type=float, default=1.0)
-    parser.add_argument("--n", type=int, default=20, help="sweep points")
+    parser.add_argument("--n", type=point_count, default=20, help="sweep points (at least 2)")
     parser.add_argument("--tol", type=float, default=1e-4, help="boundary bisection width")
     parser.add_argument("--out", default="out/boundary", help="sweep output directory")
     parser.add_argument("--jobs", type=int, default=1)

@@ -12,7 +12,6 @@ Exit codes: 0 Converged, 10 Oscillating, 11 Saturated, 12 Undetermined;
 
 import argparse
 import sys
-from pathlib import Path
 
 from .analysis import CERTIFIED, check_stability, solve_equilibrium
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
     RatelabError,
 )
 from .scenario import (
+    EXIT_CODES,
     apply_param,
     auto_margin_range,
     format_report,
@@ -29,6 +29,7 @@ from .scenario import (
     load_scenario,
     run_scenario,
     sweep,
+    write_outputs,
 )
 
 EX_USAGE = 64
@@ -106,7 +107,7 @@ def _cmd_run(args) -> int:
     res = run_scenario(cfg, out_dir=args.out)
     sys.stdout.write(format_report(cfg, res.report, res.classification))
     print(f"outputs: {res.paths['trajectory']}")
-    return res.exit_code
+    return EXIT_CODES[res.classification.kind]
 
 
 def _cmd_check(args) -> int:
@@ -117,17 +118,13 @@ def _cmd_check(args) -> int:
     text = format_report(cfg, report)
     sys.stdout.write(text)
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_outputs(args.out, {"report.txt": text})
     return 0 if report.verdict == CERTIFIED else CHECK_NOT_CERTIFIED
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_with_overrides(args.scenario, args.step, args.t_end)
-    out = args.out or f"out/sweep-{args.param}"
-    rep = sweep(cfg, args.param, args.values, out_dir=out, n_jobs=args.jobs)
+    rep = sweep(cfg, args.param, args.values, out_dir=args.out, n_jobs=args.jobs)
     sys.stdout.write(format_sweep_summary(rep))
     for r in rep.rows:
         if r.status == "ok":
@@ -137,7 +134,7 @@ def _cmd_sweep(args) -> int:
             )
         else:
             print(f"  {r.param}={r.value:g}: error: {r.message}")
-    print(f"outputs: {rep.paths.get('sweep_csv', '(not written)')}")
+    print(f"outputs: {rep.paths['sweep']}")
     return 0 if all(r.status == "ok" for r in rep.rows) else EX_SOFTWARE
 
 

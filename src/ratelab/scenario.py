@@ -11,6 +11,7 @@ import configparser
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -89,7 +90,6 @@ FIELDS = (
     Field("run", "init_x", float),
     Field("run", "t_end", float, 200.0),
     Field("run", "step", float, 0.01),
-    Field("run", "out_dir", lambda text: text or None, None),
     Field("analysis", "margin_range", _parse_range, "auto"),
     Field("analysis", "grid_n", float, 256),
     Field("analysis", "tol_conv", float, 1e-2),
@@ -119,7 +119,6 @@ class ScenarioConfig:
     tol_conv: float
     tol_osc: float
     tail_fraction: float
-    out_dir: str | None
     name: str
 
 
@@ -129,7 +128,6 @@ class RunResult:
     trajectory: Trajectory
     report: StabilityReport
     classification: Classification
-    exit_code: int
     paths: dict
 
     @cached_property
@@ -145,8 +143,9 @@ class RunResult:
         return tuple(zip(ts, values.tolist()))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One swept value.  The fields, in order, are the sweep.csv columns."""
+
     param: str
     value: float
     status: str  # "ok" | "error"
@@ -385,13 +384,47 @@ def _execute(cfg: ScenarioConfig) -> RunResult:
         trajectory=traj,
         report=report,
         classification=cls,
-        exit_code=EXIT_CODES[cls.kind],
         paths={},
     )
 
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
+
+
+def _cell(v) -> str:
+    """One sweep.csv cell: empty for None, 17 digits for a float, and text
+    with its commas and newlines made harmless."""
+    if isinstance(v, float):
+        return _fmt(v)
+    return "" if v is None else str(v).replace(",", ";").replace("\n", " ")
+
+
+def write_outputs(out_dir, files) -> dict:
+    """Create ``out_dir`` and write one output set into it, all or nothing.
+
+    ``files`` maps each file name, in write order, to its text (written as
+    UTF-8 with ``\\n`` newlines) or to a function that writes the file at the
+    path it is given.  On any exception every file begun so far, the failing
+    one included, is unlinked (a directory never is) before the exception
+    propagates.  Returns ``{file stem: path}``.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    begun = []
+    try:
+        for name, content in files.items():
+            begun.append(out / name)
+            if callable(content):
+                content(begun[-1])
+            else:
+                begun[-1].write_text(content, encoding="utf-8", newline="\n")
+    except BaseException:
+        for path in begun:
+            with suppress(OSError):
+                path.unlink()
+        raise
+    return {path.stem: str(path) for path in begun}
 
 
 def write_csv(path, header: str, row_format: str, columns) -> None:
@@ -463,11 +496,7 @@ def format_report(cfg: ScenarioConfig, report: StabilityReport, cls=None) -> str
 
 def write_config_echo(cfg: ScenarioConfig, path) -> None:
     """Emit the effective config in the loadable scenario format, one line
-    per key of FIELDS that has a value.
-
-    ``out_dir`` is left out, so re-running an echo cannot overwrite the
-    outputs of the run that wrote it.
-    """
+    per key of FIELDS that has a value."""
     values = config_values(cfg)
     lines = ["# effective configuration echo"]
     if abs(cfg.step - cfg.step_requested) > 1e-15 * cfg.step_requested:
@@ -475,7 +504,7 @@ def write_config_echo(cfg: ScenarioConfig, path) -> None:
     section = None
     for f in FIELDS:
         value = values.get(f.key)
-        if value is None or f.key == "out_dir":
+        if value is None:
             continue
         if f.section != section:
             lines += [f"[{f.section}]"] if section is None else ["", f"[{f.section}]"]
@@ -493,50 +522,24 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     """Run the pipeline and emit trajectory/energy CSVs, a report, a plot,
     and a re-loadable config echo into the output directory.
 
-    The pipeline computes everything before the first write, and a failed
-    write removes whatever was already emitted, so no partial output set is
-    left behind.
+    The pipeline computes everything before the first write, and
+    :func:`write_outputs` leaves no partial output set behind.
     """
     res = _execute(cfg)
-    lyapunov = res.lyapunov
-    out = Path(out_dir or cfg.out_dir or os.path.join("out", cfg.name))
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "trajectory": out / "trajectory.csv",
-        "lyapunov": out / "lyapunov.csv",
-        "report": out / "report.txt",
-        "plot": out / "plot.svg",
-        "config_echo": out / "config_echo.scenario",
-    }
-    written = []
-    try:
-        write_trajectory_csv(res.trajectory, paths["trajectory"])
-        written.append(paths["trajectory"])
-        write_lyapunov_csv(lyapunov, paths["lyapunov"])
-        written.append(paths["lyapunov"])
-        with open(paths["report"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_report(cfg, res.report, res.classification))
-        written.append(paths["report"])
-        line_plot_svg(
-            paths["plot"],
-            res.trajectory.t,
-            [("x(t) rate", res.trajectory.x), ("c(t) capacity", res.trajectory.c)],
-            title=f"{cfg.name}: rate and capacity",
-            xlabel="t [s]",
+    traj, lyapunov = res.trajectory, res.lyapunov
+    files = {
+        "trajectory.csv": lambda path: write_trajectory_csv(traj, path),
+        "lyapunov.csv": lambda path: write_lyapunov_csv(lyapunov, path),
+        "report.txt": format_report(cfg, res.report, res.classification),
+        "plot.svg": lambda path: line_plot_svg(
+            path, traj.t, [("x(t) rate", traj.x), ("c(t) capacity", traj.c)],
+            title=f"{cfg.name}: rate and capacity", xlabel="t [s]",
             ylabel="rate / capacity",
-        )
-        written.append(paths["plot"])
-        write_config_echo(cfg, paths["config_echo"])
-        written.append(paths["config_echo"])
-    except BaseException:
-        for w in written:
-            try:
-                w.unlink()
-            except OSError:
-                pass
-        raise
+        ),
+        "config_echo.scenario": lambda path: write_config_echo(cfg, path),
+    }
     # filled in place: a copy would drop the cached energy samples
-    res.paths.update((k, str(v)) for k, v in paths.items())
+    res.paths.update(write_outputs(out_dir or os.path.join("out", cfg.name), files))
     return res
 
 
@@ -570,7 +573,8 @@ def sweep(
     out_dir=None,
     n_jobs: int = 1,
 ) -> SweepReport:
-    """Run the full pipeline once per value and summarize.
+    """Run the full pipeline once per value, summarize, and write sweep.csv
+    and sweep_report.txt into ``out_dir`` (default out/sweep-<param>).
 
     Per-value failures (any exception) become status=error rows and the
     sweep continues.
@@ -584,10 +588,8 @@ def sweep(
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one value")
-    if out_dir is not None:
-        # an unusable --out fails here, before any value runs
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    out = out_dir or os.path.join("out", f"sweep-{param_name}")
+    write_outputs(out, {})  # an unusable out_dir fails here, before any value runs
     jobs = [(cfg, param_name, v) for v in values]
     # fork starts every worker at the first submit: no more than there are values
     n_workers = min(n_jobs, len(jobs))
@@ -616,33 +618,9 @@ def sweep(
 
     rep = SweepReport(param_name, rows, largest_certified, smallest_oscillating,
                       boundary, monotone, paths={})
-    if out_dir is not None:
-        csv_path = out / "sweep.csv"
-
-        def cell(v):
-            return "" if v is None else (_fmt(v) if isinstance(v, float) else str(v))
-
-        write_csv(
-            csv_path,
-            "param,value,status,step,x_star,min_margin,verdict,classification,"
-            "final_error,message",
-            "%s,%.17g,%s,%s,%s,%s,%s,%s,%s,%s\n",
-            [
-                [r.param for r in rows],
-                [r.value for r in rows],
-                [r.status for r in rows],
-                *(
-                    [cell(getattr(r, f)) for r in rows]
-                    for f in ("step", "x_star", "min_margin", "verdict",
-                              "classification", "final_error")
-                ),
-                [r.message.replace(",", ";").replace("\n", " ") for r in rows],
-            ],
-        )
-        summary_path = out / "sweep_report.txt"
-        with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_sweep_summary(rep))
-        rep.paths.update(sweep_csv=str(csv_path), sweep_report=str(summary_path))
+    csv_text = "".join(",".join(map(_cell, r)) + "\n" for r in (SweepRow._fields, *rows))
+    rep.paths.update(write_outputs(out, {"sweep.csv": csv_text,
+                                         "sweep_report.txt": format_sweep_summary(rep)}))
     return rep
 
 

@@ -158,11 +158,11 @@ def test_criterion_03_margin_checker_agreement(fig2_result):
     )
 
 
-def test_criterion_04_sufficiency_soundness_sweep(fig2_path):
+def test_criterion_04_sufficiency_soundness_sweep(fig2_path, tmp_path):
     t0 = time.perf_counter()
     cfg = load_scenario(fig2_path)
     values = [round(0.1 + 0.05 * i, 2) for i in range(19)]  # 0.1 .. 1.0
-    rep = sweep(cfg, "b", values)
+    rep = sweep(cfg, "b", values, out_dir=tmp_path)
     elapsed = time.perf_counter() - t0
     assert all(r.status == "ok" for r in rep.rows)
     unsound = [

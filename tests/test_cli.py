@@ -236,6 +236,14 @@ def test_out_naming_a_file_is_io_error(fig2_path, tmp_path, args):
     assert out.read_text(encoding="utf-8") == "not a directory\n"
 
 
+def test_check_unwritable_report_is_io_error(fig2_path, tmp_path):
+    (tmp_path / "report.txt").mkdir()
+    proc = run_cli("check", fig2_path, "--out", tmp_path)
+    assert proc.returncode == 70
+    assert "error[io]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_scenario_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.scenario")]) == 66
 

@@ -152,8 +152,9 @@ class TestLoadScenario:
 
     def test_percent_sign_read_literally(self, tmp_path):
         # values are plain text: configparser interpolation is off
-        text = MINIMAL.replace("init_x = 1.0", "init_x = 1.0\nout_dir = out/100%")
-        assert load_scenario(write_scenario(tmp_path, text)).out_dir == "out/100%"
+        text = MINIMAL.replace("kind = affine", "kind = 100%")
+        with pytest.raises(ConfigError, match="unknown capacity law kind '100%'"):
+            load_scenario(write_scenario(tmp_path, text))
 
     def test_step_ceiling_checked_at_load(self, tmp_path):
         # 1e11 steps: refused before anything is allocated
@@ -227,7 +228,7 @@ class TestRunScenario:
         cfg = replace(load_scenario(fig2_path), t_end=5.0)
         res = run_scenario(cfg, out_dir=tmp_path / "short")
         assert res.classification.kind == UNDETERMINED
-        assert res.exit_code == EXIT_CODES[UNDETERMINED] == 12
+        assert EXIT_CODES[res.classification.kind] == EXIT_CODES[UNDETERMINED] == 12
 
     def test_failed_run_leaves_no_outputs(self, fig2_path, tmp_path):
         cfg = load_scenario(fig2_path)
@@ -236,6 +237,18 @@ class TestRunScenario:
         with pytest.raises(IntegrationDivergedError):
             run_scenario(cfg, out_dir=out)
         assert not out.exists() or not any(out.iterdir())
+
+    def test_failed_write_leaves_no_outputs(self, fig2_path, tmp_path, monkeypatch):
+        def broken_plot(path, *args, **kwargs):
+            Path(path).write_text("<svg", encoding="utf-8")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(scenario, "line_plot_svg", broken_plot)
+        cfg = replace(load_scenario(fig2_path), t_end=10.0)
+        out = tmp_path / "partial"
+        with pytest.raises(OSError, match="disk full"):
+            run_scenario(cfg, out_dir=out)
+        assert list(out.iterdir()) == []
 
     def test_snap_recorded_in_echo(self, tmp_path):
         text = MINIMAL.replace("tau = 3.0", "tau = 0.5").replace("T = 2.0", "T = 0.25")
@@ -282,7 +295,7 @@ class TestSweep:
         assert rep.rows[1].verdict == NOT_CERTIFIED
         assert rep.largest_certified == 0.1
         assert rep.certified_boundary == (0.1, 0.5)
-        csv_text = Path(rep.paths["sweep_csv"]).read_text().splitlines()
+        csv_text = Path(rep.paths["sweep"]).read_text().splitlines()
         assert csv_text[0].startswith("param,value,status")
         assert len(csv_text) == 3
         assert (tmp_path / "sw" / "sweep_report.txt").is_file()
@@ -297,22 +310,22 @@ class TestSweep:
 
     def test_tau_sweep_respects_delay_ordering(self, fig2_path, tmp_path):
         cfg = replace(load_scenario(fig2_path), t_end=60.0)
-        rep = sweep(cfg, "tau", [1.0], out_dir=None)
+        rep = sweep(cfg, "tau", [1.0], out_dir=tmp_path)
         # tau = 1 < T = 2 must come back as an A1 error row, not a crash
         assert rep.rows[0].status == "error"
         assert "A1" in rep.rows[0].message
 
-    def test_tau_sweep_verdict_fixed_range_is_delay_independent(self, fig2_path):
+    def test_tau_sweep_verdict_fixed_range_is_delay_independent(self, fig2_path, tmp_path):
         cfg = replace(load_scenario(fig2_path), t_end=60.0, margin_range=(0.95, 1.2))
-        rep = sweep(cfg, "tau", [3.0, 7.5, 30.0])
+        rep = sweep(cfg, "tau", [3.0, 7.5, 30.0], out_dir=tmp_path)
         assert all(r.status == "ok" for r in rep.rows)
         assert {r.verdict for r in rep.rows} == {CERTIFIED}
         assert len({r.min_margin for r in rep.rows}) == 1
 
-    def test_unknown_parameter(self, fig2_path):
+    def test_unknown_parameter(self, fig2_path, tmp_path):
         cfg = load_scenario(fig2_path)
         with pytest.raises(ConfigError, match="unknown sweep parameter"):
-            sweep(cfg, "color", [1.0])
+            sweep(cfg, "color", [1.0], out_dir=tmp_path)
 
     def test_unusable_out_dir_fails_before_any_value(self, fig2_path, tmp_path, monkeypatch):
         def must_not_run(job):
@@ -327,13 +340,21 @@ class TestSweep:
         with pytest.raises(OSError):
             sweep(cfg, "b", [0.2, 0.3], out_dir=not_a_dir / "sub", n_jobs=2)
 
+    def test_failed_write_leaves_no_sweep_csv(self, fig2_path, tmp_path):
+        (tmp_path / "sweep_report.txt").mkdir()
+        cfg = replace(load_scenario(fig2_path), t_end=30.0)
+        with pytest.raises(OSError):
+            sweep(cfg, "b", [0.2], out_dir=tmp_path)
+        assert not (tmp_path / "sweep.csv").exists()
+        assert (tmp_path / "sweep_report.txt").is_dir()
+
     def test_parallel_matches_sequential(self, fig2_path, tmp_path):
         cfg = replace(load_scenario(fig2_path), t_end=60.0)
-        seq = sweep(cfg, "b", [0.15, 0.45], out_dir=None, n_jobs=1)
-        par = sweep(cfg, "b", [0.15, 0.45], out_dir=None, n_jobs=2)
+        seq = sweep(cfg, "b", [0.15, 0.45], out_dir=tmp_path / "seq", n_jobs=1)
+        par = sweep(cfg, "b", [0.15, 0.45], out_dir=tmp_path / "par", n_jobs=2)
         assert seq.rows == par.rows
 
-    def test_pool_never_outnumbers_values(self, fig2_path, monkeypatch):
+    def test_pool_never_outnumbers_values(self, fig2_path, tmp_path, monkeypatch):
         # fork starts every worker at the first submit; a fake pool records
         # what the sweep asks for and maps in this process
         built = []
@@ -353,10 +374,10 @@ class TestSweep:
 
         monkeypatch.setattr(scenario, "ProcessPoolExecutor", FakePool)
         cfg = replace(load_scenario(fig2_path), t_end=30.0)
-        rep = sweep(cfg, "b", [0.15, 0.45], n_jobs=10_000)
+        rep = sweep(cfg, "b", [0.15, 0.45], out_dir=tmp_path, n_jobs=10_000)
         assert built == [2]
         assert [r.status for r in rep.rows] == ["ok", "ok"]
-        sweep(cfg, "b", [0.15], n_jobs=10_000)
+        sweep(cfg, "b", [0.15], out_dir=tmp_path, n_jobs=10_000)
         assert built == [2]
 
     def test_apply_param_variants(self, fig2_path):
@@ -368,7 +389,7 @@ class TestSweep:
         # re-snap on delay change
         assert apply_param(cfg, "tau", 2.5).step == pytest.approx(0.01, rel=1e-12)
 
-    def test_apply_param_runs_the_scenario_checks(self, fig2_path):
+    def test_apply_param_runs_the_scenario_checks(self, fig2_path, tmp_path):
         cfg = load_scenario(fig2_path)
         with pytest.raises(ConfigError, match="ceiling"):
             apply_param(cfg, "t_end", 1e9)
@@ -378,7 +399,7 @@ class TestSweep:
             apply_param(cfg, "T_delay", 1.0)
         # a tau that halves the snapped step doubles the step count past the ceiling
         long_cfg = apply_param(cfg, "t_end", 9e4)
-        row = sweep(long_cfg, "tau", [2.015]).rows[0]
+        row = sweep(long_cfg, "tau", [2.015], out_dir=tmp_path).rows[0]
         assert row.status == "error" and "ceiling" in row.message
 
     def test_apply_param_constant_law(self, tmp_path):
@@ -405,7 +426,6 @@ _DRAWN = {
     "level": st.floats(1.0, 10.0),
     "init_x": st.floats(0.1, 10.0),
     "step": st.sampled_from([0.01, 0.02, 0.025, 0.007, 0.015, 0.03]),
-    "out_dir": st.sampled_from([None, "out/elsewhere"]),
     "margin_range": st.one_of(
         st.just("auto"), st.tuples(st.floats(0.01, 1.0), st.floats(1.5, 100.0))
     ),
@@ -440,7 +460,7 @@ def test_config_echo_round_trip(values):
         loaded = load_scenario(first)
         write_config_echo(loaded, second)
         echo, echo_again = first.read_text(), second.read_text()
-    ignored = dict(name="", out_dir=None, step_requested=0.0)
+    ignored = dict(name="", step_requested=0.0)
     assert replace(loaded, **ignored) == replace(cfg, **ignored)
     assert "out_dir" not in echo
     # a fixed point, except that the reloaded step is no longer snapped
