@@ -7,6 +7,7 @@ check alone (no simulation needed: the margin at the equilibrium decides).
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -32,12 +33,24 @@ def point_count(text: str) -> int:
     return n
 
 
+def bisection_width(text: str) -> float:
+    """A --tol argument: a positive finite number."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return tol
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--lo", type=float, default=0.05)
     parser.add_argument("--hi", type=float, default=1.0)
     parser.add_argument("--n", type=point_count, default=20, help="sweep points (at least 2)")
-    parser.add_argument("--tol", type=float, default=1e-4, help="boundary bisection width")
+    parser.add_argument("--tol", type=bisection_width, default=1e-4,
+                        help="boundary bisection width (positive)")
     parser.add_argument("--out", default="out/boundary", help="sweep output directory")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
@@ -65,6 +78,8 @@ def main() -> int:
     x_range = auto_margin_range(cfg, base_run.trajectory, base_run.report.equilibrium.x_star)
     while hi - lo > args.tol:
         mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # lo and hi are adjacent floats: a finer --tol cannot be met
         if certified_at(cfg, mid, x_range):
             lo = mid
         else:

@@ -85,6 +85,7 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
     stays tiny even for steep exponents (small b).
     """
     exponent = (p.a + p.b + 1.0) / p.b
+    c0, slope_g = law.c0, law.slope
     try:
         h_factor = p.h_gain ** (1.0 / p.b)
     except OverflowError:
@@ -99,7 +100,7 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
         except OverflowError:
             # x**exponent beyond the float range: the residual is -inf
             return -math.inf
-        return law.value(x) - h_factor * power
+        return c0 - slope_g * x - h_factor * power
 
     lo, hi = p.x_min, p.x_max
     f_lo, f_hi = f(lo), f(hi)
@@ -199,35 +200,64 @@ def validate_assumptions(
     return violations
 
 
-def stability_margin(x: float, p: ModelParams, law: CapacityLaw, eq: Equilibrium) -> float:
-    """Stability margin (LHS - RHS of the certification inequality) at rate x.
+def margin_kernel(p: ModelParams, law: CapacityLaw, eq: Equilibrium):
+    """The stability margin at one equilibrium, as ``margin(x)``.
 
-    The capacity is coupled to the rate, c = g(x).  Within EPS_BAND_REL*x_star
-    of x_star the 0/0 quotients are replaced by their analytic limit,
-    the derivative of each side at x_star:
+    The margin is LHS - RHS of the certification inequality at rate x, with
+    the capacity coupled to the rate, c = g(x).  Within EPS_BAND_REL*x_star
+    of x_star the 0/0 quotients are replaced by their analytic limit, the
+    derivative of each side at x_star:
 
         a*xs**-(a+1) - h*[(b+1)*xs**b*cs**-b - b*xs**(b+1)*cs**-(b+1)*g'(xs)]
+
+    The constants are bound once.  The equilibrium-only powers are computed
+    at the first point that reaches them outside the band and the band limit
+    at the first point inside it, each in the expression and association of
+    a point-by-point evaluation, so every value and error is the same.  The
+    checks run in order: x > 0, the band, the capacity (through
+    :func:`capacity` when g(x) is not positive), then the powers.  A power
+    beyond the float range raises ModelDomainError naming x.
     """
     xs, cs = eq.x_star, eq.c_star
     a, b, h = p.a, p.b, p.h_gain
-    if not x > 0:
-        raise ModelDomainError(f"margin requires x > 0, got {x}")
-    try:
-        if abs(x - xs) < EPS_BAND_REL * xs:
-            lhs = a * xs ** -(a + 1.0)
-            rhs = h * (
-                (b + 1.0) * xs ** b * cs ** -b
-                - b * xs ** (b + 1.0) * cs ** -(b + 1.0) * law.derivative()
-            )
-            return lhs - rhs
-        c = capacity(law, x)
-        lhs = (xs ** -a - x ** -a) / (x - xs)
-        rhs = h * (x ** (b + 1.0) * c ** -b - xs ** (b + 1.0) * cs ** -b) / (x - xs)
-    except OverflowError as exc:
-        raise ModelDomainError(
-            f"margin at x = {x:.6g} exceeds the float range (a = {a}, b = {b})"
-        ) from exc
-    return lhs - rhs
+    neg_a, b_plus_1, neg_b = -a, b + 1.0, -b
+    c0, slope_g = law.c0, law.slope
+    band = EPS_BAND_REL * xs
+    lhs_star = flow_star = limit = None
+
+    def margin(x: float) -> float:
+        nonlocal lhs_star, flow_star, limit
+        if not x > 0:
+            raise ModelDomainError(f"margin requires x > 0, got {x}")
+        try:
+            if abs(x - xs) < band:
+                if limit is None:
+                    limit = a * xs ** -(a + 1.0) - h * (
+                        (b + 1.0) * xs ** b * cs ** -b
+                        - b * xs ** (b + 1.0) * cs ** -(b + 1.0) * law.derivative()
+                    )
+                return limit
+            c = c0 - slope_g * x
+            if not c > 0:
+                capacity(law, x)
+            if flow_star is None:
+                # one assignment: an overflow leaves both unset, so every
+                # later point raises as well
+                lhs_star, flow_star = xs ** neg_a, xs ** b_plus_1 * cs ** neg_b
+            lhs = (lhs_star - x ** neg_a) / (x - xs)
+            rhs = h * (x ** b_plus_1 * c ** neg_b - flow_star) / (x - xs)
+        except OverflowError as exc:
+            raise ModelDomainError(
+                f"margin at x = {x:.6g} exceeds the float range (a = {a}, b = {b})"
+            ) from exc
+        return lhs - rhs
+
+    return margin
+
+
+def stability_margin(x: float, p: ModelParams, law: CapacityLaw, eq: Equilibrium) -> float:
+    """Stability margin at rate x: one point of :func:`margin_kernel`."""
+    return margin_kernel(p, law, eq)(x)
 
 
 def check_stability(
@@ -243,7 +273,7 @@ def check_stability(
     violations = tuple(validate_assumptions(p, law, x_range, grid_n))
     xs_grid = np.linspace(x_range[0], x_range[1], grid_n)
     profile_x = np.append(xs_grid, eq.x_star)
-    profile_margin = np.array([stability_margin(float(x), p, law, eq) for x in profile_x])
+    profile_margin = np.array(list(map(margin_kernel(p, law, eq), profile_x.tolist())))
     i_min = int(np.argmin(profile_margin))
     hard = any(v.severity == HARD for v in violations)
     verdict = CERTIFIED if (profile_margin[i_min] > 0 and not hard) else NOT_CERTIFIED

@@ -65,19 +65,28 @@ def _job_count(text: str) -> int:
     return n
 
 
+def _out_dir(text: str) -> str:
+    """An --out argument: a directory name, never empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory, got ''")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ratelab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate a scenario and write outputs")
     run_p.add_argument("scenario", help="path to a .scenario file")
-    run_p.add_argument("--out", default=None, help="output directory (default out/<name>)")
+    run_p.add_argument("--out", type=_out_dir, default=None,
+                       help="output directory (default out/<name>)")
     run_p.add_argument("--step", type=float, default=None, help="override the step")
     run_p.add_argument("--t-end", type=float, default=None, help="override the horizon")
 
     check_p = sub.add_parser("check", help="analysis only, no simulation")
     check_p.add_argument("scenario", help="path to a .scenario file")
-    check_p.add_argument("--out", default=None, help="also write report.txt here")
+    check_p.add_argument("--out", type=_out_dir, default=None,
+                         help="also write report.txt here")
 
     sweep_p = sub.add_parser("sweep", help="run the pipeline over parameter values")
     sweep_p.add_argument("scenario", help="path to a .scenario file")
@@ -85,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="one of a, b, kappa, tau, T, intercept, slope")
     sweep_p.add_argument("--values", required=True, type=_value_list,
                          help="comma- or space-separated list of values")
-    sweep_p.add_argument("--out", default=None, help="output directory (default out/sweep-<param>)")
+    sweep_p.add_argument("--out", type=_out_dir, default=None,
+                         help="output directory (default out/sweep-<param>)")
     sweep_p.add_argument("--jobs", type=_job_count, default=1, help="parallel workers")
     sweep_p.add_argument("--step", type=float, default=None, help="override the step")
     sweep_p.add_argument("--t-end", type=float, default=None, help="override the horizon")

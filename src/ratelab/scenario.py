@@ -10,7 +10,6 @@ are integer multiples of it.
 import configparser
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -594,6 +593,9 @@ def sweep(
     # fork starts every worker at the first submit: no more than there are values
     n_workers = min(n_jobs, len(jobs))
     if n_workers > 1:
+        # imported here: a pool loads multiprocessing, which no serial path needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             rows = tuple(pool.map(_sweep_one, jobs))
     else:

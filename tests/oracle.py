@@ -1,8 +1,11 @@
-"""The right-hand side written out one formula per function: the oracle that
-``model.stage_kernels`` and the fused loop in ``dde.integrate`` must match
-bit for bit, in values and in error messages."""
+"""The model written out one formula per function: the oracles that
+``model.stage_kernels``, the fused loop in ``dde.integrate`` and
+``analysis.margin_kernel`` must match bit for bit, in values and in error
+messages."""
 
-from ratelab.model import ModelParams, _require_positive
+from ratelab.analysis import EPS_BAND_REL
+from ratelab.errors import ModelDomainError
+from ratelab.model import CapacityLaw, Equilibrium, ModelParams, _require_positive, capacity
 
 
 def price_flow(x_delayed: float, c_delayed: float, p: ModelParams) -> float:
@@ -25,3 +28,29 @@ def clamp(x: float, dxdt: float, p: ModelParams) -> float:
     if x <= p.x_min:
         return max(dxdt, 0.0)
     return dxdt
+
+
+def stability_margin(x: float, p: ModelParams, law: CapacityLaw, eq: Equilibrium) -> float:
+    """The margin at one rate, every term computed afresh: LHS - RHS of the
+    certification inequality with c = g(x), and the analytic limit within
+    EPS_BAND_REL*x_star of x_star."""
+    xs, cs = eq.x_star, eq.c_star
+    a, b, h = p.a, p.b, p.h_gain
+    if not x > 0:
+        raise ModelDomainError(f"margin requires x > 0, got {x}")
+    try:
+        if abs(x - xs) < EPS_BAND_REL * xs:
+            lhs = a * xs ** -(a + 1.0)
+            rhs = h * (
+                (b + 1.0) * xs ** b * cs ** -b
+                - b * xs ** (b + 1.0) * cs ** -(b + 1.0) * law.derivative()
+            )
+            return lhs - rhs
+        c = capacity(law, x)
+        lhs = (xs ** -a - x ** -a) / (x - xs)
+        rhs = h * (x ** (b + 1.0) * c ** -b - xs ** (b + 1.0) * cs ** -b) / (x - xs)
+    except OverflowError as exc:
+        raise ModelDomainError(
+            f"margin at x = {x:.6g} exceeds the float range (a = {a}, b = {b})"
+        ) from exc
+    return lhs - rhs

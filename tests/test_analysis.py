@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratelab import (
@@ -27,6 +27,7 @@ from ratelab import (
 )
 from ratelab import analysis
 from conftest import BASE_LAW, base_params, synthetic_trajectory
+from oracle import stability_margin as reference_margin
 
 
 class TestSolveEquilibrium:
@@ -248,6 +249,90 @@ class TestCheckTheorem2:
             assert report.verdict == reference.verdict
             assert np.array_equal(report.profile_margin, reference.profile_margin)
 
+
+
+@st.composite
+def margin_inputs(draw):
+    """A model (a from 10**[-2, 3], either law), a range inside its rate
+    bounds, a grid size, and probe points as multiples of x_star: some land
+    in the band around it, past the capacity root or outside the bounds."""
+    x_min = 10.0 ** draw(st.floats(-4.0, -1.0))
+    x_max = 10.0 ** draw(st.floats(0.0, 3.0))
+    params = ModelParams(
+        kappa=1.0,
+        a=10.0 ** draw(st.floats(-2.0, 3.0)),
+        b=10.0 ** draw(st.floats(-2.0, 1.0)),
+        tau=3.0,
+        T_delay=2.0,
+        h_gain=10.0 ** draw(st.floats(-2.0, 2.0)),
+        x_min=x_min,
+        x_max=x_max,
+    )
+    if draw(st.booleans()):
+        law = CapacityLaw.affine(10.0 ** draw(st.floats(0.0, 2.0)),
+                                 10.0 ** draw(st.floats(-2.0, 1.0)))
+    else:
+        law = CapacityLaw.constant(10.0 ** draw(st.floats(-1.0, 2.0)))
+    lo = x_min + draw(st.floats(0.0, 0.5)) * (x_max - x_min)
+    hi = x_min + draw(st.floats(0.5, 1.0)) * (x_max - x_min)
+    grid_n = draw(st.sampled_from([16, 17, 64, 257]))
+    factors = draw(st.lists(
+        st.one_of(st.floats(0.01, 100.0), st.floats(1.0 - 2e-6, 1.0 + 2e-6)), max_size=6
+    ))
+    return params, law, (lo, hi), grid_n, factors
+
+
+def _outcome(f):
+    """Every value as float.hex, or the exception's type and message."""
+    try:
+        return [float(v).hex() for v in f()]
+    except Exception as exc:  # noqa: BLE001 - any exception must match the oracle's
+        return type(exc), str(exc)
+
+
+FIG2_X_STAR = 1.1059448952257895  # b = 0.2 on the fig2 base
+HUGE_A = ModelParams(kappa=1.0, a=1e12, b=2.0, tau=3.0, T_delay=2.0, h_gain=1e308,
+                     x_min=0.5, x_max=2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs=margin_inputs())
+# no draw reaches these branches: pinned by hand
+@example(inputs=(base_params(0.2), BASE_LAW, (0.5, 3.0), 16, [0.0, -1.0]))  # x <= 0
+@example(inputs=(base_params(0.2), BASE_LAW, (0.5, 3.0), 16, [math.nan]))  # NaN
+@example(inputs=(  # capacity <= 0: g = 5 - x is 0 at x = 5, below it past there
+    base_params(0.2), BASE_LAW, (0.5, 6.0), 64, [5.0 / FIG2_X_STAR, 5.0]
+))
+@example(inputs=(  # x**-a fits at x = 2 but x_star**-a overflows, and so does the limit
+    HUGE_A, CapacityLaw.constant(0.5), (0.6, 2.0), 16, [2.0, 1.0]
+))
+@example(inputs=(  # x**-a overflows at x = 1e-300, the equilibrium terms fit
+    base_params(0.2, x_min=1e-300), BASE_LAW, (1e-300, 2.0), 16, [1e-300 / FIG2_X_STAR, 1.5]
+))
+@example(inputs=(  # node 8 of 17 is x_star to rounding: a grid point inside the band
+    base_params(0.2), BASE_LAW, (FIG2_X_STAR - 0.5, FIG2_X_STAR + 0.5), 17, [1.0 + 1e-7]
+))
+def test_margin_kernel_matches_point_by_point_oracle(inputs):
+    # one kernel per check binds the equilibrium terms once; every value and
+    # error must read as if each point were computed afresh
+    p, law, x_range, grid_n, factors = inputs
+    solved = _outcome(lambda: [solve_equilibrium(p, law).x_star])
+    if isinstance(solved, tuple):  # no equilibrium: the check fails the same way
+        assert _outcome(lambda: check_stability(p, law, x_range, grid_n).profile_margin) \
+            == solved
+        return
+    eq = solve_equilibrium(p, law)
+
+    def reference_profile():
+        validate_assumptions(p, law, x_range, grid_n)
+        grid = np.append(np.linspace(x_range[0], x_range[1], grid_n), eq.x_star)
+        return [reference_margin(float(x), p, law, eq) for x in grid]
+
+    assert _outcome(lambda: check_stability(p, law, x_range, grid_n).profile_margin) == \
+        _outcome(reference_profile)
+    for x in (f * eq.x_star for f in factors):
+        assert _outcome(lambda: [stability_margin(x, p, law, eq)]) == \
+            _outcome(lambda: [reference_margin(x, p, law, eq)])
 
 def reference_lyapunov(traj, t, p, eq, theta_nodes=201):
     """The single-sample quadrature as it was before batching: the oracle

@@ -236,6 +236,36 @@ def test_out_naming_a_file_is_io_error(fig2_path, tmp_path, args):
     assert out.read_text(encoding="utf-8") == "not a directory\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("run", "--t-end", "30"), ("check",),
+     ("sweep", "--t-end", "30", "--param", "b", "--values", "0.2")],
+    ids=["run", "check", "sweep"],
+)
+def test_empty_out_is_usage_error(fig2_path, tmp_path, monkeypatch, capsys, args):
+    # an empty --out names no directory: refused, not read as "here" or the default
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc_info:
+        main([args[0], str(fig2_path), "--out", "", *args[1:]])
+    assert exc_info.value.code == 64
+    assert "error[usage]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_import_loads_no_process_pool():
+    # a sweep with --jobs above 1 imports the pool; nothing else pays for it
+    probe = (
+        "import sys, ratelab; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 def test_check_unwritable_report_is_io_error(fig2_path, tmp_path):
     (tmp_path / "report.txt").mkdir()
     proc = run_cli("check", fig2_path, "--out", tmp_path)

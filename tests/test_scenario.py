@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tempfile
 from dataclasses import replace
@@ -372,7 +373,7 @@ class TestSweep:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(scenario, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         cfg = replace(load_scenario(fig2_path), t_end=30.0)
         rep = sweep(cfg, "b", [0.15, 0.45], out_dir=tmp_path, n_jobs=10_000)
         assert built == [2]
