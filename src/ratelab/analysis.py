@@ -18,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dde import Trajectory
-from .errors import EquilibriumBracketError, HorizonError, ModelDomainError
+from .errors import (
+    CapacityExhaustedError,
+    EquilibriumBracketError,
+    HorizonError,
+    ModelDomainError,
+)
 from .model import AFFINE, CapacityLaw, Equilibrium, ModelParams, capacity
 
 CERTIFIED = "CertifiedStable"
@@ -129,7 +134,15 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
             if hi - lo < 1e-15 * max(1.0, 0.5 * (lo + hi)):
                 break
         x_star = 0.5 * (lo + hi)
-    c_star = capacity(law, x_star)
+    try:
+        c_star = capacity(law, x_star)
+    except CapacityExhaustedError:
+        # a data problem, not a runtime one: the root lies within rounding
+        # of the capacity root, so no x_star has c_star > 0 in floating point
+        raise EquilibriumBracketError(
+            f"the equilibrium rounds onto the capacity root: g(x_star) = "
+            f"{law.value(x_star)} <= 0 at x_star = {x_star}"
+        ) from None
     residual = abs(f(x_star)) / c_star
     return Equilibrium(x_star=x_star, c_star=c_star, residual=residual)
 

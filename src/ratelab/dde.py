@@ -9,6 +9,7 @@ breaking point of the solution aligned with the grid.
 
 import math
 from dataclasses import dataclass
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -127,6 +128,14 @@ def integrate(
     order, so results, error messages and failure times are bit-identical
     to it.
 
+    Every delayed read is a fixed lag into what is already recorded (the
+    method of steps), so the loop works out no index: the grid reads come
+    from iterators that trail the append-only record by k_tau and k_t >= 1
+    entries, and the midpoint ring's write and read slots from one cycle at
+    three offsets.  The grid reads feed k4 and the recorded derivative
+    without the x_delayed > 0 test of the midpoint reads: every recorded
+    rate is init_x > 0 or projected into [x_min, x_max], and x_min > 0.
+
     Two runs with identical inputs produce bit-identical trajectories: the
     loop is sequential pure-float arithmetic with no ambient state.
     """
@@ -144,14 +153,13 @@ def integrate(
         raise GridMismatchError(f"t_end = {t_end} shorter than one step {step}")
     t0 = 0.0
 
-    # Flat working arrays over [-max delay, t_end]; index i0 is t = 0.  The
-    # junction at t = 0 carries two one-sided derivatives: ds[i0] stays the
-    # stored pre-history value (data side, left of 0) while d0_dyn holds the
-    # dynamic derivative used for the interval [0, step].
+    # Append-only records over [-max delay, t_end]; index i0 of xs is t = 0.
+    # The junction at t = 0 carries two one-sided derivatives: the
+    # pre-history slopes are zero (data, left of 0), and ds records only
+    # the dynamic ones, starting with d0_dyn for the interval [0, step].
     i0 = max(k_tau, k_t)
     x0 = float(init_x)
-    xs = [x0] * (i0 + 1) + [0.0] * n_steps
-    ds = [0.0] * (i0 + 1 + n_steps)
+    xs = [x0] * (i0 + 1)
     kappa, neg_a, x_min, x_max = params.kappa, -params.a, params.x_min, params.x_max
     h, b_plus_1, neg_b = params.h_gain, params.b + 1.0, -params.b
     c0, slope_g = law.c0, law.slope
@@ -169,19 +177,31 @@ def integrate(
         d0_dyn = slope(x0, flow(x0, xs[i0 - k_tau], xs[i0 - k_t]))
     except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
         raise diverged(exc, t0) from exc
-    # Ring of Hermite midpoints: slot j % n_mid holds the midpoint of the
-    # interval [j, j + 1], written once x[j + 1] and its slope are recorded
-    # and read at steps j + k_t and j + k_tau <= j + i0.  Every pre-history
-    # interval has the same one: the loop's expression with x0 at both ends
-    # and zero slopes.
+    ds = [d0_dyn]
+    append_x, append_d = xs.append, ds.append
+    # Step j reads the grid at xs[i0 + j + 1 - k] for k = k_tau, k_t >= 1:
+    # iterators trailing the newest sample by k, so each reads an entry
+    # appended before the step began.
+    grid_tau = islice(xs, i0 + 1 - k_tau, None)
+    grid_t = islice(xs, i0 + 1 - k_t, None)
+    # Ring of Hermite midpoints: slot m % n_mid holds the midpoint of the
+    # interval [m, m + 1] of xs.  Step j writes slot (i0 + j) % n_mid once
+    # it has recorded xs[i0 + j + 1] and its slope, and reads slots
+    # (i0 + j - k) % n_mid: one cycle of slots at three offsets.  Every
+    # pre-history interval has the same midpoint: the loop's expression
+    # with x0 at both ends and zero slopes.
     n_mid = i0 + 1
     mids = [0.5 * (x0 + x0) + eighth * (0.0 - 0.0)] * n_mid
+
+    def slots(start: int):
+        return cycle([*range(start, n_mid), *range(start)])
+
     x, k1 = x0, d0_dyn
-    for i in range(i0, i0 + n_steps):
-        # a negative slot index wraps to the end of the ring
-        r = i % n_mid
-        xd_t = mids[r - k_t]
-        xd_tau = mids[r - k_tau]
+    for j, w, r_t, r_tau, xd_tau4, xd_t4 in zip(
+        range(n_steps), slots(i0), slots(i0 - k_t), slots(i0 - k_tau), grid_tau, grid_t
+    ):
+        xd_t = mids[r_t]
+        xd_tau = mids[r_tau]
         # Stage arithmetic of stage_kernels, inline wherever its closures
         # would take no branch: positive capacity and delayed rate, and a
         # rate strictly inside (x_min, x_max).  Any other input goes to the
@@ -201,24 +221,23 @@ def integrate(
             else:
                 k3 = slope(x_stage, f)
         except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
-            raise diverged(exc, t0 + (i - i0) * step + half) from exc
+            raise diverged(exc, t0 + j * step + half) from exc
+        # recorded rates are positive, so the grid read needs no x_delayed test
         try:
             x_stage = x + step * k3
-            xd_tau = xs[i + 1 - k_tau]
-            xd_t = xs[i + 1 - k_t]
-            c_d = c0 - slope_g * xd_t
-            if c_d > 0 and x_min < x_stage < x_max and xd_tau > 0:
-                f = h * xd_tau ** b_plus_1 * c_d ** neg_b
+            c_d = c0 - slope_g * xd_t4
+            if c_d > 0 and x_min < x_stage < x_max:
+                f = h * xd_tau4 ** b_plus_1 * c_d ** neg_b
                 k4 = kappa * (x_stage ** neg_a - f)
             else:
-                f = flow(x_stage, xd_tau, xd_t)
+                f = flow(x_stage, xd_tau4, xd_t4)
                 k4 = slope(x_stage, f)
             x_next = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             if x_min < x_next < x_max:
                 k_next = kappa * (x_next ** neg_a - f)
             else:
                 if not math.isfinite(x_next):
-                    t = t0 + (i - i0) * step + step
+                    t = t0 + j * step + step
                     raise IntegrationDivergedError(
                         f"state became non-finite at t = {t:.6g}", t
                     )
@@ -228,16 +247,15 @@ def integrate(
                     x_next = x_min
                 k_next = slope(x_next, f)
         except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
-            raise diverged(exc, t0 + (i - i0) * step + step) from exc
-        xs[i + 1] = x_next
-        ds[i + 1] = k_next
-        mids[r] = 0.5 * (x + x_next) + eighth * (k1 - k_next)
+            raise diverged(exc, t0 + j * step + step) from exc
+        append_x(x_next)
+        append_d(k_next)
+        mids[w] = 0.5 * (x + x_next) + eighth * (k1 - k_next)
         x, k1 = x_next, k_next
 
     t_arr = t0 + step * np.arange(n_steps + 1)
     x_arr = np.array(xs[i0:], dtype=float)
-    d_arr = np.array(ds[i0:], dtype=float)
-    d_arr[0] = d0_dyn
+    d_arr = np.array(ds, dtype=float)
     c_arr = law.value(x_arr)
     if not np.all(c_arr > 0):
         i_bad = int(np.argmax(c_arr <= 0))

@@ -144,8 +144,13 @@ def stage_kernels(p: ModelParams, law: CapacityLaw):
 
     :func:`dde.integrate` writes the no-branch arithmetic of both closures
     inline, with the same expressions in the same association, and calls
-    them only for a stage that fails a check or sits at a rate bound.  A
-    change to either closure must change that inline copy with it;
+    them only for a stage that fails a check or sits at a rate bound.  Its
+    inline guard for the grid-time stage (k4 and the recorded derivative)
+    tests the capacity and x_now but not x_delayed: that rate is a recorded
+    sample, positive by construction (init_x > 0, later samples projected
+    into [x_min, x_max] with x_min > 0), and ``flow`` still checks it on the
+    fallback path.  A change to either closure must change that inline copy
+    with it;
     ``tests/test_dde.py`` compares the integrator bit for bit with a plain
     loop over the formulas of ``tests/oracle.py`` and catches a drift.
     """

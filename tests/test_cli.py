@@ -127,6 +127,48 @@ def test_check_overflowing_h_factor_exits_65(fig2_path, tmp_path):
     assert "h**(1/b) exceeds the float range (h = 10000.0, b = 0.01)" in proc.stderr
 
 
+CAPACITY_ROOT_MODEL = """\
+[model]
+kappa = 1.0
+a = 1.0
+b = 0.1
+h = 0.01
+tau = 3.0
+T = 2.0
+x_min = 0.1
+x_max = 10.0
+
+[capacity]
+kind = affine
+intercept = 1.0
+slope = 1.0
+
+[run]
+init_x = 0.5
+t_end = 20.0
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "check", "sweep"])
+def test_equilibrium_on_capacity_root_is_config_error(tmp_path, command):
+    # h**(1/b) * x**((a+b+1)/b) = 1e-20 at x = 1: the residual's root rounds
+    # onto g's root, so g(x_star) = 0 and no equilibrium capacity exists
+    path = tmp_path / "capacity_root.scenario"
+    path.write_text(CAPACITY_ROOT_MODEL, encoding="utf-8")
+    out = tmp_path / "o"
+    sweep_args = ["--param", "kappa", "--values", "1"] if command == "sweep" else []
+    proc = run_cli(command, path, *sweep_args, "--out", out)
+    assert "Traceback" not in proc.stderr
+    message = "the equilibrium rounds onto the capacity root: g(x_star) = 0.0 <= 0 at x_star = 1.0"
+    if command == "sweep":  # the row reports it; a failed row makes the sweep exit 70
+        assert proc.returncode == 70
+        assert (out / "sweep.csv").read_text().splitlines()[1].endswith(message)
+    else:
+        assert proc.returncode == 65
+        assert f"error[config]: {message}" in proc.stderr
+        assert not out.exists()
+
+
 def test_sweep_isolates_non_ratelab_errors(fig2_path, tmp_path, monkeypatch, capsys):
     real = scenario._execute
 

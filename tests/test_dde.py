@@ -225,6 +225,23 @@ def loop_inputs(draw):
                 x_min=0.074, x_max=5.3),
     CapacityLaw.affine(83.9, 36.0), 2.1, 0.3, HYP_STEP,
 ))
+# the lag edges of the grid and midpoint reads
+@example(inputs=(  # tau = T = step: both grid reads trail the newest sample by one
+    ModelParams(kappa=3.0, a=1.5, b=0.8, tau=HYP_STEP, T_delay=HYP_STEP),
+    CapacityLaw.affine(5.0, 1.0), 0.6, 300 * HYP_STEP, HYP_STEP,
+))
+@example(inputs=(  # T = step < tau: one read trails by one, the other by nine
+    ModelParams(kappa=2.0, a=1.5, b=1.5, tau=9 * HYP_STEP, T_delay=HYP_STEP),
+    CapacityLaw.affine(5.0, 1.0), 1.0, 300 * HYP_STEP, HYP_STEP,
+))
+@example(inputs=(  # t_end is one step: the loop runs once, on pre-history only
+    ModelParams(kappa=2.0, a=1.5, b=0.2, tau=60 * HYP_STEP, T_delay=40 * HYP_STEP),
+    CapacityLaw.affine(5.0, 1.0), 2.0, HYP_STEP, HYP_STEP,
+))
+@example(inputs=(  # fewer steps than k_t: no read reaches a computed sample
+    ModelParams(kappa=2.0, a=1.5, b=0.2, tau=60 * HYP_STEP, T_delay=40 * HYP_STEP),
+    CapacityLaw.affine(5.0, 1.0), 2.0, 7 * HYP_STEP, HYP_STEP,
+))
 def test_loop_matches_reference_on_random_inputs(inputs):
     # the inline interior stages and the closure fallback, against the plain loop
     try:
@@ -247,6 +264,10 @@ def test_loop_matches_reference_on_random_inputs(inputs):
     traj = integrate(*inputs)
     assert np.array_equal(traj.x, x_ref)
     assert np.array_equal(traj.dxdt, d_ref)
+    # integrate's grid reads skip the x_delayed > 0 test on this invariant
+    params = inputs[0]
+    assert params.x_min <= traj.x.min()
+    assert traj.x.max() <= params.x_max
 
 
 class TestIntegrate:
