@@ -10,12 +10,16 @@ price-flow difference quotient at every rate in a configured range:
 A positive minimum of LHS - RHS over the range certifies global asymptotic
 convergence regardless of the delays; the converse does not hold (the
 condition is sufficient only).
+
+The margin check and the assumption registry are pure Python: ``check``
+never loads numpy.  :func:`lyapunov_values` and :func:`classify` read
+trajectory arrays and import numpy when called.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dde import Trajectory
 from .errors import (
@@ -57,17 +61,19 @@ class AssumptionViolation:
 class StabilityReport:
     """Outcome of the margin check over a rate range.
 
-    ``profile_x``/``profile_margin`` include the uniform grid plus the
-    analytic limit point at x_star.  The verdict is CertifiedStable iff the
-    minimum margin is positive and no hard assumption violation was found.
+    ``profile_x``/``profile_margin`` are tuples of floats: the uniform grid
+    plus the analytic limit point at x_star, and the margin at each.  The
+    minimum is the first NaN if any margin is NaN, else the first smallest
+    margin.  The verdict is CertifiedStable iff the minimum margin is
+    positive and no hard assumption violation was found.
     """
 
     equilibrium: Equilibrium
     violations: tuple
     x_range: tuple
     grid_n: int
-    profile_x: np.ndarray
-    profile_margin: np.ndarray
+    profile_x: tuple
+    profile_margin: tuple
     min_margin: float
     min_margin_x: float
     verdict: str
@@ -147,6 +153,22 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
     return Equilibrium(x_star=x_star, c_star=c_star, residual=residual)
 
 
+def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
+    """``n >= 2`` evenly spaced floats from ``lo`` to ``hi``, bit for bit
+    ``numpy.linspace(lo, hi, n).tolist()``: node i is ``i * step + lo`` and
+    the last node is ``hi``.  A step that underflows to 0 takes numpy's
+    branch for it, ``i / (n - 1) * delta + lo``."""
+    lo, hi = float(lo), float(hi)
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0:
+        grid = [i / (n - 1) * delta + lo for i in range(n)]
+    else:
+        grid = [i * step + lo for i in range(n)]
+    grid[-1] = hi
+    return grid
+
+
 def validate_assumptions(
     p: ModelParams,
     law: CapacityLaw,
@@ -182,15 +204,16 @@ def validate_assumptions(
             )
         )
 
-    grid = np.linspace(x_lo, x_hi, grid_n)
-    g_vals = law.value(grid)
-    if np.any(g_vals <= 1.0):
-        i = int(np.argmax(g_vals <= 1.0))
+    # g = c0 - slope*x with slope >= 0 and rounding is monotone, so no node
+    # of the grid has less capacity than its last one, x_hi: only when that
+    # node fails is the grid built to name the first that does
+    if law.value(x_hi) <= 1.0:
+        x = next(x for x in uniform_grid(x_lo, x_hi, grid_n) if law.value(x) <= 1.0)
         violations.append(
             AssumptionViolation(
                 "A3",
-                f"capacity must exceed 1 on the range: g({grid[i]:.6g}) = "
-                f"{g_vals[i]:.6g}",
+                f"capacity must exceed 1 on the range: g({x:.6g}) = "
+                f"{law.value(x):.6g}",
                 HARD,
             )
         )
@@ -284,10 +307,13 @@ def check_stability(
         raise ModelDomainError(f"grid_n must be at least 16, got {grid_n}")
     eq = solve_equilibrium(p, law)
     violations = tuple(validate_assumptions(p, law, x_range, grid_n))
-    xs_grid = np.linspace(x_range[0], x_range[1], grid_n)
-    profile_x = np.append(xs_grid, eq.x_star)
-    profile_margin = np.array(list(map(margin_kernel(p, law, eq), profile_x.tolist())))
-    i_min = int(np.argmin(profile_margin))
+    profile_x = (*uniform_grid(x_range[0], x_range[1], grid_n), eq.x_star)
+    profile_margin = tuple(map(margin_kernel(p, law, eq), profile_x))
+    # numpy.argmin's rule: the first NaN, else the first smallest margin
+    if any(map(math.isnan, profile_margin)):
+        i_min = next(i for i, m in enumerate(profile_margin) if math.isnan(m))
+    else:
+        i_min = profile_margin.index(min(profile_margin))
     hard = any(v.severity == HARD for v in violations)
     verdict = CERTIFIED if (profile_margin[i_min] > 0 and not hard) else NOT_CERTIFIED
     return StabilityReport(
@@ -325,6 +351,8 @@ def lyapunov_values(
     bounds the temporaries.  Horizon errors name the first sample outside
     the recorded window and are raised before any sample is evaluated.
     """
+    import numpy as np
+
     if theta_nodes < 3:
         raise ModelDomainError(f"theta_nodes must be at least 3, got {theta_nodes}")
     ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -376,6 +404,8 @@ def classify(
     of the same length).  Saturated: the tail sits at a rate bound.
     Anything else (e.g. still-decaying transients) is Undetermined.
     """
+    import numpy as np
+
     horizon = traj.t_end
     if horizon < 10.0 * traj.params.tau - 1e-9:
         raise HorizonError(

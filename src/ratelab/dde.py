@@ -5,13 +5,16 @@ queried with cubic Hermite interpolation, so delayed arguments that fall on
 grid points are exact and half-grid stage times cost one local polynomial
 evaluation.  Delays must be integer multiples of the step; this keeps every
 breaking point of the solution aligned with the grid.
+
+The loop is pure Python; numpy is imported only where a trajectory's arrays
+are built (at the end of :func:`integrate`) or read (:meth:`Trajectory.interp_x`).
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import cycle, islice
-
-import numpy as np
 
 from .errors import (
     GridMismatchError,
@@ -59,6 +62,8 @@ class Trajectory:
 
     def interp_x(self, t_query):
         """Hermite-interpolated x at scalar or array times within the span."""
+        import numpy as np
+
         tq = np.asarray(t_query, dtype=float)
         rel = tq / self.step
         n = len(self.x)
@@ -252,6 +257,8 @@ def integrate(
         append_d(k_next)
         mids[w] = 0.5 * (x + x_next) + eighth * (k1 - k_next)
         x, k1 = x_next, k_next
+
+    import numpy as np
 
     t_arr = t0 + step * np.arange(n_steps + 1)
     x_arr = np.array(xs[i0:], dtype=float)

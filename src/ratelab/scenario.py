@@ -16,8 +16,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .analysis import (
     CERTIFIED,
     CONVERGED,
@@ -429,13 +427,14 @@ def write_outputs(out_dir, files) -> dict:
 def write_csv(path, header: str, row_format: str, columns) -> None:
     """Write ``header`` and one ``row_format % row`` line per row of the
     equal-length columns (numpy arrays or lists), CSV_CHUNK_ROWS rows per
-    write."""
+    write.  An array is told from a list by its ``tolist``, so this module
+    needs no numpy."""
     n = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for lo in range(0, n, CSV_CHUNK_ROWS):
             chunk = [
-                c[lo:lo + CSV_CHUNK_ROWS].tolist() if isinstance(c, np.ndarray)
+                c[lo:lo + CSV_CHUNK_ROWS].tolist() if hasattr(c, "tolist")
                 else c[lo:lo + CSV_CHUNK_ROWS]
                 for c in columns
             ]
@@ -595,6 +594,10 @@ def sweep(
     if n_workers > 1:
         # imported here: a pool loads multiprocessing, which no serial path needs
         from concurrent.futures import ProcessPoolExecutor
+
+        # every value builds a trajectory, which loads numpy: loaded once here,
+        # before the workers fork, it is not imported again in each of them
+        import numpy  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             rows = tuple(pool.map(_sweep_one, jobs))

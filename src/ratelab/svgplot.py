@@ -2,10 +2,11 @@
 
 Outputs are plain vector files consumed post-hoc by people and CI; no
 display toolkit is involved and the bytes are deterministic for identical
-inputs.
+inputs.  numpy is imported by the functions that use it, when a plot is
+drawn, so importing this module does not load it.
 """
 
-import numpy as np
+from __future__ import annotations
 
 _WIDTH, _HEIGHT = 860, 520
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
@@ -14,6 +15,8 @@ _MAX_POINTS = 2000
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+    import numpy as np
+
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / max(1, n - 1)
@@ -35,6 +38,8 @@ def line_plot_svg(
     ylabel: str = "",
 ) -> None:
     """Write one SVG with a shared x-axis and one polyline per series."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     stride = max(1, len(x) // _MAX_POINTS)
     xs = x[::stride]

@@ -1,11 +1,20 @@
 """The model written out one formula per function: the oracles that
-``model.stage_kernels``, the fused loop in ``dde.integrate`` and
-``analysis.margin_kernel`` must match bit for bit, in values and in error
-messages."""
+``model.stage_kernels``, the fused loop in ``dde.integrate``,
+``analysis.margin_kernel`` and ``analysis.validate_assumptions`` must match
+bit for bit, in values and in error messages."""
 
-from ratelab.analysis import EPS_BAND_REL
+import numpy as np
+
+from ratelab.analysis import EPS_BAND_REL, HARD, WARNING, AssumptionViolation
 from ratelab.errors import ModelDomainError
-from ratelab.model import CapacityLaw, Equilibrium, ModelParams, _require_positive, capacity
+from ratelab.model import (
+    AFFINE,
+    CapacityLaw,
+    Equilibrium,
+    ModelParams,
+    _require_positive,
+    capacity,
+)
 
 
 def price_flow(x_delayed: float, c_delayed: float, p: ModelParams) -> float:
@@ -54,3 +63,46 @@ def stability_margin(x: float, p: ModelParams, law: CapacityLaw, eq: Equilibrium
             f"margin at x = {x:.6g} exceeds the float range (a = {a}, b = {b})"
         ) from exc
     return lhs - rhs
+
+
+def validate_assumptions(p: ModelParams, law: CapacityLaw, x_range, grid_n: int) -> list:
+    """The assumption registry with A3's g > 1 tested at every node of a
+    ``numpy.linspace`` grid, the first failing node named."""
+    x_lo, x_hi = x_range
+    if not (x_lo < x_hi):
+        raise ModelDomainError(f"range must satisfy x_lo < x_hi, got [{x_lo}, {x_hi}]")
+    if not (x_lo >= p.x_min and x_hi <= p.x_max):
+        raise ModelDomainError(
+            f"range [{x_lo}, {x_hi}] must lie within the rate bounds "
+            f"[{p.x_min}, {p.x_max}]"
+        )
+    if grid_n < 2:
+        raise ModelDomainError(f"grid_n must be at least 2, got {grid_n}")
+
+    violations = []
+    if p.tau < p.T_delay:
+        violations.append(AssumptionViolation(
+            "A1", f"delay ordering violated: tau = {p.tau} < T = {p.T_delay}", HARD
+        ))
+    grid = np.linspace(x_lo, x_hi, grid_n)
+    g_vals = law.value(grid)
+    if np.any(g_vals <= 1.0):
+        i = int(np.argmax(g_vals <= 1.0))
+        violations.append(AssumptionViolation(
+            "A3",
+            f"capacity must exceed 1 on the range: g({grid[i]:.6g}) = {g_vals[i]:.6g}",
+            HARD,
+        ))
+    if law.kind == AFFINE:
+        if law.derivative() >= -1.0:
+            violations.append(AssumptionViolation(
+                "A3",
+                f"capacity slope must satisfy g'(x) < -1, got g'(x) = "
+                f"{law.derivative():.6g}",
+                WARNING,
+            ))
+    else:
+        violations.append(AssumptionViolation(
+            "A3", "constant capacity law is not strictly decreasing", WARNING
+        ))
+    return violations

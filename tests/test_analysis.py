@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ratelab import (
@@ -28,6 +28,7 @@ from ratelab import (
 from ratelab import analysis
 from conftest import BASE_LAW, base_params, synthetic_trajectory
 from oracle import stability_margin as reference_margin
+from oracle import validate_assumptions as reference_assumptions
 
 
 class TestSolveEquilibrium:
@@ -312,9 +313,17 @@ HUGE_A = ModelParams(kappa=1.0, a=1e12, b=2.0, tau=3.0, T_delay=2.0, h_gain=1e30
 @example(inputs=(  # node 8 of 17 is x_star to rounding: a grid point inside the band
     base_params(0.2), BASE_LAW, (FIG2_X_STAR - 0.5, FIG2_X_STAR + 0.5), 17, [1.0 + 1e-7]
 ))
+@example(inputs=(  # the limit at x_star is NaN and the grid's margins are finite
+    ModelParams(kappa=1.0, a=4.024316117873561, b=0.09252848999507815, tau=3.0,
+                T_delay=2.0, h_gain=0.005415772853813795, x_min=1.045971826213325e-148,
+                x_max=3.4102365131286726e+233),
+    CapacityLaw.constant(1.2370128581013361e-274),
+    (1.1993496406187543e+233, 3.381569582978877e+233), 16, [],
+))
 def test_margin_kernel_matches_point_by_point_oracle(inputs):
     # one kernel per check binds the equilibrium terms once; every value and
-    # error must read as if each point were computed afresh
+    # error must read as if each point were computed afresh, and the minimum
+    # must follow numpy.argmin: the first NaN, else the first smallest margin
     p, law, x_range, grid_n, factors = inputs
     solved = _outcome(lambda: [solve_equilibrium(p, law).x_star])
     if isinstance(solved, tuple):  # no equilibrium: the check fails the same way
@@ -322,17 +331,94 @@ def test_margin_kernel_matches_point_by_point_oracle(inputs):
             == solved
         return
     eq = solve_equilibrium(p, law)
+    grid = np.append(np.linspace(x_range[0], x_range[1], grid_n), eq.x_star)
 
     def reference_profile():
-        validate_assumptions(p, law, x_range, grid_n)
-        grid = np.append(np.linspace(x_range[0], x_range[1], grid_n), eq.x_star)
+        reference_assumptions(p, law, x_range, grid_n)
         return [reference_margin(float(x), p, law, eq) for x in grid]
 
+    expected = _outcome(reference_profile)
     assert _outcome(lambda: check_stability(p, law, x_range, grid_n).profile_margin) == \
-        _outcome(reference_profile)
+        expected
+    if not isinstance(expected, tuple):
+        report = check_stability(p, law, x_range, grid_n)
+        margins = np.array(reference_profile())
+        i = int(np.argmin(margins))
+        hard = any(v.severity == "hard" for v in reference_assumptions(p, law, x_range, grid_n))
+        assert report.min_margin.hex() == float(margins[i]).hex()
+        assert report.min_margin_x.hex() == float(grid[i]).hex()
+        assert report.verdict == (CERTIFIED if margins[i] > 0 and not hard else NOT_CERTIFIED)
     for x in (f * eq.x_star for f in factors):
         assert _outcome(lambda: [stability_margin(x, p, law, eq)]) == \
             _outcome(lambda: [reference_margin(x, p, law, eq)])
+
+
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_TINY_FLOAT = st.floats(0.0, 1e-300)  # subnormal spans: the step may underflow
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.one_of(_ANY_FLOAT, _TINY_FLOAT),
+    hi=st.one_of(_ANY_FLOAT, _TINY_FLOAT),
+    n=st.integers(2, 600),
+)
+@example(lo=5e-324, hi=1e-323, n=16)  # step 0: numpy's other branch moves 7 nodes
+def test_uniform_grid_is_linspace(lo, hi, n):
+    with np.errstate(all="ignore"):  # spans past the float range give inf and NaN
+        expected = np.linspace(lo, hi, n).tolist()
+    assert [v.hex() for v in analysis.uniform_grid(lo, hi, n)] == [v.hex() for v in expected]
+
+
+@st.composite
+def assumption_inputs(draw):
+    """A model and a range where g = 1 is crossed (t <= 1) or not (t > 1)
+    near the range's top: A3 fails on some draws and holds on others."""
+    x_min = 10.0 ** draw(st.floats(-4.0, -1.0))
+    x_max = 10.0 ** draw(st.floats(0.0, 3.0))
+    params = ModelParams(kappa=1.0, a=1.5, b=0.2, tau=3.0,
+                         T_delay=draw(st.sampled_from([2.0, 4.0])),  # 4.0 breaks A1
+                         x_min=x_min, x_max=x_max)
+    lo = x_min + draw(st.floats(0.0, 0.5)) * (x_max - x_min)
+    hi = x_min + draw(st.floats(0.5, 1.0)) * (x_max - x_min)
+    t = draw(st.one_of(st.floats(0.0, 1.2), st.just(1.0)))
+    if draw(st.booleans()):
+        slope = 10.0 ** draw(st.floats(-3.0, 1.0))
+        law = CapacityLaw.affine(1.0 + slope * (lo + t * (hi - lo)), slope)
+    else:
+        law = CapacityLaw.constant(draw(st.one_of(st.floats(0.5, 1.5), st.just(1.0))))
+    grid_n = draw(st.one_of(st.sampled_from([2, 16, 17, 257]), st.integers(2, 600)))
+    return params, law, (lo, hi), grid_n
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=assumption_inputs())
+@example(inputs=(base_params(0.8), CapacityLaw.affine(5.0, 2.0), (0.5, 1.9), 64))  # holds
+@example(inputs=(base_params(0.8), CapacityLaw.affine(5.0, 2.0), (0.5, 2.1), 64))  # fails
+@example(inputs=(  # an unbounded range: g(inf) = -inf, and the first node is NaN
+    base_params(0.8, x_max=math.inf), CapacityLaw.affine(5.0, 2.0), (0.5, math.inf), 16
+))
+@example(inputs=(  # a constant law at x = inf reads NaN: never <= 1
+    base_params(0.8, x_max=math.inf), CapacityLaw.constant(0.5), (0.5, math.inf), 16
+))
+def test_validate_assumptions_matches_full_scan(inputs):
+    # A3's g > 1 is tested at x_hi alone, and the grid scanned only when that
+    # fails: the violations must read as those of the full numpy scan
+    p, law, x_range, grid_n = inputs
+
+    def outcome(f):
+        try:
+            with np.errstate(all="ignore"):  # inf * 0.0 in the oracle's grid
+                return f(p, law, x_range, grid_n)
+        except Exception as exc:  # noqa: BLE001 - any exception must match the oracle's
+            return type(exc), str(exc)
+
+    expected = outcome(reference_assumptions)
+    if isinstance(expected, list):
+        event("A3 fails" if any(v.severity == "hard" and v.assumption == "A3"
+                                for v in expected) else "A3 holds")
+    assert outcome(validate_assumptions) == expected
+
 
 def reference_lyapunov(traj, t, p, eq, theta_nodes=201):
     """The single-sample quadrature as it was before batching: the oracle

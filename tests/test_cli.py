@@ -308,6 +308,46 @@ def test_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def _numpy_loaded_after(script, *argv):
+    """Run ``script`` in a fresh interpreter and report what it printed
+    before the last line, and whether numpy ended up in ``sys.modules``."""
+    probe = script + "\nprint('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *map(str, argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    )
+    *out, last = proc.stdout.splitlines()
+    return out, last == "True"
+
+
+def test_import_and_load_leave_numpy_unloaded(fig2_path):
+    script = "import sys, ratelab\nprint(ratelab.load_scenario(sys.argv[1]).name)"
+    assert _numpy_loaded_after(script, fig2_path) == (["fig2"], False)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["check", "{fig2}"], 13),
+     (["check", "{fig2}", "--out", "{tmp}/report"], 13),
+     (["sweep", "{fig2}", "--param", "b", "--values", "abc"], 64),
+     (["run", "{tmp}/missing.scenario"], 66)],
+    ids=["check", "check-out", "usage-error", "missing-scenario"],
+)
+def test_check_and_error_exits_leave_numpy_unloaded(fig2_path, tmp_path, argv, code):
+    # the margin check is pure Python: only a trajectory needs numpy
+    script = (
+        "import sys\nfrom ratelab.cli import main\n"
+        "try:\n    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n    code = exc.code\n"
+        "print(code)"
+    )
+    argv = [a.format(fig2=fig2_path, tmp=tmp_path) for a in argv]
+    out, numpy_loaded = _numpy_loaded_after(script, *argv)
+    assert (out[-1], numpy_loaded) == (str(code), False)
+    if "--out" in argv:
+        assert (tmp_path / "report" / "report.txt").is_file()
+
+
 def test_check_unwritable_report_is_io_error(fig2_path, tmp_path):
     (tmp_path / "report.txt").mkdir()
     proc = run_cli("check", fig2_path, "--out", tmp_path)
