@@ -17,7 +17,6 @@ sys.path.insert(0, str(REPO / "src"))
 from ratelab import CERTIFIED, load_scenario, sweep  # noqa: E402
 from ratelab.analysis import check_stability  # noqa: E402
 from ratelab.scenario import apply_param, auto_margin_range  # noqa: E402
-from ratelab import solve_equilibrium  # noqa: E402
 
 
 def certified_at(cfg, b: float, x_range) -> bool:

@@ -17,7 +17,6 @@ from .analysis import (
     classify,
     lyapunov_values,
     solve_equilibrium,
-    stability_margin,
     validate_assumptions,
 )
 from .dde import Trajectory, integrate

@@ -291,11 +291,6 @@ def margin_kernel(p: ModelParams, law: CapacityLaw, eq: Equilibrium):
     return margin
 
 
-def stability_margin(x: float, p: ModelParams, law: CapacityLaw, eq: Equilibrium) -> float:
-    """Stability margin at rate x: one point of :func:`margin_kernel`."""
-    return margin_kernel(p, law, eq)(x)
-
-
 def check_stability(
     p: ModelParams,
     law: CapacityLaw,
@@ -402,20 +397,23 @@ def classify(
     tol_conv.  Oscillating: tail peak-to-peak above tol_osc with no decay
     trend (tail amplitude at least 0.9x the mid-run amplitude over a window
     of the same length).  Saturated: the tail sits at a rate bound.
-    Anything else (e.g. still-decaying transients) is Undetermined.
+    Anything else (e.g. still-decaying transients) is Undetermined.  A
+    horizon shorter than 10*tau is too short to tell a tail from a
+    transient: it is Undetermined, with the peak-to-peak of the whole run
+    and no settling time.
     """
     import numpy as np
 
-    horizon = traj.t_end
-    if horizon < 10.0 * traj.params.tau - 1e-9:
-        raise HorizonError(
-            f"horizon {horizon:.6g} shorter than 10*tau = {10 * traj.params.tau:.6g}"
-        )
     if not (0 < tail_fraction <= 0.5):
         raise ModelDomainError(f"tail_fraction must be in (0, 0.5], got {tail_fraction}")
 
     x = traj.x
     t = traj.t
+    horizon = traj.t_end
+    final_error = float(abs(x[-1] - eq.x_star))
+    if horizon < 10.0 * traj.params.tau - 1e-9:
+        return Classification(UNDETERMINED, final_error, float(x.max() - x.min()), None)
+
     window = tail_fraction * horizon
     tail = x[t >= traj.t_end - window]
     mid_lo = 0.5 * (horizon - window)
@@ -423,7 +421,6 @@ def classify(
 
     tail_pp = float(tail.max() - tail.min())
     mid_pp = float(mid.max() - mid.min())
-    final_error = float(abs(x[-1] - eq.x_star))
 
     outside = np.abs(x - eq.x_star) >= tol_conv
     if outside[-1]:

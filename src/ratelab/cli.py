@@ -22,6 +22,7 @@ from .errors import (
 )
 from .scenario import (
     EXIT_CODES,
+    SWEEPABLE,
     apply_param,
     auto_margin_range,
     format_report,
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run the pipeline over parameter values")
     sweep_p.add_argument("scenario", help="path to a .scenario file")
     sweep_p.add_argument("--param", required=True,
-                         help="one of a, b, kappa, tau, T, intercept, slope")
+                         help=f"one of {', '.join(SWEEPABLE)}")
     sweep_p.add_argument("--values", required=True, type=_value_list,
                          help="comma- or space-separated list of values")
     sweep_p.add_argument("--out", type=_out_dir, default=None,

@@ -82,14 +82,6 @@ class CapacityLaw:
         if self.kind == CONSTANT:
             object.__setattr__(self, "slope", 0.0)
 
-    @classmethod
-    def affine(cls, intercept: float, slope: float) -> "CapacityLaw":
-        return cls(AFFINE, intercept, slope)
-
-    @classmethod
-    def constant(cls, level: float) -> "CapacityLaw":
-        return cls(CONSTANT, level, 0.0)
-
     def value(self, x):
         """Raw g(x); may be <= 0.  Use :func:`capacity` when positivity is required.
 

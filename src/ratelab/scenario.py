@@ -29,8 +29,8 @@ from .analysis import (
     lyapunov_values,
     solve_equilibrium,
 )
-from .dde import Trajectory, integrate
-from .errors import ConfigError, HorizonError, RatelabError
+from .dde import DELAY_MULTIPLE_RTOL, Trajectory, integrate
+from .errors import ConfigError, RatelabError
 from .model import AFFINE, CONSTANT, CapacityLaw, ModelParams
 from .svgplot import line_plot_svg
 
@@ -167,7 +167,8 @@ class SweepReport:
 
 
 def snap_step(step: float, tau: float, t_delay: float) -> float:
-    """Largest h <= step with tau/h and T/h both integral (within 1e-9 rel).
+    """Largest h <= step with tau/h and T/h both integral, to within the
+    relative DELAY_MULTIPLE_RTOL that :func:`dde.integrate` allows.
 
     Refinement is capped at 1000x below the requested step and at MAX_STEPS
     steps per tau, the pre-history that integrate allocates: past that the
@@ -181,13 +182,13 @@ def snap_step(step: float, tau: float, t_delay: float) -> float:
             f"tau / step = {tau / step:.4g} steps of pre-history exceeds the "
             f"ceiling of {MAX_STEPS}"
         )
-    for n in range(max(1, math.ceil(tau / step - 1e-9)), MAX_STEPS + 1):
+    for n in range(max(1, math.ceil(tau / step - DELAY_MULTIPLE_RTOL)), MAX_STEPS + 1):
         h = tau / n
         if h < step / 1000.0:
             break
         r = t_delay / h
         r_int = round(r)
-        if r_int >= 1 and abs(r - r_int) <= 1e-9 * max(1.0, r):
+        if r_int >= 1 and abs(r - r_int) <= DELAY_MULTIPLE_RTOL * max(1.0, r):
             return h
     raise ConfigError(
         f"could not find a step in [{max(step / 1000.0, tau / MAX_STEPS):.3g}, "
@@ -236,6 +237,8 @@ def build_config(values: dict, where: str, name: str = "scenario") -> ScenarioCo
         step = snap_step(v["step"], params.tau, params.T_delay)
     except ConfigError as exc:
         raise ConfigError(f"{where}: [run] {exc}") from exc
+    if round(v["t_end"] / step) < 1:  # integrate's own count of steps
+        raise ConfigError(f"{where}: [run] t_end = {v['t_end']} shorter than one step {step}")
     if v["t_end"] / step > MAX_STEPS:
         raise ConfigError(
             f"{where}: [run] t_end / step = {v['t_end'] / step:.4g} steps exceeds "
@@ -339,8 +342,8 @@ def auto_margin_range(cfg: ScenarioConfig, traj: Trajectory | None, x_star: floa
 
     With a trajectory: its envelope padded by 20% of the span on each side
     (10% of the mean when the envelope is degenerate).  Without one (the
-    analysis-only path): a factor-of-two band around the equilibrium, capped
-    below where an affine law runs out of capacity.
+    analysis-only path): a factor-of-two band around the equilibrium.  Either
+    range stops at 95% of an affine law's capacity root.
     """
     p = cfg.params
     if traj is not None:
@@ -351,8 +354,8 @@ def auto_margin_range(cfg: ScenarioConfig, traj: Trajectory | None, x_star: floa
         lo, hi = lo - pad, hi + pad
     else:
         lo, hi = 0.5 * x_star, 2.0 * x_star
-        if cfg.law.kind == AFFINE:
-            hi = min(hi, 0.95 * cfg.law.c0 / cfg.law.slope)
+    if cfg.law.kind == AFFINE:
+        hi = min(hi, 0.95 * cfg.law.c0 / cfg.law.slope)
     lo = max(lo, p.x_min)
     hi = min(hi, p.x_max)
     if not lo < hi:
@@ -367,15 +370,7 @@ def _execute(cfg: ScenarioConfig) -> RunResult:
     traj = integrate(cfg.params, cfg.law, cfg.init_x, cfg.t_end, cfg.step)
     x_range = cfg.margin_range or auto_margin_range(cfg, traj, eq.x_star)
     report = check_stability(cfg.params, cfg.law, x_range, cfg.grid_n)
-    try:
-        cls = classify(traj, eq, cfg.tol_conv, cfg.tol_osc, cfg.tail_fraction)
-    except HorizonError:
-        cls = Classification(
-            kind=UNDETERMINED,
-            final_error=float(abs(traj.x[-1] - eq.x_star)),
-            tail_peak_to_peak=float(traj.x.max() - traj.x.min()),
-            settling_time=None,
-        )
+    cls = classify(traj, eq, cfg.tol_conv, cfg.tol_osc, cfg.tail_fraction)
     return RunResult(
         config=cfg,
         trajectory=traj,

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from ratelab import CapacityLaw, ModelParams, Trajectory, load_scenario
+from ratelab.model import AFFINE
 from ratelab.scenario import _execute
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
 
-BASE_LAW = CapacityLaw.affine(5.0, 1.0)
+BASE_LAW = CapacityLaw(AFFINE, 5.0, 1.0)
 
 
 def base_params(b: float, **overrides) -> ModelParams:

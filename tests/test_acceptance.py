@@ -43,6 +43,7 @@ from ratelab import (
     sweep,
 )
 from ratelab.cli import main
+from ratelab.model import AFFINE, CONSTANT
 from ratelab.scenario import _execute, apply_param
 from conftest import BASE_LAW, base_params
 
@@ -213,7 +214,7 @@ def test_criterion_06_equilibrium_solver_residuals():
         c0 = rng.uniform(2.0, 10.0)
         m = rng.uniform(0.3, 3.0)
         p = ModelParams(kappa=1.0, a=a, b=b, tau=1.0, T_delay=1.0)
-        law = CapacityLaw.affine(c0, m)
+        law = CapacityLaw(AFFINE, c0, m)
         exponent = (a + b + 1.0) / b
         f = lambda x: law.value(x) - x ** exponent
         if f(p.x_min) * f(p.x_max) >= 0:
@@ -223,7 +224,7 @@ def test_criterion_06_equilibrium_solver_residuals():
         solved += 1
     eq_unit = solve_equilibrium(
         ModelParams(kappa=1.0, a=1.5, b=0.2, tau=1.0, T_delay=1.0),
-        CapacityLaw.constant(1.0),
+        CapacityLaw(CONSTANT, 1.0),
     )
     ok = solved == 100 and worst < 1e-10 and abs(eq_unit.x_star - 1.0) < 1e-12
     report(6, ok, f"{solved} instances, worst residual {worst:.2e}, g==1 gives x*={eq_unit.x_star}")

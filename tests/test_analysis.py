@@ -22,10 +22,11 @@ from ratelab import (
     classify,
     lyapunov_values,
     solve_equilibrium,
-    stability_margin,
     validate_assumptions,
 )
 from ratelab import analysis
+from ratelab.analysis import margin_kernel
+from ratelab.model import AFFINE, CONSTANT
 from conftest import BASE_LAW, base_params, synthetic_trajectory
 from oracle import stability_margin as reference_margin
 from oracle import validate_assumptions as reference_assumptions
@@ -50,7 +51,7 @@ class TestSolveEquilibrium:
         for a, b in ((1.5, 0.2), (0.7, 0.4), (2.0, 1.0)):
             eq = solve_equilibrium(
                 ModelParams(kappa=1.0, a=a, b=b, tau=1.0, T_delay=1.0),
-                CapacityLaw.constant(1.0),
+                CapacityLaw(CONSTANT, 1.0),
             )
             assert eq.x_star == pytest.approx(1.0, abs=1e-12)
 
@@ -73,7 +74,7 @@ class TestSolveEquilibrium:
     def test_no_bracket(self):
         p = base_params(0.8, x_min=1.0)
         with pytest.raises(EquilibriumBracketError, match="sign change"):
-            solve_equilibrium(p, CapacityLaw.constant(0.5))
+            solve_equilibrium(p, CapacityLaw(CONSTANT, 0.5))
 
     def test_deterministic(self):
         p = base_params(0.37)
@@ -102,26 +103,26 @@ class TestValidateAssumptions:
 
     def test_delay_ordering_is_hard(self):
         p = ModelParams(kappa=1.0, a=1.5, b=0.2, tau=2.0, T_delay=3.0)
-        violations = validate_assumptions(p, CapacityLaw.affine(5.0, 2.0), (0.5, 1.9), 64)
+        violations = validate_assumptions(p, CapacityLaw(AFFINE, 5.0, 2.0), (0.5, 1.9), 64)
         hard = [v for v in violations if v.severity == "hard"]
         assert len(hard) == 1
         assert hard[0].assumption == "A1"
 
     def test_steep_affine_law_clean(self):
         violations = validate_assumptions(
-            base_params(0.8), CapacityLaw.affine(5.0, 2.0), (0.5, 1.9), 64
+            base_params(0.8), CapacityLaw(AFFINE, 5.0, 2.0), (0.5, 1.9), 64
         )
         assert violations == []
 
     def test_constant_law_always_warns(self):
         violations = validate_assumptions(
-            base_params(0.8), CapacityLaw.constant(3.0), (0.5, 1.9), 64
+            base_params(0.8), CapacityLaw(CONSTANT, 3.0), (0.5, 1.9), 64
         )
         assert [(v.assumption, v.severity) for v in violations] == [("A3", "warning")]
 
     def test_capacity_below_one_is_hard(self):
         violations = validate_assumptions(
-            base_params(0.8), CapacityLaw.constant(0.9), (0.5, 1.9), 64
+            base_params(0.8), CapacityLaw(CONSTANT, 0.9), (0.5, 1.9), 64
         )
         severities = {v.severity for v in violations}
         assert "hard" in severities
@@ -150,7 +151,7 @@ class TestTheorem2Margin:
     def test_frozen_profile_values(self, b, x, expected):
         p = base_params(b)
         eq = solve_equilibrium(p, BASE_LAW)
-        assert stability_margin(x, p, BASE_LAW, eq) == pytest.approx(expected, rel=1e-10)
+        assert margin_kernel(p, BASE_LAW, eq)(x) == pytest.approx(expected, rel=1e-10)
 
     def test_limit_at_equilibrium(self):
         p = base_params(0.2)
@@ -161,7 +162,7 @@ class TestTheorem2Margin:
         rhs = 1.2 * math.exp(0.2 * (math.log(xs) - math.log(cs))) + 0.2 * math.exp(
             1.2 * (math.log(xs) - math.log(cs))
         )
-        assert stability_margin(xs, p, BASE_LAW, eq) == pytest.approx(lhs - rhs, rel=1e-12)
+        assert margin_kernel(p, BASE_LAW, eq)(xs) == pytest.approx(lhs - rhs, rel=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.3, 1.0, 2.5])
     @pytest.mark.parametrize("b", [0.2, 0.3807, 0.8, 1.2251, 2.0])
@@ -175,14 +176,14 @@ class TestTheorem2Margin:
         big_a = kappa * p.a * xs ** (-p.a - 1.0)
         big_b = kappa * h * (b + 1.0) * xs ** b * cs ** -b
         big_c = kappa * h * b * m * xs ** (b + 1.0) * cs ** (-b - 1.0)
-        margin = stability_margin(xs, p, BASE_LAW, eq)
+        margin = margin_kernel(p, BASE_LAW, eq)(xs)
         scale = max(abs(big_a), abs(big_b), abs(big_c))
         assert abs(kappa * margin - (big_a - big_b - big_c)) <= 1e-14 * scale
 
     def test_steep_exponent_negative_at_equilibrium(self):
         p = base_params(0.8)
         eq = solve_equilibrium(p, BASE_LAW)
-        assert stability_margin(eq.x_star, p, BASE_LAW, eq) == pytest.approx(
+        assert margin_kernel(p, BASE_LAW, eq)(eq.x_star) == pytest.approx(
             -0.275028630259744, rel=1e-10
         )
 
@@ -190,23 +191,23 @@ class TestTheorem2Margin:
         p = base_params(0.2)
         eq = solve_equilibrium(p, BASE_LAW)
         eps = 1e-6 * eq.x_star
-        limit = stability_margin(eq.x_star, p, BASE_LAW, eq)
+        limit = margin_kernel(p, BASE_LAW, eq)(eq.x_star)
         for side in (-1.0, 1.0):
-            near = stability_margin(eq.x_star + side * 2 * eps, p, BASE_LAW, eq)
+            near = margin_kernel(p, BASE_LAW, eq)(eq.x_star + side * 2 * eps)
             assert near == pytest.approx(limit, rel=1e-3)
 
     def test_domain_errors(self):
         p = base_params(0.2)
         eq = solve_equilibrium(p, BASE_LAW)
         with pytest.raises(ModelDomainError):
-            stability_margin(-1.0, p, BASE_LAW, eq)
+            margin_kernel(p, BASE_LAW, eq)(-1.0)
         with pytest.raises(CapacityExhaustedError):
-            stability_margin(5.0, p, BASE_LAW, eq)
+            margin_kernel(p, BASE_LAW, eq)(5.0)
         # 0.5 ** -1e12 is beyond the float range
         p_steep = base_params(0.2, a=1e12)
         eq_steep = solve_equilibrium(p_steep, BASE_LAW)
         with pytest.raises(ModelDomainError, match="float range"):
-            stability_margin(0.5, p_steep, BASE_LAW, eq_steep)
+            margin_kernel(p_steep, BASE_LAW, eq_steep)(0.5)
 
 
 class TestCheckTheorem2:
@@ -270,10 +271,10 @@ def margin_inputs(draw):
         x_max=x_max,
     )
     if draw(st.booleans()):
-        law = CapacityLaw.affine(10.0 ** draw(st.floats(0.0, 2.0)),
-                                 10.0 ** draw(st.floats(-2.0, 1.0)))
+        law = CapacityLaw(AFFINE, 10.0 ** draw(st.floats(0.0, 2.0)),
+                          10.0 ** draw(st.floats(-2.0, 1.0)))
     else:
-        law = CapacityLaw.constant(10.0 ** draw(st.floats(-1.0, 2.0)))
+        law = CapacityLaw(CONSTANT, 10.0 ** draw(st.floats(-1.0, 2.0)))
     lo = x_min + draw(st.floats(0.0, 0.5)) * (x_max - x_min)
     hi = x_min + draw(st.floats(0.5, 1.0)) * (x_max - x_min)
     grid_n = draw(st.sampled_from([16, 17, 64, 257]))
@@ -305,7 +306,7 @@ HUGE_A = ModelParams(kappa=1.0, a=1e12, b=2.0, tau=3.0, T_delay=2.0, h_gain=1e30
     base_params(0.2), BASE_LAW, (0.5, 6.0), 64, [5.0 / FIG2_X_STAR, 5.0]
 ))
 @example(inputs=(  # x**-a fits at x = 2 but x_star**-a overflows, and so does the limit
-    HUGE_A, CapacityLaw.constant(0.5), (0.6, 2.0), 16, [2.0, 1.0]
+    HUGE_A, CapacityLaw(CONSTANT, 0.5), (0.6, 2.0), 16, [2.0, 1.0]
 ))
 @example(inputs=(  # x**-a overflows at x = 1e-300, the equilibrium terms fit
     base_params(0.2, x_min=1e-300), BASE_LAW, (1e-300, 2.0), 16, [1e-300 / FIG2_X_STAR, 1.5]
@@ -317,7 +318,7 @@ HUGE_A = ModelParams(kappa=1.0, a=1e12, b=2.0, tau=3.0, T_delay=2.0, h_gain=1e30
     ModelParams(kappa=1.0, a=4.024316117873561, b=0.09252848999507815, tau=3.0,
                 T_delay=2.0, h_gain=0.005415772853813795, x_min=1.045971826213325e-148,
                 x_max=3.4102365131286726e+233),
-    CapacityLaw.constant(1.2370128581013361e-274),
+    CapacityLaw(CONSTANT, 1.2370128581013361e-274),
     (1.1993496406187543e+233, 3.381569582978877e+233), 16, [],
 ))
 def test_margin_kernel_matches_point_by_point_oracle(inputs):
@@ -349,7 +350,7 @@ def test_margin_kernel_matches_point_by_point_oracle(inputs):
         assert report.min_margin_x.hex() == float(grid[i]).hex()
         assert report.verdict == (CERTIFIED if margins[i] > 0 and not hard else NOT_CERTIFIED)
     for x in (f * eq.x_star for f in factors):
-        assert _outcome(lambda: [stability_margin(x, p, law, eq)]) == \
+        assert _outcome(lambda: [margin_kernel(p, law, eq)(x)]) == \
             _outcome(lambda: [reference_margin(x, p, law, eq)])
 
 
@@ -384,22 +385,22 @@ def assumption_inputs(draw):
     t = draw(st.one_of(st.floats(0.0, 1.2), st.just(1.0)))
     if draw(st.booleans()):
         slope = 10.0 ** draw(st.floats(-3.0, 1.0))
-        law = CapacityLaw.affine(1.0 + slope * (lo + t * (hi - lo)), slope)
+        law = CapacityLaw(AFFINE, 1.0 + slope * (lo + t * (hi - lo)), slope)
     else:
-        law = CapacityLaw.constant(draw(st.one_of(st.floats(0.5, 1.5), st.just(1.0))))
+        law = CapacityLaw(CONSTANT, draw(st.one_of(st.floats(0.5, 1.5), st.just(1.0))))
     grid_n = draw(st.one_of(st.sampled_from([2, 16, 17, 257]), st.integers(2, 600)))
     return params, law, (lo, hi), grid_n
 
 
 @settings(max_examples=100, deadline=None)
 @given(inputs=assumption_inputs())
-@example(inputs=(base_params(0.8), CapacityLaw.affine(5.0, 2.0), (0.5, 1.9), 64))  # holds
-@example(inputs=(base_params(0.8), CapacityLaw.affine(5.0, 2.0), (0.5, 2.1), 64))  # fails
+@example(inputs=(base_params(0.8), CapacityLaw(AFFINE, 5.0, 2.0), (0.5, 1.9), 64))  # holds
+@example(inputs=(base_params(0.8), CapacityLaw(AFFINE, 5.0, 2.0), (0.5, 2.1), 64))  # fails
 @example(inputs=(  # an unbounded range: g(inf) = -inf, and the first node is NaN
-    base_params(0.8, x_max=math.inf), CapacityLaw.affine(5.0, 2.0), (0.5, math.inf), 16
+    base_params(0.8, x_max=math.inf), CapacityLaw(AFFINE, 5.0, 2.0), (0.5, math.inf), 16
 ))
 @example(inputs=(  # a constant law at x = inf reads NaN: never <= 1
-    base_params(0.8, x_max=math.inf), CapacityLaw.constant(0.5), (0.5, math.inf), 16
+    base_params(0.8, x_max=math.inf), CapacityLaw(CONSTANT, 0.5), (0.5, math.inf), 16
 ))
 def test_validate_assumptions_matches_full_scan(inputs):
     # A3's g > 1 is tested at x_hi alone, and the grid scanned only when that
@@ -561,14 +562,18 @@ class TestClassify:
         cls = classify(synthetic_trajectory(t, np.full_like(t, 2.0), p), eq)
         assert cls.kind == SATURATED
 
-    def test_short_horizon_guard(self, fig2_result):
+    def test_short_horizon_is_undetermined(self, fig2_result):
+        # 5 s < 10*tau: no tail to judge, so the whole run stands in for it
         from ratelab import integrate
 
         p = base_params(0.2)
         eq = fig2_result.report.equilibrium
         traj = integrate(p, BASE_LAW, 1.0, 5.0, 0.01)
-        with pytest.raises(HorizonError):
-            classify(traj, eq)
+        cls = classify(traj, eq)
+        assert cls.kind == UNDETERMINED
+        assert cls.tail_peak_to_peak == float(traj.x.max() - traj.x.min())
+        assert cls.settling_time is None
+        assert cls.final_error == float(abs(traj.x[-1] - eq.x_star))
 
     def test_real_converged_run(self, fig2_result):
         cls = fig2_result.classification

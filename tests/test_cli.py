@@ -1,4 +1,6 @@
+import atexit
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -14,6 +16,16 @@ from conftest import SCENARIOS
 
 DOCUMENTED_EXIT_CODES = {0, 10, 11, 12, 13, 64, 65, 66, 70}
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# fig2 started at init_x = 4.5, near the capacity root x = 5: a file, so the
+# argv fuzzer can name it in an example; removed when the session exits
+_SCRATCH = tempfile.mkdtemp(prefix="ratelab-test-cli-")
+atexit.register(shutil.rmtree, _SCRATCH, True)
+FIG2_INIT_4_5 = Path(_SCRATCH) / "fig2-init-4.5.scenario"
+FIG2_INIT_4_5.write_text(
+    (SCENARIOS / "fig2.scenario").read_text().replace("init_x = 1.0", "init_x = 4.5"),
+    encoding="utf-8",
+)
 
 
 def run_cli(*argv):
@@ -356,6 +368,36 @@ def test_check_unwritable_report_is_io_error(fig2_path, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_run_near_capacity_root_converges(tmp_path):
+    # the run's envelope padded by 20% reaches x = 5.01, past g's root at 5:
+    # the auto range stops at 0.95*c0/slope = 4.75 instead
+    out = tmp_path / "o"
+    proc = run_cli("run", FIG2_INIT_4_5, "--out", out)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "classification: Converged" in proc.stdout
+    assert "margin_range: [0.001, 4.75]" in proc.stdout
+    assert (out / "trajectory.csv").is_file()
+
+
+def test_t_end_below_one_step_is_config_error(fig2_path, tmp_path):
+    # 0.004 / 0.01 rounds to 0 steps: refused at load, before integrate
+    out = tmp_path / "o"
+    proc = run_cli("run", fig2_path, "--t-end", "0.004", "--out", out)
+    assert proc.returncode == 65
+    assert "error[config]" in proc.stderr
+    assert "shorter than one step" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+    path = tmp_path / "short.scenario"
+    path.write_text(fig2_path.read_text().replace("t_end = 200.0", "t_end = 0.004"),
+                    encoding="utf-8")
+    assert main(["check", str(path), "--out", str(out)]) == 65
+    assert main(["sweep", str(fig2_path), "--param", "b", "--values", "0.2",
+                 "--t-end", "0.004", "--out", str(out)]) == 65
+    assert not out.exists()
+
+
 def test_missing_scenario_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.scenario")]) == 66
 
@@ -425,6 +467,8 @@ def cli_argvs(draw):
 @settings(max_examples=50, deadline=None)
 @given(argv=cli_argvs())
 @example(argv=["sweep", str(SCENARIOS / "fig2.scenario"), "--param", "b", "--values", "abc"])
+@example(argv=["run", str(FIG2_INIT_4_5)])
+@example(argv=["run", str(SCENARIOS / "fig2.scenario"), "--t-end", "0.004"])
 def test_fuzzed_argv_exits_with_documented_code(argv):
     with tempfile.TemporaryDirectory() as tmp:
         assert _exit_code(argv + ["--out", tmp]) in DOCUMENTED_EXIT_CODES

@@ -12,7 +12,7 @@ from ratelab import (
     capacity,
     solve_equilibrium,
 )
-from ratelab.model import stage_kernels
+from ratelab.model import AFFINE, CONSTANT, stage_kernels
 from conftest import BASE_LAW, base_params
 from oracle import clamp, price_flow, rhs
 
@@ -22,20 +22,20 @@ exponents = st.floats(min_value=0.1, max_value=3.0)
 
 class TestCapacity:
     def test_affine(self):
-        assert capacity(CapacityLaw.affine(5.0, 1.0), 1.0) == 4.0
+        assert capacity(CapacityLaw(AFFINE, 5.0, 1.0), 1.0) == 4.0
 
     def test_constant(self):
-        assert capacity(CapacityLaw.constant(3.0), 17.0) == 3.0
+        assert capacity(CapacityLaw(CONSTANT, 3.0), 17.0) == 3.0
 
     def test_exhausted(self):
         with pytest.raises(CapacityExhaustedError, match="x = 5"):
-            capacity(CapacityLaw.affine(5.0, 1.0), 5.0)
+            capacity(CapacityLaw(AFFINE, 5.0, 1.0), 5.0)
 
     def test_law_validation(self):
         with pytest.raises(ModelDomainError):
-            CapacityLaw.affine(5.0, 0.0)
+            CapacityLaw(AFFINE, 5.0, 0.0)
         with pytest.raises(ModelDomainError):
-            CapacityLaw.affine(-1.0, 1.0)
+            CapacityLaw(AFFINE, -1.0, 1.0)
         with pytest.raises(ModelDomainError):
             CapacityLaw("weird", 1.0)
 

@@ -33,7 +33,7 @@ from ratelab.scenario import (
     write_config_echo,
     _execute,
 )
-from conftest import BASE_LAW, base_params
+from conftest import BASE_LAW, base_params, synthetic_trajectory
 
 MINIMAL = """\
 [model]
@@ -284,6 +284,17 @@ class TestAutoMarginRange:
         lo, hi = auto_margin_range(cfg, None, fig2_result.report.equilibrium.x_star)
         assert lo > 0
         assert cfg.law.value(hi) > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(x_top=st.floats(1.2, 4.99))
+    def test_padded_envelope_stops_below_capacity_root(self, fig2_result, x_top):
+        # g = 5 - x: the envelope [1.1, x_top] padded by 20% of its span passes
+        # 0.95*c0/slope = 4.75 from x_top ~ 4.1 on, and is cut there
+        cfg = fig2_result.config
+        t = np.arange(0.0, 40.0, 0.01)
+        traj = synthetic_trajectory(t, np.linspace(x_top, 1.1, len(t)), cfg.params)
+        lo, hi = auto_margin_range(cfg, traj, 1.1)
+        assert lo < 1.1 < hi <= 0.95 * cfg.law.c0 / cfg.law.slope
 
 
 class TestSweep:
