@@ -19,7 +19,7 @@ trajectory arrays and import numpy when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dde import Trajectory
 from .errors import (
@@ -50,16 +50,14 @@ EPS_BAND_REL = 1e-6
 LYAPUNOV_BLOCK = 16
 
 
-@dataclass(frozen=True)
-class AssumptionViolation:
+class AssumptionViolation(NamedTuple):
     assumption: str
     description: str
     severity: str
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Outcome of the margin check over a rate range.
+class StabilityReport(NamedTuple):
+    """Outcome of the margin check over a rate range, an immutable record.
 
     ``profile_x``/``profile_margin`` are tuples of floats: the uniform grid
     plus the analytic limit point at x_star, and the margin at each.  The
@@ -79,8 +77,7 @@ class StabilityReport:
     verdict: str
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str
     final_error: float
     tail_peak_to_peak: float
@@ -312,14 +309,9 @@ def check_stability(
     hard = any(v.severity == HARD for v in violations)
     verdict = CERTIFIED if (profile_margin[i_min] > 0 and not hard) else NOT_CERTIFIED
     return StabilityReport(
-        equilibrium=eq,
-        violations=violations,
-        x_range=(float(x_range[0]), float(x_range[1])),
-        grid_n=grid_n,
-        profile_x=profile_x,
-        profile_margin=profile_margin,
-        min_margin=float(profile_margin[i_min]),
-        min_margin_x=float(profile_x[i_min]),
+        equilibrium=eq, violations=violations, x_range=(float(x_range[0]), float(x_range[1])),
+        grid_n=grid_n, profile_x=profile_x, profile_margin=profile_margin,
+        min_margin=float(profile_margin[i_min]), min_margin_x=float(profile_x[i_min]),
         verdict=verdict,
     )
 
@@ -445,9 +437,4 @@ def classify(
         kind = SATURATED
     else:
         kind = UNDETERMINED
-    return Classification(
-        kind=kind,
-        final_error=final_error,
-        tail_peak_to_peak=tail_pp,
-        settling_time=settling,
-    )
+    return Classification(kind, final_error, tail_pp, settling)

@@ -13,8 +13,8 @@ are built (at the end of :func:`integrate`) or read (:meth:`Trajectory.interp_x`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import cycle, islice
+from typing import NamedTuple
 
 from .errors import (
     GridMismatchError,
@@ -28,6 +28,8 @@ from .model import CapacityLaw, ModelParams, stage_kernels
 GRID_SNAP = 1e-12
 # Relative tolerance for "delay is an integer multiple of the step".
 DELAY_MULTIPLE_RTOL = 1e-9
+# Classical RK4 is stable on the negative real axis down to step*lambda = -2.785.
+RK4_REAL_STABILITY = 2.785
 
 
 def hermite_value(x0, x1, d0, d1, h, theta):
@@ -42,9 +44,8 @@ def hermite_value(x0, x1, d0, d1, h, theta):
     )
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Integration output on the uniform grid [0, t_end].
+class Trajectory(NamedTuple):
+    """Integration output on the uniform grid [0, t_end], an immutable record.
 
     ``c`` is the capacity g(x) at each sample and ``dxdt`` the accepted
     (projected) rate derivative.  ``params`` and ``law`` echo the inputs that
@@ -95,6 +96,30 @@ def _delay_steps(delay: float, step: float, name: str) -> int:
             f"{name} = {delay} is not an integer multiple of step = {step}"
         )
     return k_int
+
+
+def _diverged(cause, t_fail: float, p: ModelParams, step: float, *rates: float):
+    """The loop's failure at ``t_fail`` as IntegrationDivergedError: the
+    domain error ``cause``, or a non-finite state when it is None.
+
+    RK4 is stable on the instantaneous term's Jacobian -kappa*a*x**-(a+1)
+    only above the rate (kappa*a*step/2.785)**(1/(a+1)).  ``rates`` are the
+    least recorded rate and the failing step's first-stage rate x + step/2*k1,
+    where its later stages evaluate the Jacobian.  When the least positive is
+    below the bound, the message names it and the largest step stable at that
+    rate, 2.785*x**(a+1)/(kappa*a), in a form that cannot overflow.
+    """
+    message = (f"state became non-finite at t = {t_fail:.6g}" if cause is None
+               else f"integration left the model domain at t = {t_fail:.6g}: {cause}")
+    x_low = min(x for x in rates if x > 0)
+    x_bound = (p.kappa * p.a * step / RK4_REAL_STABILITY) ** (1.0 / (p.a + 1.0))
+    if x_low < x_bound:
+        message += (
+            f"; rate {x_low:.6g} is below the RK4 stiffness bound "
+            f"(kappa*a*step/{RK4_REAL_STABILITY})**(1/(a+1)) = {x_bound:.6g}, and the largest "
+            f"step stable at that rate is {step * (x_low / x_bound) ** (p.a + 1.0):.6g}"
+        )
+    return IntegrationDivergedError(message, t_fail)
 
 
 def integrate(
@@ -169,19 +194,13 @@ def integrate(
     h, b_plus_1, neg_b = params.h_gain, params.b + 1.0, -params.b
     c0, slope_g = law.c0, law.slope
     flow, slope = stage_kernels(params, law)
-
-    def diverged(exc: Exception, t_now: float) -> IntegrationDivergedError:
-        return IntegrationDivergedError(
-            f"integration left the model domain at t = {t_now:.6g}: {exc}", t_now
-        )
-
     half = 0.5 * step
     sixth = step / 6.0
     eighth = 0.125 * step
     try:
         d0_dyn = slope(x0, flow(x0, xs[i0 - k_tau], xs[i0 - k_t]))
     except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
-        raise diverged(exc, t0) from exc
+        raise _diverged(exc, t0, params, step, x0) from exc
     ds = [d0_dyn]
     append_x, append_d = xs.append, ds.append
     # Step j reads the grid at xs[i0 + j + 1 - k] for k = k_tau, k_t >= 1:
@@ -226,7 +245,7 @@ def integrate(
             else:
                 k3 = slope(x_stage, f)
         except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
-            raise diverged(exc, t0 + j * step + half) from exc
+            raise _diverged(exc, t0 + j * step + half, params, step, min(xs), x_half) from exc
         # recorded rates are positive, so the grid read needs no x_delayed test
         try:
             x_stage = x + step * k3
@@ -242,17 +261,14 @@ def integrate(
                 k_next = kappa * (x_next ** neg_a - f)
             else:
                 if not math.isfinite(x_next):
-                    t = t0 + j * step + step
-                    raise IntegrationDivergedError(
-                        f"state became non-finite at t = {t:.6g}", t
-                    )
+                    raise _diverged(None, t0 + j * step + step, params, step, min(xs), x_half)
                 if x_next > x_max:
                     x_next = x_max
                 elif x_next < x_min:
                     x_next = x_min
                 k_next = slope(x_next, f)
         except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
-            raise diverged(exc, t0 + j * step + step) from exc
+            raise _diverged(exc, t0 + j * step + step, params, step, min(xs), x_half) from exc
         append_x(x_next)
         append_d(k_next)
         mids[w] = 0.5 * (x + x_next) + eighth * (k1 - k_next)
@@ -270,13 +286,4 @@ def integrate(
             f"capacity nonpositive at t = {t_arr[i_bad]:.6g} (x = {x_arr[i_bad]:.6g})",
             float(t_arr[i_bad]),
         )
-    return Trajectory(
-        step=step,
-        t_end=float(t_arr[-1]),
-        t=t_arr,
-        x=x_arr,
-        c=c_arr,
-        dxdt=d_arr,
-        params=params,
-        law=law,
-    )
+    return Trajectory(step, float(t_arr[-1]), t_arr, x_arr, c_arr, d_arr, params, law)

@@ -15,7 +15,7 @@ nonpositive bases raise ModelDomainError rather than propagating NaN.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityExhaustedError, ModelDomainError
 
@@ -23,17 +23,7 @@ AFFINE = "affine"
 CONSTANT = "constant"
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Scalar constants of the rate update law.
-
-    ``tau`` is the total round-trip delay acting on the rate feedback and
-    ``T_delay`` the (shorter) delay of the capacity information.  The delay
-    ordering tau >= T_delay is *not* enforced at construction so that
-    ``analysis.validate_assumptions`` can report it as a violation; every
-    scenario entry point rejects configs that break it.
-    """
-
+class _ModelFields(NamedTuple):
     kappa: float
     a: float
     b: float
@@ -43,44 +33,42 @@ class ModelParams:
     x_min: float = 1e-3
     x_max: float = 1e3
 
-    def __post_init__(self):
-        for name in ("kappa", "a", "b", "tau", "T_delay", "h_gain"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ModelDomainError(f"{name} must be a positive finite number, got {v!r}")
-        if not (0 < self.x_min < self.x_max):
-            raise ModelDomainError(
-                f"rate bounds must satisfy 0 < x_min < x_max, got [{self.x_min}, {self.x_max}]"
-            )
-
     @property
     def max_delay(self) -> float:
         return max(self.tau, self.T_delay)
 
 
-@dataclass(frozen=True)
-class CapacityLaw:
-    """Link capacity as a function of the instantaneous source rate, c = g(x).
+class ModelParams(_ModelFields):
+    """Scalar constants of the rate update law, an immutable NamedTuple
+    checked at construction (``_replace`` and unpickling included).
 
-    Two forms are supported: ``affine`` with g(x) = c0 - slope*x (slope > 0,
-    strictly decreasing) and ``constant`` with g(x) = c0.
+    ``tau`` is the total round-trip delay acting on the rate feedback and
+    ``T_delay`` the (shorter) delay of the capacity information.  The delay
+    ordering tau >= T_delay is *not* enforced at construction so that
+    ``analysis.validate_assumptions`` can report it as a violation; every
+    scenario entry point rejects configs that break it.
     """
 
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
+
+    def __new__(cls, *args, **kwargs):
+        p = super().__new__(cls, *args, **kwargs)
+        for name in ("kappa", "a", "b", "tau", "T_delay", "h_gain"):
+            v = getattr(p, name)
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+                raise ModelDomainError(f"{name} must be a positive finite number, got {v!r}")
+        if not (0 < p.x_min < p.x_max):
+            raise ModelDomainError(
+                f"rate bounds must satisfy 0 < x_min < x_max, got [{p.x_min}, {p.x_max}]"
+            )
+        return p
+
+
+class _LawFields(NamedTuple):
     kind: str
     c0: float
     slope: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (AFFINE, CONSTANT):
-            raise ModelDomainError(f"unknown capacity law kind {self.kind!r}")
-        if not (math.isfinite(self.c0) and self.c0 > 0):
-            raise ModelDomainError(f"capacity intercept/level must be positive, got {self.c0}")
-        if self.kind == AFFINE and not (math.isfinite(self.slope) and self.slope > 0):
-            raise ModelDomainError(
-                f"affine capacity law must be strictly decreasing: slope > 0, got {self.slope}"
-            )
-        if self.kind == CONSTANT:
-            object.__setattr__(self, "slope", 0.0)
 
     def value(self, x):
         """Raw g(x); may be <= 0.  Use :func:`capacity` when positivity is required.
@@ -94,8 +82,32 @@ class CapacityLaw:
         return -self.slope if self.kind == AFFINE else 0.0
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class CapacityLaw(_LawFields):
+    """Link capacity as a function of the instantaneous source rate, c = g(x),
+    an immutable NamedTuple checked at construction like :class:`ModelParams`.
+
+    Two forms are supported: ``affine`` with g(x) = c0 - slope*x (slope > 0,
+    strictly decreasing) and ``constant`` with g(x) = c0, whose slope is
+    always 0.0.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
+
+    def __new__(cls, *args, **kwargs):
+        law = super().__new__(cls, *args, **kwargs)
+        if law.kind not in (AFFINE, CONSTANT):
+            raise ModelDomainError(f"unknown capacity law kind {law.kind!r}")
+        if not (math.isfinite(law.c0) and law.c0 > 0):
+            raise ModelDomainError(f"capacity intercept/level must be positive, got {law.c0}")
+        if law.kind == AFFINE and not (math.isfinite(law.slope) and law.slope > 0):
+            raise ModelDomainError(
+                f"affine capacity law must be strictly decreasing: slope > 0, got {law.slope}"
+            )
+        return super().__new__(cls, CONSTANT, law.c0) if law.kind == CONSTANT else law
+
+
+class Equilibrium(NamedTuple):
     """Fixed point of the rate dynamics: c_star = g(x_star) and the update
     vanishes.  ``residual`` is the fixed-point defect relative to c_star."""
 

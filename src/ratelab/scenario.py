@@ -11,7 +11,6 @@ import configparser
 import math
 import os
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -100,10 +99,9 @@ _SECTIONS = {sec: {f.key.lower(): f for f in FIELDS if f.section == sec}
 _CONFIG_KEYS = tuple(f.key for f in FIELDS if f.section in ("run", "analysis"))
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A validated scenario.  Build it with :func:`build_config`; FIELDS
-    holds the defaults."""
+class ScenarioConfig(NamedTuple):
+    """A validated scenario, an immutable record.  Build it with
+    :func:`build_config`; FIELDS holds the defaults."""
 
     params: ModelParams
     law: CapacityLaw
@@ -119,13 +117,18 @@ class ScenarioConfig:
     name: str
 
 
-@dataclass(frozen=True)
-class RunResult:
+class _RunFields(NamedTuple):
     config: ScenarioConfig
     trajectory: Trajectory
     report: StabilityReport
     classification: Classification
     paths: dict
+
+
+class RunResult(_RunFields):
+    """One run's results: fields as immutable as a NamedTuple's, ``paths``
+    filled in place once the outputs are written, and an instance dict
+    (no ``__slots__``) where ``lyapunov`` is cached."""
 
     @cached_property
     def lyapunov(self) -> tuple:
@@ -155,8 +158,7 @@ class SweepRow(NamedTuple):
     message: str = ""
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     param: str
     rows: tuple
     largest_certified: float | None
@@ -252,6 +254,11 @@ def build_config(values: dict, where: str, name: str = "scenario") -> ScenarioCo
         raise ConfigError(
             f"{where}: [analysis] margin_range [{margin_range[0]}, {margin_range[1]}] "
             f"must be increasing and inside the rate bounds"
+        )
+    elif not law.value(margin_range[1]) > 0:  # g decreases: the upper end is lowest
+        raise ConfigError(
+            f"{where}: [analysis] margin_range [{margin_range[0]}, {margin_range[1]}] "
+            f"reaches the capacity root: g({margin_range[1]}) = {law.value(margin_range[1])} <= 0"
         )
     grid_n = int(v["grid_n"])
     if not 16 <= grid_n <= MAX_STEPS:
@@ -371,13 +378,7 @@ def _execute(cfg: ScenarioConfig) -> RunResult:
     x_range = cfg.margin_range or auto_margin_range(cfg, traj, eq.x_star)
     report = check_stability(cfg.params, cfg.law, x_range, cfg.grid_n)
     cls = classify(traj, eq, cfg.tol_conv, cfg.tol_osc, cfg.tail_fraction)
-    return RunResult(
-        config=cfg,
-        trajectory=traj,
-        report=report,
-        classification=cls,
-        paths={},
-    )
+    return RunResult(cfg, traj, report, cls, paths={})
 
 
 def _fmt(v: float) -> str:
@@ -546,17 +547,10 @@ def _sweep_one(args) -> SweepRow:
         if not isinstance(exc, RatelabError):
             message = f"{type(exc).__name__}: {message}"
         return SweepRow(param=name, value=value, status="error", message=message)
-    return SweepRow(
-        param=name,
-        value=value,
-        status="ok",
-        step=cfg_v.step,
-        x_star=res.report.equilibrium.x_star,
-        min_margin=res.report.min_margin,
-        verdict=res.report.verdict,
-        classification=res.classification.kind,
-        final_error=res.classification.final_error,
-    )
+    rep, cls = res.report, res.classification
+    return SweepRow(name, value, "ok", step=cfg_v.step, x_star=rep.equilibrium.x_star,
+                    min_margin=rep.min_margin, verdict=rep.verdict,
+                    classification=cls.kind, final_error=cls.final_error)
 
 
 def sweep(

@@ -21,7 +21,6 @@ Run with: pytest tests/test_acceptance.py -v -s
 import filecmp
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest

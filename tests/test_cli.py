@@ -337,6 +337,21 @@ def test_import_and_load_leave_numpy_unloaded(fig2_path):
     assert _numpy_loaded_after(script, fig2_path) == (["fig2"], False)
 
 
+def test_import_and_load_leave_dataclasses_unloaded(fig2_path):
+    # the records are NamedTuples; count only what ratelab adds to the
+    # modules the interpreter (and any site hook) had already loaded
+    probe = (
+        "import sys\nbefore = set(sys.modules)\nimport ratelab\n"
+        "ratelab.load_scenario(sys.argv[1])\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(fig2_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [(["check", "{fig2}"], 13),
@@ -378,6 +393,58 @@ def test_run_near_capacity_root_converges(tmp_path):
     assert "classification: Converged" in proc.stdout
     assert "margin_range: [0.001, 4.75]" in proc.stdout
     assert (out / "trajectory.csv").is_file()
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("hi", ["5", "6"])
+def test_margin_range_at_capacity_root_is_config_error(fig2_path, tmp_path, command, hi):
+    # g(x) = 5 - x: a margin range up to x = 5 or past it is refused at load
+    path = tmp_path / "root.scenario"
+    path.write_text(fig2_path.read_text().replace("margin_range = auto",
+                                                  f"margin_range = 1 {hi}"), encoding="utf-8")
+    proc = run_cli(command, path, "--out", tmp_path / "o")
+    assert proc.returncode == 65
+    assert "error[config]" in proc.stderr
+    assert "reaches the capacity root" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+# Two fig2 variants where RK4 at step 0.01 fails while the rate falls
+# towards the stiff zone; the message explains, the exit code and t_fail stay
+STIFF_CASES = {
+    "kappa5-b0.8-init3.9": ({"kappa = 1.0": "kappa = 5.0", "b = 0.2": "b = 0.8",
+                             "init_x = 1.0": "init_x = 3.9"}, "1.92", 0.18053),
+    "b0.9-init4.5": ({"b = 0.2": "b = 0.9", "init_x = 1.0": "init_x = 4.5"}, "0.15", 0.0728826),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STIFF_CASES))
+def test_rk4_stiffness_failure_names_the_step_bound(fig2_path, tmp_path, case):
+    edits, t_fail, x_low = STIFF_CASES[case]
+    text = fig2_path.read_text()
+    for old, new in edits.items():
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    path = tmp_path / f"{case}.scenario"
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli("run", path, "--out", tmp_path / "o")
+    assert proc.returncode == 70
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(
+        f"error[diverged]: integration left the model domain at t = {t_fail}: "
+        f"rhs requires x_now > 0"
+    )
+    kappa = 5.0 if "kappa5" in case else 1.0
+    x_bound = (kappa * 1.5 * 0.01 / 2.785) ** (1 / 2.5)
+    h_max = 2.785 * x_low ** 2.5 / (kappa * 1.5)
+    assert x_low < x_bound
+    assert f"; rate {x_low:.6g} is below the RK4 stiffness bound " in proc.stderr
+    assert f"(kappa*a*step/2.785)**(1/(a+1)) = {x_bound:.6g}" in proc.stderr
+    named = float(proc.stderr.split("stable at that rate is ")[1])
+    assert named == pytest.approx(h_max, rel=1e-5)
+    # the named step runs the same scenario to its classification
+    rerun = run_cli("run", path, "--step", named, "--t-end", 40, "--out", tmp_path / "o")
+    assert rerun.returncode in (0, 10, 11, 12), rerun.stderr
 
 
 def test_t_end_below_one_step_is_config_error(fig2_path, tmp_path):

@@ -23,6 +23,25 @@ from conftest import BASE_LAW, SCENARIOS, base_params
 from oracle import clamp, rhs
 
 
+def with_stiffness_hint(err, rates, params, step):
+    """``err`` as integrate reports it: RK4 is unstable on the instantaneous
+    term's Jacobian -kappa*a*x**-(a+1) below x = (kappa*a*step/2.785)**(1/(a+1)).
+    When the least positive of ``rates`` (the recorded rates and the failing
+    step's first-stage rate) is below that bound, the message names it and the
+    largest step stable at that rate, 2.785*x**(a+1)/(kappa*a)."""
+    kappa, a = params.kappa, params.a
+    x_low = min(x for x in rates if x > 0)
+    x_bound = (kappa * a * step / 2.785) ** (1.0 / (a + 1.0))
+    if not x_low < x_bound:
+        return err
+    return IntegrationDivergedError(
+        f"{err}; rate {x_low:.6g} is below the RK4 stiffness bound "
+        f"(kappa*a*step/2.785)**(1/(a+1)) = {x_bound:.6g}, and the largest step "
+        f"stable at that rate is {2.785 * x_low ** (a + 1.0) / (kappa * a):.6g}",
+        err.t_fail,
+    )
+
+
 def reference_integrate(params, law, init_x, t_end, step):
     """The plain five-stage RK4 loop (one full stage evaluation per stage,
     plus one for the recorded derivative), kept as the oracle that the
@@ -51,20 +70,26 @@ def reference_integrate(params, law, init_x, t_end, step):
         return clamp(x_now, d, params)
 
     half, sixth = 0.5 * step, step / 6.0
-    d0_dyn = stage(2 * i0, xs[i0], 0.0)
-    for i in range(i0, i0 + n_steps):
-        t, x, jh = (i - i0) * step, xs[i], 2 * i
-        k1 = stage(jh, x, t)
-        k2 = stage(jh + 1, x + half * k1, t + half)
-        k3 = stage(jh + 1, x + half * k2, t + half)
-        k4 = stage(jh + 2, x + step * k3, t + step)
-        x_next = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not math.isfinite(x_next):
-            raise IntegrationDivergedError(
-                f"state became non-finite at t = {t + step:.6g}", t + step
-            )
-        xs[i + 1] = min(max(x_next, params.x_min), params.x_max)
-        ds[i + 1] = stage(jh + 2, xs[i + 1], t + step)
+    # a failure in step i has recorded xs[:i + 1] and reached x_half first
+    i, x_half = i0, xs[i0]
+    try:
+        d0_dyn = stage(2 * i0, xs[i0], 0.0)
+        for i in range(i0, i0 + n_steps):
+            t, x, jh = (i - i0) * step, xs[i], 2 * i
+            k1 = stage(jh, x, t)
+            x_half = x + half * k1
+            k2 = stage(jh + 1, x_half, t + half)
+            k3 = stage(jh + 1, x + half * k2, t + half)
+            k4 = stage(jh + 2, x + step * k3, t + step)
+            x_next = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            if not math.isfinite(x_next):
+                raise IntegrationDivergedError(
+                    f"state became non-finite at t = {t + step:.6g}", t + step
+                )
+            xs[i + 1] = min(max(x_next, params.x_min), params.x_max)
+            ds[i + 1] = stage(jh + 2, xs[i + 1], t + step)
+    except IntegrationDivergedError as err:
+        raise with_stiffness_hint(err, [*xs[:i + 1], x_half], params, step) from err.__cause__
     d_arr = np.array(ds[i0:])
     d_arr[0] = d0_dyn
     return np.array(xs[i0:]), d_arr

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -30,6 +31,12 @@ class TestCapacity:
     def test_exhausted(self):
         with pytest.raises(CapacityExhaustedError, match="x = 5"):
             capacity(CapacityLaw(AFFINE, 5.0, 1.0), 5.0)
+
+    def test_constant_law_slope_is_zero(self):
+        law = CapacityLaw(CONSTANT, 2.0, 5.0)
+        assert law.slope == 0.0
+        assert law == CapacityLaw(CONSTANT, 2.0)
+        assert law._replace(c0=3.0, slope=4.0) == CapacityLaw(CONSTANT, 3.0)
 
     def test_law_validation(self):
         with pytest.raises(ModelDomainError):
@@ -148,6 +155,23 @@ class TestModelParams:
         kw[field] = 0.0
         with pytest.raises(ModelDomainError, match=field):
             ModelParams(**kw)
+
+    def test_keyword_construction_checks_in_field_order(self):
+        bad = dict(x_max=0.5, x_min=1.0, h_gain=0.0, T_delay=0.0, tau=0.0, b=0.0, a=0.0)
+        with pytest.raises(ModelDomainError, match="^kappa must be a positive finite number"):
+            ModelParams(**bad, kappa=0.0)
+        with pytest.raises(ModelDomainError, match="^a must be"):
+            ModelParams(**bad, kappa=1.0)
+        with pytest.raises(ModelDomainError, match="^rate bounds must satisfy"):
+            ModelParams(kappa=1.0, a=1.5, b=0.2, tau=3.0, T_delay=2.0, x_min=1.0, x_max=0.5)
+
+    def test_replace_and_unpickling_check_too(self):
+        p = base_params(0.2)
+        with pytest.raises(ModelDomainError, match="^kappa must be"):
+            p._replace(kappa=-1.0)
+        with pytest.raises(ModelDomainError, match="^rate bounds"):
+            p._replace(x_min=2e3)
+        assert pickle.loads(pickle.dumps(p)) == p
 
     def test_bounds_ordering(self):
         with pytest.raises(ModelDomainError):

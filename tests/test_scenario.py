@@ -1,7 +1,7 @@
 import concurrent.futures
 import math
+import pickle
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +23,11 @@ from ratelab import (
     sweep,
 )
 from ratelab import scenario
-from ratelab.model import AFFINE, CONSTANT
+from ratelab.model import AFFINE, CONSTANT, CapacityLaw, ModelParams
 from ratelab.scenario import (
     EXIT_CODES,
     FIELDS,
+    ScenarioConfig,
     apply_param,
     auto_margin_range,
     build_config,
@@ -132,6 +133,15 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="margin_range"):
             load_scenario(write_scenario(tmp_path, text))
 
+    @pytest.mark.parametrize("hi", ["5", "5.0000000001", "6"])
+    def test_margin_range_reaching_capacity_root_rejected(self, tmp_path, hi):
+        # g(x) = 5 - x: the margin has no capacity from x = 5 on
+        text = MINIMAL + f"\n[analysis]\nmargin_range = 1 {hi}\n"
+        with pytest.raises(ConfigError, match=r"\[analysis\] .* reaches the capacity root"):
+            load_scenario(write_scenario(tmp_path, text))
+        below = MINIMAL + "\n[analysis]\nmargin_range = 1 4.999\n"
+        assert load_scenario(write_scenario(tmp_path, below)).margin_range == (1.0, 4.999)
+
     def test_grid_n_guard(self, tmp_path):
         text = MINIMAL + "\n[analysis]\ngrid_n = 8\n"
         with pytest.raises(ConfigError, match="grid_n"):
@@ -202,7 +212,7 @@ class TestSnapStep:
 
 class TestRunScenario:
     def test_emits_full_output_set(self, fig2_path, tmp_path):
-        cfg = replace(load_scenario(fig2_path), t_end=50.0)
+        cfg = load_scenario(fig2_path)._replace(t_end=50.0)
         res = run_scenario(cfg, out_dir=tmp_path / "out")
         for key in ("trajectory", "lyapunov", "report", "plot", "config_echo"):
             assert Path(res.paths[key]).is_file(), key
@@ -217,7 +227,7 @@ class TestRunScenario:
         assert Path(res.paths["plot"]).read_text().startswith("<svg")
 
     def test_round_trip_reproduces_trajectory_bytes(self, fig2_path, tmp_path):
-        cfg = replace(load_scenario(fig2_path), t_end=50.0)
+        cfg = load_scenario(fig2_path)._replace(t_end=50.0)
         first = run_scenario(cfg, out_dir=tmp_path / "a")
         echo_cfg = load_scenario(first.paths["config_echo"])
         second = run_scenario(echo_cfg, out_dir=tmp_path / "b")
@@ -226,14 +236,14 @@ class TestRunScenario:
         assert b1 == b2
 
     def test_short_horizon_yields_undetermined(self, fig2_path, tmp_path):
-        cfg = replace(load_scenario(fig2_path), t_end=5.0)
+        cfg = load_scenario(fig2_path)._replace(t_end=5.0)
         res = run_scenario(cfg, out_dir=tmp_path / "short")
         assert res.classification.kind == UNDETERMINED
         assert EXIT_CODES[res.classification.kind] == EXIT_CODES[UNDETERMINED] == 12
 
     def test_failed_run_leaves_no_outputs(self, fig2_path, tmp_path):
         cfg = load_scenario(fig2_path)
-        cfg = replace(cfg, params=replace(cfg.params, kappa=1e9), t_end=10.0)
+        cfg = cfg._replace(params=cfg.params._replace(kappa=1e9), t_end=10.0)
         out = tmp_path / "boom"
         with pytest.raises(IntegrationDivergedError):
             run_scenario(cfg, out_dir=out)
@@ -245,7 +255,7 @@ class TestRunScenario:
             raise OSError("disk full")
 
         monkeypatch.setattr(scenario, "line_plot_svg", broken_plot)
-        cfg = replace(load_scenario(fig2_path), t_end=10.0)
+        cfg = load_scenario(fig2_path)._replace(t_end=10.0)
         out = tmp_path / "partial"
         with pytest.raises(OSError, match="disk full"):
             run_scenario(cfg, out_dir=out)
@@ -259,6 +269,34 @@ class TestRunScenario:
         res = run_scenario(cfg, out_dir=tmp_path / "snap")
         echo = Path(res.paths["config_echo"]).read_text()
         assert "snapped down from 0.03" in echo
+
+
+class TestRecords:
+    def test_fields_refuse_assignment(self, fig2_path, tmp_path):
+        res = _execute(load_scenario(fig2_path)._replace(t_end=30.0))
+        rep = sweep(res.config, "b", [0.2], out_dir=tmp_path)
+        records = [res.config.params, res.config.law, res.report.equilibrium,
+                   res.trajectory, res.report.violations[0], res.report,
+                   res.classification, res.config, res, rep]
+        assert len({type(r) for r in records}) == 10
+        for record in records:
+            for name in record._fields:
+                before = getattr(record, name)
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0.5)
+                assert getattr(record, name) is before
+
+    def test_run_result_caches_lyapunov_and_fills_paths(self, fig2_path, tmp_path):
+        res = run_scenario(load_scenario(fig2_path)._replace(t_end=30.0), tmp_path)
+        assert res.lyapunov is res.lyapunov
+        assert Path(res.paths["lyapunov"]).is_file()
+
+    def test_config_survives_pickle(self, fig2_path):
+        cfg = load_scenario(fig2_path)
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg
+        assert (type(back), type(back.params), type(back.law)) == (
+            ScenarioConfig, ModelParams, CapacityLaw)
 
 
 class TestAutoMarginRange:
@@ -299,7 +337,7 @@ class TestAutoMarginRange:
 
 class TestSweep:
     def test_two_point_sweep(self, fig2_path, tmp_path):
-        cfg = replace(load_scenario(fig2_path), t_end=100.0)
+        cfg = load_scenario(fig2_path)._replace(t_end=100.0)
         rep = sweep(cfg, "b", [0.1, 0.5], out_dir=tmp_path / "sw")
         assert [r.value for r in rep.rows] == [0.1, 0.5]
         assert all(r.status == "ok" for r in rep.rows)
@@ -314,21 +352,21 @@ class TestSweep:
         assert rep.monotone_consistent is True
 
     def test_error_rows_do_not_stop_the_sweep(self, fig2_path, tmp_path):
-        cfg = replace(load_scenario(fig2_path), t_end=60.0)
+        cfg = load_scenario(fig2_path)._replace(t_end=60.0)
         rep = sweep(cfg, "b", [0.2, -1.0, 0.3], out_dir=tmp_path / "sw2")
         statuses = [r.status for r in rep.rows]
         assert statuses == ["ok", "error", "ok"]
         assert rep.rows[1].message
 
     def test_tau_sweep_respects_delay_ordering(self, fig2_path, tmp_path):
-        cfg = replace(load_scenario(fig2_path), t_end=60.0)
+        cfg = load_scenario(fig2_path)._replace(t_end=60.0)
         rep = sweep(cfg, "tau", [1.0], out_dir=tmp_path)
         # tau = 1 < T = 2 must come back as an A1 error row, not a crash
         assert rep.rows[0].status == "error"
         assert "A1" in rep.rows[0].message
 
     def test_tau_sweep_verdict_fixed_range_is_delay_independent(self, fig2_path, tmp_path):
-        cfg = replace(load_scenario(fig2_path), t_end=60.0, margin_range=(0.95, 1.2))
+        cfg = load_scenario(fig2_path)._replace(t_end=60.0, margin_range=(0.95, 1.2))
         rep = sweep(cfg, "tau", [3.0, 7.5, 30.0], out_dir=tmp_path)
         assert all(r.status == "ok" for r in rep.rows)
         assert {r.verdict for r in rep.rows} == {CERTIFIED}
@@ -354,14 +392,14 @@ class TestSweep:
 
     def test_failed_write_leaves_no_sweep_csv(self, fig2_path, tmp_path):
         (tmp_path / "sweep_report.txt").mkdir()
-        cfg = replace(load_scenario(fig2_path), t_end=30.0)
+        cfg = load_scenario(fig2_path)._replace(t_end=30.0)
         with pytest.raises(OSError):
             sweep(cfg, "b", [0.2], out_dir=tmp_path)
         assert not (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "sweep_report.txt").is_dir()
 
     def test_parallel_matches_sequential(self, fig2_path, tmp_path):
-        cfg = replace(load_scenario(fig2_path), t_end=60.0)
+        cfg = load_scenario(fig2_path)._replace(t_end=60.0)
         seq = sweep(cfg, "b", [0.15, 0.45], out_dir=tmp_path / "seq", n_jobs=1)
         par = sweep(cfg, "b", [0.15, 0.45], out_dir=tmp_path / "par", n_jobs=2)
         assert seq.rows == par.rows
@@ -385,7 +423,7 @@ class TestSweep:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        cfg = replace(load_scenario(fig2_path), t_end=30.0)
+        cfg = load_scenario(fig2_path)._replace(t_end=30.0)
         rep = sweep(cfg, "b", [0.15, 0.45], out_dir=tmp_path, n_jobs=10_000)
         assert built == [2]
         assert [r.status for r in rep.rows] == ["ok", "ok"]
@@ -465,6 +503,12 @@ def scenario_values(draw):
 @settings(deadline=None, max_examples=60)
 @given(values=scenario_values())
 def test_config_echo_round_trip(values):
+    hi = values["margin_range"][1] if values["margin_range"] != "auto" else 0.0
+    if values["kind"] == AFFINE and values["intercept"] - values["slope"] * hi <= 0:
+        # a margin range that reaches the capacity root is refused at load
+        with pytest.raises(ConfigError, match="reaches the capacity root"):
+            build_config(values, "drawn", "drawn")
+        return
     cfg = build_config(values, "drawn", "drawn")
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "first.scenario", Path(tmp) / "second.scenario"
@@ -473,7 +517,7 @@ def test_config_echo_round_trip(values):
         write_config_echo(loaded, second)
         echo, echo_again = first.read_text(), second.read_text()
     ignored = dict(name="", step_requested=0.0)
-    assert replace(loaded, **ignored) == replace(cfg, **ignored)
+    assert loaded._replace(**ignored) == cfg._replace(**ignored)
     assert "out_dir" not in echo
     # a fixed point, except that the reloaded step is no longer snapped
     unsnapped = "".join(
