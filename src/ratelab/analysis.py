@@ -9,7 +9,8 @@ price-flow difference quotient at every rate in a configured range:
 
 A positive minimum of LHS - RHS over the range certifies global asymptotic
 convergence regardless of the delays; the converse does not hold (the
-condition is sufficient only).
+condition is sufficient only).  Every margin comes from one loop,
+:func:`margin_kernel`, over a whole profile; a single margin is a batch of one.
 
 The margin check and the assumption registry are pure Python: ``check``
 never loads numpy.  :func:`lyapunov_values` and :func:`classify` read
@@ -26,6 +27,7 @@ from .errors import (
     CapacityExhaustedError,
     EquilibriumBracketError,
     HorizonError,
+    MarginOverflowError,
     ModelDomainError,
 )
 from .model import AFFINE, CapacityLaw, Equilibrium, ModelParams, capacity
@@ -233,8 +235,8 @@ def validate_assumptions(
     return violations
 
 
-def margin_kernel(p: ModelParams, law: CapacityLaw, eq: Equilibrium):
-    """The stability margin at one equilibrium, as ``margin(x)``.
+def margin_kernel(p: ModelParams, law: CapacityLaw, eq: Equilibrium, points) -> list[float]:
+    """The stability margin at one equilibrium, at every rate in ``points``.
 
     The margin is LHS - RHS of the certification inequality at rate x, with
     the capacity coupled to the rate, c = g(x).  Within EPS_BAND_REL*x_star
@@ -243,13 +245,14 @@ def margin_kernel(p: ModelParams, law: CapacityLaw, eq: Equilibrium):
 
         a*xs**-(a+1) - h*[(b+1)*xs**b*cs**-b - b*xs**(b+1)*cs**-(b+1)*g'(xs)]
 
-    The constants are bound once.  The equilibrium-only powers are computed
-    at the first point that reaches them outside the band and the band limit
-    at the first point inside it, each in the expression and association of
-    a point-by-point evaluation, so every value and error is the same.  The
-    checks run in order: x > 0, the band, the capacity (through
-    :func:`capacity` when g(x) is not positive), then the powers.  A power
-    beyond the float range raises ModelDomainError naming x.
+    A single margin is ``points = [x]``: one loop serves every caller.  The
+    equilibrium-only powers are computed at the first point that reaches
+    them outside the band and the band limit at the first point inside it,
+    each in the expression and association of a point-by-point evaluation,
+    so every value and error is the same.  The checks run in order: x > 0,
+    the band, the capacity (through :func:`capacity` when g(x) is not
+    positive), then the powers.  A power beyond the float range raises
+    MarginOverflowError naming x by ``repr``.
     """
     xs, cs = eq.x_star, eq.c_star
     a, b, h = p.a, p.b, p.h_gain
@@ -257,19 +260,22 @@ def margin_kernel(p: ModelParams, law: CapacityLaw, eq: Equilibrium):
     c0, slope_g = law.c0, law.slope
     band = EPS_BAND_REL * xs
     lhs_star = flow_star = limit = None
-
-    def margin(x: float) -> float:
-        nonlocal lhs_star, flow_star, limit
-        if not x > 0:
-            raise ModelDomainError(f"margin requires x > 0, got {x}")
-        try:
-            if abs(x - xs) < band:
+    margins = []
+    append = margins.append
+    try:
+        for x in points:
+            if not x > 0:
+                raise ModelDomainError(f"margin requires x > 0, got {x}")
+            # the same decision as abs(d) < band: band >= 0 and x is not NaN
+            d = x - xs
+            if -band < d < band:
                 if limit is None:
                     limit = a * xs ** -(a + 1.0) - h * (
                         (b + 1.0) * xs ** b * cs ** -b
                         - b * xs ** (b + 1.0) * cs ** -(b + 1.0) * law.derivative()
                     )
-                return limit
+                append(limit)
+                continue
             c = c0 - slope_g * x
             if not c > 0:
                 capacity(law, x)
@@ -277,15 +283,12 @@ def margin_kernel(p: ModelParams, law: CapacityLaw, eq: Equilibrium):
                 # one assignment: an overflow leaves both unset, so every
                 # later point raises as well
                 lhs_star, flow_star = xs ** neg_a, xs ** b_plus_1 * cs ** neg_b
-            lhs = (lhs_star - x ** neg_a) / (x - xs)
-            rhs = h * (x ** b_plus_1 * c ** neg_b - flow_star) / (x - xs)
-        except OverflowError as exc:
-            raise ModelDomainError(
-                f"margin at x = {x:.6g} exceeds the float range (a = {a}, b = {b})"
-            ) from exc
-        return lhs - rhs
-
-    return margin
+            append((lhs_star - x ** neg_a) / d - h * (x ** b_plus_1 * c ** neg_b - flow_star) / d)
+    except OverflowError as exc:
+        raise MarginOverflowError(
+            f"margin at x = {x!r} exceeds the float range (a = {a}, b = {b})"
+        ) from exc
+    return margins
 
 
 def check_stability(
@@ -300,7 +303,7 @@ def check_stability(
     eq = solve_equilibrium(p, law)
     violations = tuple(validate_assumptions(p, law, x_range, grid_n))
     profile_x = (*uniform_grid(x_range[0], x_range[1], grid_n), eq.x_star)
-    profile_margin = tuple(map(margin_kernel(p, law, eq), profile_x))
+    profile_margin = tuple(margin_kernel(p, law, eq, profile_x))
     # numpy.argmin's rule: the first NaN, else the first smallest margin
     if any(map(math.isnan, profile_margin)):
         i_min = next(i for i, m in enumerate(profile_margin) if math.isnan(m))

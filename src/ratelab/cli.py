@@ -18,6 +18,7 @@ from .errors import (
     ConfigError,
     EquilibriumBracketError,
     IntegrationDivergedError,
+    MarginOverflowError,
     RatelabError,
 )
 from .scenario import (
@@ -164,7 +165,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return EX_SOFTWARE
-    except (ConfigError, EquilibriumBracketError) as exc:
+    except (ConfigError, EquilibriumBracketError, MarginOverflowError) as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return EX_DATAERR
     except IntegrationDivergedError as exc:

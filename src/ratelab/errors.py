@@ -17,6 +17,10 @@ class CapacityExhaustedError(ModelDomainError):
     """The capacity law evaluated to a nonpositive capacity."""
 
 
+class MarginOverflowError(ModelDomainError):
+    """A margin term at a rate of the configured range exceeds the float range."""
+
+
 class HistoryRangeError(RatelabError, ValueError):
     """A time query fell outside the recorded span."""
 

@@ -6,7 +6,7 @@ bit for bit, in values and in error messages."""
 import numpy as np
 
 from ratelab.analysis import EPS_BAND_REL, HARD, WARNING, AssumptionViolation
-from ratelab.errors import ModelDomainError
+from ratelab.errors import MarginOverflowError, ModelDomainError
 from ratelab.model import (
     AFFINE,
     CapacityLaw,
@@ -59,8 +59,8 @@ def stability_margin(x: float, p: ModelParams, law: CapacityLaw, eq: Equilibrium
         lhs = (xs ** -a - x ** -a) / (x - xs)
         rhs = h * (x ** (b + 1.0) * c ** -b - xs ** (b + 1.0) * cs ** -b) / (x - xs)
     except OverflowError as exc:
-        raise ModelDomainError(
-            f"margin at x = {x:.6g} exceeds the float range (a = {a}, b = {b})"
+        raise MarginOverflowError(
+            f"margin at x = {x!r} exceeds the float range (a = {a}, b = {b})"
         ) from exc
     return lhs - rhs
 

@@ -151,7 +151,7 @@ class TestTheorem2Margin:
     def test_frozen_profile_values(self, b, x, expected):
         p = base_params(b)
         eq = solve_equilibrium(p, BASE_LAW)
-        assert margin_kernel(p, BASE_LAW, eq)(x) == pytest.approx(expected, rel=1e-10)
+        assert margin_kernel(p, BASE_LAW, eq, [x])[0] == pytest.approx(expected, rel=1e-10)
 
     def test_limit_at_equilibrium(self):
         p = base_params(0.2)
@@ -162,7 +162,7 @@ class TestTheorem2Margin:
         rhs = 1.2 * math.exp(0.2 * (math.log(xs) - math.log(cs))) + 0.2 * math.exp(
             1.2 * (math.log(xs) - math.log(cs))
         )
-        assert margin_kernel(p, BASE_LAW, eq)(xs) == pytest.approx(lhs - rhs, rel=1e-12)
+        assert margin_kernel(p, BASE_LAW, eq, [xs])[0] == pytest.approx(lhs - rhs, rel=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.3, 1.0, 2.5])
     @pytest.mark.parametrize("b", [0.2, 0.3807, 0.8, 1.2251, 2.0])
@@ -176,14 +176,14 @@ class TestTheorem2Margin:
         big_a = kappa * p.a * xs ** (-p.a - 1.0)
         big_b = kappa * h * (b + 1.0) * xs ** b * cs ** -b
         big_c = kappa * h * b * m * xs ** (b + 1.0) * cs ** (-b - 1.0)
-        margin = margin_kernel(p, BASE_LAW, eq)(xs)
+        margin = margin_kernel(p, BASE_LAW, eq, [xs])[0]
         scale = max(abs(big_a), abs(big_b), abs(big_c))
         assert abs(kappa * margin - (big_a - big_b - big_c)) <= 1e-14 * scale
 
     def test_steep_exponent_negative_at_equilibrium(self):
         p = base_params(0.8)
         eq = solve_equilibrium(p, BASE_LAW)
-        assert margin_kernel(p, BASE_LAW, eq)(eq.x_star) == pytest.approx(
+        assert margin_kernel(p, BASE_LAW, eq, [eq.x_star])[0] == pytest.approx(
             -0.275028630259744, rel=1e-10
         )
 
@@ -191,23 +191,23 @@ class TestTheorem2Margin:
         p = base_params(0.2)
         eq = solve_equilibrium(p, BASE_LAW)
         eps = 1e-6 * eq.x_star
-        limit = margin_kernel(p, BASE_LAW, eq)(eq.x_star)
+        limit = margin_kernel(p, BASE_LAW, eq, [eq.x_star])[0]
         for side in (-1.0, 1.0):
-            near = margin_kernel(p, BASE_LAW, eq)(eq.x_star + side * 2 * eps)
+            near = margin_kernel(p, BASE_LAW, eq, [eq.x_star + side * 2 * eps])[0]
             assert near == pytest.approx(limit, rel=1e-3)
 
     def test_domain_errors(self):
         p = base_params(0.2)
         eq = solve_equilibrium(p, BASE_LAW)
         with pytest.raises(ModelDomainError):
-            margin_kernel(p, BASE_LAW, eq)(-1.0)
+            margin_kernel(p, BASE_LAW, eq, [-1.0])[0]
         with pytest.raises(CapacityExhaustedError):
-            margin_kernel(p, BASE_LAW, eq)(5.0)
+            margin_kernel(p, BASE_LAW, eq, [5.0])[0]
         # 0.5 ** -1e12 is beyond the float range
         p_steep = base_params(0.2, a=1e12)
         eq_steep = solve_equilibrium(p_steep, BASE_LAW)
         with pytest.raises(ModelDomainError, match="float range"):
-            margin_kernel(p_steep, BASE_LAW, eq_steep)(0.5)
+            margin_kernel(p_steep, BASE_LAW, eq_steep, [0.5])[0]
 
 
 class TestCheckTheorem2:
@@ -349,9 +349,21 @@ def test_margin_kernel_matches_point_by_point_oracle(inputs):
         assert report.min_margin.hex() == float(margins[i]).hex()
         assert report.min_margin_x.hex() == float(grid[i]).hex()
         assert report.verdict == (CERTIFIED if margins[i] > 0 and not hard else NOT_CERTIFIED)
-    for x in (f * eq.x_star for f in factors):
-        assert _outcome(lambda: [margin_kernel(p, law, eq)(x)]) == \
-            _outcome(lambda: [reference_margin(x, p, law, eq)])
+    points = [f * eq.x_star for f in factors]
+    values, first_error = [], None
+    for x in points:
+        single = _outcome(lambda: [reference_margin(x, p, law, eq)])
+        assert _outcome(lambda: [margin_kernel(p, law, eq, [x])[0]]) == single
+        if first_error is None:
+            if isinstance(single, tuple):
+                first_error = single
+            else:
+                values += single
+    # one batch reads as the points one by one: their values up to the first
+    # error, which the whole batch raises
+    assert _outcome(lambda: margin_kernel(p, law, eq, points[:len(values)])) == values
+    if first_error is not None:
+        assert _outcome(lambda: margin_kernel(p, law, eq, points)) == first_error
 
 
 _ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)

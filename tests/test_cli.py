@@ -410,6 +410,21 @@ def test_margin_range_at_capacity_root_is_config_error(fig2_path, tmp_path, comm
     assert not (tmp_path / "o").exists()
 
 
+def test_margin_overflow_is_config_error(fig2_path, tmp_path):
+    # b = 50: c**-b overflows at the range's top, where g(x) = 1e-7; the
+    # message names x by repr, since .6g would print 4.9999999 as 5
+    path = tmp_path / "b50.scenario"
+    text = fig2_path.read_text().replace("\nb = 0.2\n", "\nb = 50\n")
+    path.write_text(text.replace("margin_range = auto", "margin_range = 1 4.9999999"),
+                    encoding="utf-8")
+    proc = run_cli("check", path)
+    assert proc.returncode == 65
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(
+        "error[config]: margin at x = 4.9999999 exceeds the float range (a = 1.5, b = 50.0)"
+    )
+
+
 # Two fig2 variants where RK4 at step 0.01 fails while the rate falls
 # towards the stiff zone; the message explains, the exit code and t_fail stay
 STIFF_CASES = {
