@@ -16,7 +16,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from ratelab import CERTIFIED, load_scenario, sweep  # noqa: E402
 from ratelab.analysis import check_stability  # noqa: E402
-from ratelab.scenario import apply_param, auto_margin_range  # noqa: E402
+from ratelab.scenario import apply_param  # noqa: E402
 
 
 def certified_at(cfg, b: float, x_range) -> bool:
@@ -73,8 +73,7 @@ def main() -> int:
     lo, hi = rep.certified_boundary
     from ratelab.scenario import _execute
 
-    base_run = _execute(cfg)
-    x_range = auto_margin_range(cfg, base_run.trajectory, base_run.report.equilibrium.x_star)
+    x_range = _execute(cfg).report.x_range  # the padded envelope: fig2 has margin_range = auto
     while hi - lo > args.tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

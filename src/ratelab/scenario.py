@@ -11,7 +11,6 @@ import configparser
 import math
 import os
 from contextlib import suppress
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -117,24 +116,20 @@ class ScenarioConfig(NamedTuple):
     name: str
 
 
-class _RunFields(NamedTuple):
+class RunResult(NamedTuple):
+    """One run's results; :func:`run_scenario` returns it with ``paths`` set."""
+
     config: ScenarioConfig
     trajectory: Trajectory
     report: StabilityReport
     classification: Classification
-    paths: dict
+    paths: dict | None = None
 
-
-class RunResult(_RunFields):
-    """One run's results: fields as immutable as a NamedTuple's, ``paths``
-    filled in place once the outputs are written, and an instance dict
-    (no ``__slots__``) where ``lyapunov`` is cached."""
-
-    @cached_property
+    @property
     def lyapunov(self) -> tuple:
         """(t, V) energy samples at whole seconds from the longest delay on.
 
-        Computed on first use: sweeps report no V and never pay for it.
+        Computed on each access: sweeps report no V and never pay for it.
         """
         p, traj = self.config.params, self.trajectory
         t_first = math.ceil(p.max_delay - 1e-9)
@@ -165,7 +160,7 @@ class SweepReport(NamedTuple):
     smallest_oscillating: float | None
     certified_boundary: tuple[float, float] | None
     monotone_consistent: bool | None
-    paths: dict
+    paths: dict | None = None
 
 
 def snap_step(step: float, tau: float, t_delay: float) -> float:
@@ -261,10 +256,9 @@ def build_config(values: dict, where: str, name: str = "scenario") -> ScenarioCo
             f"reaches the capacity root: g({margin_range[1]}) = {law.value(margin_range[1])} <= 0"
         )
     grid_n = int(v["grid_n"])
-    if not 16 <= grid_n <= MAX_STEPS:
-        raise ConfigError(
-            f"{where}: [analysis] grid_n must be in [16, {MAX_STEPS}], got {grid_n}"
-        )
+    if not (grid_n == v["grid_n"] and 16 <= grid_n <= MAX_STEPS):
+        raise ConfigError(f"{where}: [analysis] grid_n must be a whole number in "
+                          f"[16, {MAX_STEPS}], got {v['grid_n']!r}")
     if not (v["tol_conv"] > 0 and v["tol_osc"] > 0):
         raise ConfigError(f"{where}: [analysis] tolerances must be positive")
     if not 0 < v["tail_fraction"] <= 0.5:
@@ -304,8 +298,8 @@ def load_scenario(path) -> ScenarioConfig:
         inline_comment_prefixes=("#",), strict=True, interpolation=None
     )
     try:
-        with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh, source=str(path))
+        with open(path, encoding="utf-8") as fh:  # a leading byte-order mark is dropped
+            cp.read_string(fh.read().removeprefix("\ufeff"), source=str(path))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: parse error: {exc}") from exc
 
@@ -378,7 +372,7 @@ def _execute(cfg: ScenarioConfig) -> RunResult:
     x_range = cfg.margin_range or auto_margin_range(cfg, traj, eq.x_star)
     report = check_stability(cfg.params, cfg.law, x_range, cfg.grid_n)
     cls = classify(traj, eq, cfg.tol_conv, cfg.tol_osc, cfg.tail_fraction)
-    return RunResult(cfg, traj, report, cls, paths={})
+    return RunResult(cfg, traj, report, cls)
 
 
 def _fmt(v: float) -> str:
@@ -532,9 +526,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
         ),
         "config_echo.scenario": lambda path: write_config_echo(cfg, path),
     }
-    # filled in place: a copy would drop the cached energy samples
-    res.paths.update(write_outputs(out_dir or os.path.join("out", cfg.name), files))
-    return res
+    return res._replace(paths=write_outputs(out_dir or os.path.join("out", cfg.name), files))
 
 
 def _sweep_one(args) -> SweepRow:
@@ -611,11 +603,10 @@ def sweep(
         monotone = flags == sorted(flags, reverse=True)
 
     rep = SweepReport(param_name, rows, largest_certified, smallest_oscillating,
-                      boundary, monotone, paths={})
+                      boundary, monotone)
     csv_text = "".join(",".join(map(_cell, r)) + "\n" for r in (SweepRow._fields, *rows))
-    rep.paths.update(write_outputs(out, {"sweep.csv": csv_text,
-                                         "sweep_report.txt": format_sweep_summary(rep)}))
-    return rep
+    return rep._replace(paths=write_outputs(out, {"sweep.csv": csv_text,
+                                                  "sweep_report.txt": format_sweep_summary(rep)}))
 
 
 def format_sweep_summary(rep: SweepReport) -> str:

@@ -29,6 +29,10 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return [float(v) for v in np.arange(first, hi + 0.5 * step, step)]
 
 
+def _text(s: str) -> str:  # as SVG character data
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def line_plot_svg(
     path,
     x: np.ndarray,
@@ -77,7 +81,7 @@ def line_plot_svg(
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="monospace" font-size="15">{title}</text>'
+            f'font-family="monospace" font-size="15">{_text(title)}</text>'
         )
     for tv in _ticks(x_lo, x_hi):
         px = sx(tv)
@@ -100,12 +104,12 @@ def line_plot_svg(
     if xlabel:
         parts.append(
             f'<text x="{_ML + px_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-            f"{font}>{xlabel}</text>"
+            f"{font}>{_text(xlabel)}</text>"
         )
     if ylabel:
         parts.append(
             f'<text x="18" y="{_MT + px_h / 2:.1f}" text-anchor="middle" {font} '
-            f'transform="rotate(-90 18 {_MT + px_h / 2:.1f})">{ylabel}</text>'
+            f'transform="rotate(-90 18 {_MT + px_h / 2:.1f})">{_text(ylabel)}</text>'
         )
     for i, (label, v) in enumerate(ys):
         color = _COLORS[i % len(_COLORS)]
@@ -122,7 +126,7 @@ def line_plot_svg(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 26}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{lx + 32}" y="{ly}" {font}>{label}</text>')
+        parts.append(f'<text x="{lx + 32}" y="{ly}" {font}>{_text(label)}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

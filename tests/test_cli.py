@@ -245,6 +245,17 @@ def test_grid_n_ceiling_exits_65(fig2_path, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_fractional_grid_n_exits_65(fig2_path, tmp_path):
+    path = tmp_path / "fractional_grid.scenario"
+    text = fig2_path.read_text().replace("grid_n = 256", "grid_n = 100.5")
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli("check", path)
+    assert proc.returncode == 65
+    assert "error[config]" in proc.stderr
+    assert "got 100.5" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sweep_non_numeric_values_is_usage_error(fig2_path, tmp_path):
     out = tmp_path / "o"
     proc = run_cli("sweep", fig2_path, "--param", "b", "--values", "abc", "--out", out)
@@ -271,6 +282,14 @@ def test_non_utf8_scenario_is_config_error(fig2_path, tmp_path):
     proc = run_cli("check", path)
     assert proc.returncode == 65
     assert "parse error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_byte_order_mark_checks_like_fig2(fig2_path, tmp_path):
+    path = tmp_path / "bom.scenario"
+    path.write_bytes(b"\xef\xbb\xbf" + fig2_path.read_bytes())
+    proc = run_cli("check", path)
+    assert proc.returncode == 13
     assert "Traceback" not in proc.stderr
 
 
@@ -584,6 +603,8 @@ def scenario_texts(draw):
 @given(text=scenario_texts())
 @example(text="\n".join(FIG2_LINES).replace("grid_n = 256", "grid_n = 1e12"))
 @example(text="\n".join(FIG2_LINES).replace("a = 1.5", "a = 1e12"))
+@example(text="\n".join(FIG2_LINES).replace("grid_n = 256", "grid_n = 100.5"))
+@example(text="\ufeff" + "\n".join(FIG2_LINES))
 def test_fuzzed_scenario_text_checks_with_documented_code(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.scenario"

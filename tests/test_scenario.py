@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import pickle
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from ratelab.model import AFFINE, CONSTANT, CapacityLaw, ModelParams
 from ratelab.scenario import (
     EXIT_CODES,
     FIELDS,
+    RunResult,
     ScenarioConfig,
     apply_param,
     auto_margin_range,
@@ -34,6 +36,7 @@ from ratelab.scenario import (
     write_config_echo,
     _execute,
 )
+from ratelab.svgplot import line_plot_svg
 from conftest import BASE_LAW, base_params, synthetic_trajectory
 
 MINIMAL = """\
@@ -147,6 +150,20 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="grid_n"):
             load_scenario(write_scenario(tmp_path, text))
 
+    def test_fractional_grid_n_refused(self, tmp_path):
+        text = MINIMAL + "\n[analysis]\ngrid_n = 100.5\n"
+        with pytest.raises(ConfigError, match=r"grid_n must be a whole number .*got 100\.5$"):
+            load_scenario(write_scenario(tmp_path, text))
+        whole = MINIMAL + "\n[analysis]\ngrid_n = 2.56e2\n"
+        assert load_scenario(write_scenario(tmp_path, whole)).grid_n == 256
+
+    def test_leading_byte_order_mark_dropped(self, fig2_path, tmp_path):
+        path = tmp_path / "bom.scenario"
+        path.write_bytes(b"\xef\xbb\xbf" + fig2_path.read_bytes())
+        cfg = load_scenario(path)
+        assert cfg.name == "bom"
+        assert cfg._replace(name="fig2") == load_scenario(fig2_path)
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize(
         "section, key",
@@ -226,6 +243,17 @@ class TestRunScenario:
         assert "classification: Converged" in report
         assert Path(res.paths["plot"]).read_text().startswith("<svg")
 
+    def test_plot_is_well_formed_for_markup_in_names(self, fig2_path, tmp_path):
+        path = tmp_path / "R&D<1>.scenario"
+        path.write_bytes(fig2_path.read_bytes())
+        res = run_scenario(load_scenario(path)._replace(t_end=30.0), tmp_path / "o")
+        texts = [e.text for e in ET.parse(res.paths["plot"]).iter()]
+        assert "R&D<1>: rate and capacity" in texts
+        line_plot_svg(tmp_path / "labels.svg", [0.0, 1.0], [("x & <y>", [1.0, 2.0])],
+                      title="a<b", xlabel="t & s", ylabel="y > 0")
+        texts = [e.text for e in ET.parse(tmp_path / "labels.svg").iter()]
+        assert {"a<b", "t & s", "y > 0", "x & <y>"} <= set(texts)
+
     def test_round_trip_reproduces_trajectory_bytes(self, fig2_path, tmp_path):
         cfg = load_scenario(fig2_path)._replace(t_end=50.0)
         first = run_scenario(cfg, out_dir=tmp_path / "a")
@@ -286,10 +314,23 @@ class TestRecords:
                     setattr(record, name, 0.5)
                 assert getattr(record, name) is before
 
-    def test_run_result_caches_lyapunov_and_fills_paths(self, fig2_path, tmp_path):
-        res = run_scenario(load_scenario(fig2_path)._replace(t_end=30.0), tmp_path)
-        assert res.lyapunov is res.lyapunov
-        assert Path(res.paths["lyapunov"]).is_file()
+    def test_results_are_plain_records_returned_with_paths(self, fig2_path, tmp_path):
+        cfg = load_scenario(fig2_path)._replace(t_end=30.0)
+        bare = _execute(cfg)
+        assert RunResult.__bases__ == (tuple,)
+        assert not hasattr(bare, "__dict__")
+        assert bare.paths is None
+        res = run_scenario(cfg, tmp_path / "run")
+        assert (res.config, res.report, res.classification) == (
+            bare.config, bare.report, bare.classification)
+        for name in ("t", "x", "c", "dxdt"):
+            assert np.array_equal(getattr(res.trajectory, name), getattr(bare.trajectory, name))
+        rows = Path(res.paths["lyapunov"]).read_text().splitlines()[1:]
+        assert rows == ["%.17g,%.17g" % tv for tv in res.lyapunov]
+        rep = sweep(cfg, "b", [0.2], out_dir=tmp_path / "sweep")
+        assert not hasattr(rep, "__dict__")
+        assert rep.paths["sweep"] == str(tmp_path / "sweep" / "sweep.csv")
+        assert Path(rep.paths["sweep"]).is_file()
 
     def test_config_survives_pickle(self, fig2_path):
         cfg = load_scenario(fig2_path)
