@@ -5,9 +5,9 @@ Subcommands:
   check  analysis only (equilibrium, assumptions, stability margin)
   sweep  repeat the pipeline over a list of values for one parameter
 
-Exit codes: 0 Converged, 10 Oscillating, 11 Saturated, 12 Undetermined;
-``check`` exits 0 when certified and 13 when not; errors use 64+
-(64 usage, 65 invalid config/data, 66 missing input, 70 runtime or I/O failure).
+Exit codes: 0 Converged, 10 Oscillating, 11 Saturated, 12 Undetermined; ``check``
+exits 0 when certified, 13 when not; ``sweep`` exits 70 if any row is an error, even a
+data error; errors: 64 usage, 65 invalid config/data, 66 missing input, 70 runtime or I/O.
 """
 
 import argparse

@@ -22,7 +22,7 @@ from .errors import (
     IntegrationDivergedError,
     ModelDomainError,
 )
-from .model import CapacityLaw, ModelParams, stage_kernels
+from .model import CapacityLaw, ModelParams, capacity, stage_kernels
 
 # Exact-hit snap tolerance for time queries, as a fraction of the step.
 GRID_SNAP = 1e-12
@@ -140,7 +140,8 @@ def integrate(
     delayed arguments come from the growing history: grid-aligned delays are
     read exactly, half-grid stage times through the cubic Hermite midpoint
     of the enclosing interval.  The accepted state is projected into
-    [x_min, x_max] and recorded with its projected derivative.  t_end is
+    [x_min, x_max] and recorded with its projected derivative; a recorded
+    rate with g(x) <= 0 fails the run at the step that records it.  t_end is
     rounded to the nearest whole number of steps; the trajectory reports the
     grid-aligned horizon actually covered.
 
@@ -193,6 +194,13 @@ def integrate(
     kappa, neg_a, x_min, x_max = params.kappa, -params.a, params.x_min, params.x_max
     h, b_plus_1, neg_b = params.h_gain, params.b + 1.0, -params.b
     c0, slope_g = law.c0, law.slope
+    # x_hi is the least float with g(x) <= 0, capped at x_max.  g is monotone
+    # in floating point, so x < x_hi exactly when x < x_max and g(x) > 0.
+    x_hi = min(x_max, c0 / slope_g) if slope_g else x_max
+    while x_hi < x_max and law.value(x_hi) > 0:
+        x_hi = math.nextafter(x_hi, x_max)
+    while law.value(math.nextafter(x_hi, 0.0)) <= 0:
+        x_hi = math.nextafter(x_hi, 0.0)
     flow, slope = stage_kernels(params, law)
     half = 0.5 * step
     sixth = step / 6.0
@@ -257,15 +265,13 @@ def integrate(
                 f = flow(x_stage, xd_tau4, xd_t4)
                 k4 = slope(x_stage, f)
             x_next = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            if x_min < x_next < x_max:
+            if x_min < x_next < x_hi:
                 k_next = kappa * (x_next ** neg_a - f)
             else:
                 if not math.isfinite(x_next):
                     raise _diverged(None, t0 + j * step + step, params, step, min(xs), x_half)
-                if x_next > x_max:
-                    x_next = x_max
-                elif x_next < x_min:
-                    x_next = x_min
+                x_next = min(max(x_next, x_min), x_max)
+                capacity(law, x_next)
                 k_next = slope(x_next, f)
         except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
             raise _diverged(exc, t0 + j * step + step, params, step, min(xs), x_half) from exc
@@ -280,10 +286,4 @@ def integrate(
     x_arr = np.array(xs[i0:], dtype=float)
     d_arr = np.array(ds, dtype=float)
     c_arr = law.value(x_arr)
-    if not np.all(c_arr > 0):
-        i_bad = int(np.argmax(c_arr <= 0))
-        raise IntegrationDivergedError(
-            f"capacity nonpositive at t = {t_arr[i_bad]:.6g} (x = {x_arr[i_bad]:.6g})",
-            float(t_arr[i_bad]),
-        )
     return Trajectory(step, float(t_arr[-1]), t_arr, x_arr, c_arr, d_arr, params, law)

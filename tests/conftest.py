@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +12,17 @@ from ratelab.scenario import _execute
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
+SRC = REPO / "src"
 
 BASE_LAW = CapacityLaw(AFFINE, 5.0, 1.0)
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
+    return subprocess.run(
+        [sys.executable, "-m", "ratelab.cli", *map(str, argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=False,
+    )
 
 
 def base_params(b: float, **overrides) -> ModelParams:

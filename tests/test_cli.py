@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from ratelab import scenario
 from ratelab.cli import main
-from conftest import SCENARIOS
+from conftest import SCENARIOS, SRC, run_cli
 
 DOCUMENTED_EXIT_CODES = {0, 10, 11, 12, 13, 64, 65, 66, 70}
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 # fig2 started at init_x = 4.5, near the capacity root x = 5: a file, so the
 # argv fuzzer can name it in an example; removed when the session exits
@@ -26,14 +25,6 @@ FIG2_INIT_4_5.write_text(
     (SCENARIOS / "fig2.scenario").read_text().replace("init_x = 1.0", "init_x = 4.5"),
     encoding="utf-8",
 )
-
-
-def run_cli(*argv):
-    """The CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
-    return subprocess.run(
-        [sys.executable, "-m", "ratelab.cli", *map(str, argv)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=False,
-    )
 
 
 def test_run_subcommand(fig2_path, tmp_path, capsys):
@@ -444,18 +435,25 @@ def test_margin_overflow_is_config_error(fig2_path, tmp_path):
     )
 
 
-# Two fig2 variants where RK4 at step 0.01 fails while the rate falls
-# towards the stiff zone; the message explains, the exit code and t_fail stay
+# fig2 variants where fixed-step RK4 fails while the rate falls towards the
+# stiff zone; the message explains, the exit code stays.  Two cases record a
+# rate past the capacity root 5 (x = 96.98 at t = 0.1, x = 36.73 at t = 0.6):
+# the run fails at that step, not when a later stage or delayed read meets it.
 STIFF_CASES = {
     "kappa5-b0.8-init3.9": ({"kappa = 1.0": "kappa = 5.0", "b = 0.2": "b = 0.8",
-                             "init_x = 1.0": "init_x = 3.9"}, "1.92", 0.18053),
-    "b0.9-init4.5": ({"b = 0.2": "b = 0.9", "init_x = 1.0": "init_x = 4.5"}, "0.15", 0.0728826),
+                             "init_x = 1.0": "init_x = 3.9"},
+                            "0.1", "capacity law returned c = -91.98", 0.182237),
+    "b0.9-init4.5": ({"b = 0.2": "b = 0.9", "init_x = 1.0": "init_x = 4.5"},
+                     "0.15", "rhs requires x_now > 0", 0.0728826),
+    "tau60-T10-init4.9-step0.05": ({"tau = 3.0": "tau = 60.0", "T = 2.0": "T = 10.0",
+                                    "init_x = 1.0": "init_x = 4.9", "step = 0.01": "step = 0.05"},
+                                   "0.6", "capacity law returned c = -31.73", 0.181446),
 }
 
 
 @pytest.mark.parametrize("case", sorted(STIFF_CASES))
 def test_rk4_stiffness_failure_names_the_step_bound(fig2_path, tmp_path, case):
-    edits, t_fail, x_low = STIFF_CASES[case]
+    edits, t_fail, cause, x_low = STIFF_CASES[case]
     text = fig2_path.read_text()
     for old, new in edits.items():
         text = text.replace(f"\n{old}\n", f"\n{new}\n")
@@ -465,12 +463,12 @@ def test_rk4_stiffness_failure_names_the_step_bound(fig2_path, tmp_path, case):
     assert proc.returncode == 70
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(
-        f"error[diverged]: integration left the model domain at t = {t_fail}: "
-        f"rhs requires x_now > 0"
+        f"error[diverged]: integration left the model domain at t = {t_fail}: {cause}"
     )
-    kappa = 5.0 if "kappa5" in case else 1.0
-    x_bound = (kappa * 1.5 * 0.01 / 2.785) ** (1 / 2.5)
-    h_max = 2.785 * x_low ** 2.5 / (kappa * 1.5)
+    cfg = scenario.load_scenario(path)
+    kappa, a = cfg.params.kappa, cfg.params.a
+    x_bound = (kappa * a * cfg.step / 2.785) ** (1 / (a + 1))
+    h_max = 2.785 * x_low ** (a + 1) / (kappa * a)
     assert x_low < x_bound
     assert f"; rate {x_low:.6g} is below the RK4 stiffness bound " in proc.stderr
     assert f"(kappa*a*step/2.785)**(1/(a+1)) = {x_bound:.6g}" in proc.stderr

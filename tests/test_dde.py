@@ -59,9 +59,11 @@ def reference_integrate(params, law, init_x, t_end, step):
         d0 = d0_dyn if j == i0 else ds[j]
         return 0.5 * (xs[j] + xs[j + 1]) + 0.125 * step * (d0 - ds[j + 1])
 
-    def stage(jh, x_now, t_now):
+    def stage(jh, x_now, t_now, recorded=False):
         xd_tau, xd_t = x_at_half(jh - 2 * k_tau), x_at_half(jh - 2 * k_t)
         try:
+            if recorded:  # a recorded rate must have positive capacity
+                capacity(law, x_now)
             d = rhs(x_now, xd_tau, capacity(law, xd_t), params)
         except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
             raise IntegrationDivergedError(
@@ -87,7 +89,7 @@ def reference_integrate(params, law, init_x, t_end, step):
                     f"state became non-finite at t = {t + step:.6g}", t + step
                 )
             xs[i + 1] = min(max(x_next, params.x_min), params.x_max)
-            ds[i + 1] = stage(jh + 2, xs[i + 1], t + step)
+            ds[i + 1] = stage(jh + 2, xs[i + 1], t + step, recorded=True)
     except IntegrationDivergedError as err:
         raise with_stiffness_hint(err, [*xs[:i + 1], x_half], params, step) from err.__cause__
     d_arr = np.array(ds[i0:])
@@ -246,7 +248,7 @@ def loop_inputs(draw):
                 x_min=3.9e-09, x_max=1.5e-07),
     CapacityLaw(CONSTANT, 0.0001), 1.1e-07, 1.0, HYP_STEP,
 ))
-@example(inputs=(  # the last recorded rate lies past the capacity root 83.9/36
+@example(inputs=(  # a recorded rate lies past the capacity root 83.9/36
     ModelParams(kappa=10.0, a=3.2, b=16.0, tau=0.4, T_delay=0.4, h_gain=520.0,
                 x_min=0.074, x_max=5.3),
     CapacityLaw(AFFINE, 83.9, 36.0), 2.1, 0.3, HYP_STEP,
@@ -279,14 +281,6 @@ def test_loop_matches_reference_on_random_inputs(inputs):
         assert got.value.t_fail == ref.t_fail
         assert type(got.value.__cause__) is type(ref.__cause__)
         return
-    law, step = inputs[1], inputs[4]
-    bad = np.flatnonzero(law.value(x_ref) <= 0)
-    if bad.size:
-        # the loop reads capacities k_t steps late; integrate checks the rest after it
-        with pytest.raises(IntegrationDivergedError, match="capacity nonpositive") as got:
-            integrate(*inputs)
-        assert got.value.t_fail == step * bad[0]
-        return
     traj = integrate(*inputs)
     assert np.array_equal(traj.x, x_ref)
     assert np.array_equal(traj.dxdt, d_ref)
@@ -294,6 +288,7 @@ def test_loop_matches_reference_on_random_inputs(inputs):
     params = inputs[0]
     assert params.x_min <= traj.x.min()
     assert traj.x.max() <= params.x_max
+    assert np.all(traj.c > 0)
 
 
 class TestIntegrate:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratelab import (
@@ -18,6 +18,7 @@ from ratelab import (
     UNDETERMINED,
     ConfigError,
     IntegrationDivergedError,
+    RatelabError,
     load_scenario,
     run_scenario,
     snap_step,
@@ -37,7 +38,7 @@ from ratelab.scenario import (
     _execute,
 )
 from ratelab.svgplot import line_plot_svg
-from conftest import BASE_LAW, base_params, synthetic_trajectory
+from conftest import BASE_LAW, base_params, run_cli, synthetic_trajectory
 
 MINIMAL = """\
 [model]
@@ -246,8 +247,10 @@ class TestRunScenario:
     def test_plot_is_well_formed_for_markup_in_names(self, fig2_path, tmp_path):
         path = tmp_path / "R&D<1>.scenario"
         path.write_bytes(fig2_path.read_bytes())
-        res = run_scenario(load_scenario(path)._replace(t_end=30.0), tmp_path / "o")
-        texts = [e.text for e in ET.parse(res.paths["plot"]).iter()]
+        proc = run_cli("run", path, "--t-end", "30", "--out", tmp_path / "o")
+        assert proc.returncode == 12
+        assert "Traceback" not in proc.stderr
+        texts = [e.text for e in ET.parse(tmp_path / "o" / "plot.svg").iter()]
         assert "R&D<1>: rate and capacity" in texts
         line_plot_svg(tmp_path / "labels.svg", [0.0, 1.0], [("x & <y>", [1.0, 2.0])],
                       title="a<b", xlabel="t & s", ylabel="y > 0")
@@ -438,12 +441,19 @@ class TestSweep:
             sweep(cfg, "b", [0.2], out_dir=tmp_path)
         assert not (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "sweep_report.txt").is_dir()
+        proc = run_cli("sweep", fig2_path, "--param", "b", "--values", "0.2",
+                       "--t-end", "30", "--out", tmp_path)
+        assert proc.returncode == 70
+        assert "error[io]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_parallel_matches_sequential(self, fig2_path, tmp_path):
         cfg = load_scenario(fig2_path)._replace(t_end=60.0)
         seq = sweep(cfg, "b", [0.15, 0.45], out_dir=tmp_path / "seq", n_jobs=1)
         par = sweep(cfg, "b", [0.15, 0.45], out_dir=tmp_path / "par", n_jobs=2)
         assert seq.rows == par.rows
+        assert Path(seq.paths["sweep"]).read_bytes() == Path(par.paths["sweep"]).read_bytes()
 
     def test_pool_never_outnumbers_values(self, fig2_path, tmp_path, monkeypatch):
         # fork starts every worker at the first submit; a fake pool records
@@ -568,3 +578,61 @@ def test_config_echo_round_trip(values):
     assert echo_again == unsnapped
     if cfg.step == cfg.step_requested:
         assert echo_again == echo
+
+
+@st.composite
+def rescaled_runs(draw):
+    """A drawn model on a coarse grid with a horizon of at most 5000 steps,
+    and a time scale s = 2**k for k in [-2, 2]."""
+    step = draw(st.sampled_from([0.02, 0.025, 0.05, 0.1]))
+    k_t = draw(st.integers(1, 60))
+    values = {
+        "kappa": 10.0 ** draw(st.floats(-0.5, 1.0)),
+        "a": draw(st.floats(0.5, 3.0)),
+        "b": draw(st.floats(0.05, 2.0)),
+        "h": draw(st.floats(0.5, 2.0)),
+        "tau": draw(st.integers(k_t, 120)) * step,
+        "T": k_t * step,
+        "kind": draw(st.sampled_from([AFFINE, CONSTANT])),
+        "intercept": draw(st.floats(3.0, 10.0)),
+        "slope": draw(st.floats(0.1, 2.0)),
+        "level": draw(st.floats(1.0, 10.0)),
+        "init_x": draw(st.floats(0.2, 1.5)),
+        "step": step,
+        "t_end": draw(st.integers(1000, 5000)) * step,
+    }
+    return values, 2.0 ** draw(st.integers(-2, 2))
+
+
+def _outcome(values):
+    try:
+        return _execute(build_config(values, "drawn", "drawn"))
+    except RatelabError as exc:
+        return exc
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=rescaled_runs())
+@example(case=(dict(kappa=1.0, a=1.5, b=0.8, tau=3.0, T=2.0, kind=AFFINE, intercept=5.0,
+                    slope=1.0, init_x=1.0, step=0.05, t_end=200.0), 0.5))  # fig1 at step 0.05
+def test_time_rescaling_is_exact(case):
+    # (kappa, tau, T, step, t_end) -> (s*kappa, tau/s, T/s, step/s, t_end/s)
+    # is a symmetry of the model; with s a power of two every product the
+    # loop forms is the base product times s or 1/s, so it holds bit for bit
+    values, s = case
+    scaled = {**values, "kappa": s * values["kappa"], "tau": values["tau"] / s,
+              "T": values["T"] / s, "step": values["step"] / s, "t_end": values["t_end"] / s}
+    base, other = _outcome(values), _outcome(scaled)
+    assert type(other) is type(base)
+    if isinstance(base, RatelabError):
+        t_fail = getattr(base, "t_fail", None)
+        assert getattr(other, "t_fail", None) == (None if t_fail is None else t_fail / s)
+        return
+    assert other.config.step == base.config.step / s
+    assert np.array_equal(other.trajectory.x, base.trajectory.x)
+    assert other.report.profile_margin == base.report.profile_margin
+    assert other.report.min_margin == base.report.min_margin
+    assert other.report.verdict == base.report.verdict
+    assert other.classification.kind == base.classification.kind
+    settling = base.classification.settling_time
+    assert other.classification.settling_time == (None if settling is None else settling / s)
