@@ -24,12 +24,14 @@ def certified_at(cfg, b: float, x_range) -> bool:
     return check_stability(cfg_b.params, cfg_b.law, x_range, cfg.grid_n).verdict == CERTIFIED
 
 
-def point_count(text: str) -> int:
-    """A --n argument: a whole number of at least 2 (the sweep spans lo to hi)."""
-    n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
-    return n
+def at_least(minimum: int):
+    """An argument type: a whole number of at least ``minimum``."""
+    def whole_number(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+    return whole_number
 
 
 def bisection_width(text: str) -> float:
@@ -47,11 +49,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--lo", type=float, default=0.05)
     parser.add_argument("--hi", type=float, default=1.0)
-    parser.add_argument("--n", type=point_count, default=20, help="sweep points (at least 2)")
+    parser.add_argument("--n", type=at_least(2), default=20,
+                        help="sweep points (at least 2: the sweep spans lo to hi)")
     parser.add_argument("--tol", type=bisection_width, default=1e-4,
                         help="boundary bisection width (positive)")
     parser.add_argument("--out", default="out/boundary", help="sweep output directory")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=at_least(1), default=1, help="parallel workers")
     args = parser.parse_args()
 
     cfg = load_scenario(REPO / "scenarios" / "fig2.scenario")

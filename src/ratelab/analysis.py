@@ -1,5 +1,5 @@
-"""Equilibrium, model-assumption validation, the delay-independent stability
-margin, an energy-functional monitor, and trajectory classification.
+"""Equilibrium, the delay-independent stability margin with its capacity
+assumption (A3), an energy-functional monitor, and trajectory classification.
 
 The stability check asks whether, with the capacity coupled to the rate
 (c = g(x)), the marginal-utility difference quotient dominates the delayed
@@ -12,9 +12,9 @@ convergence regardless of the delays; the converse does not hold (the
 condition is sufficient only).  Every margin comes from one loop,
 :func:`margin_kernel`, over a whole profile; a single margin is a batch of one.
 
-The margin check and the assumption registry are pure Python: ``check``
-never loads numpy.  :func:`lyapunov_values` and :func:`classify` read
-trajectory arrays and import numpy when called.
+The margin check is pure Python: ``check`` never loads numpy.
+:func:`lyapunov_values` and :func:`classify` read trajectory arrays and
+import numpy when called.
 """
 
 from __future__ import annotations
@@ -168,73 +168,6 @@ def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
     return grid
 
 
-def validate_assumptions(
-    p: ModelParams,
-    law: CapacityLaw,
-    x_range: tuple[float, float],
-    grid_n: int,
-) -> list[AssumptionViolation]:
-    """Check the model validity assumptions over a rate range.
-
-    A1 (positive constants and tau >= T_delay) failures are hard.  A3 asks
-    for a capacity law with g(x) > 1 (hard when violated) and g'(x) < -1
-    (warning when violated: the benchmark law g(x) = 5 - x sits exactly on
-    that boundary and is still usable).  Constant laws always warn on A3
-    since they are not decreasing.
-    """
-    x_lo, x_hi = x_range
-    if not (x_lo < x_hi):
-        raise ModelDomainError(f"range must satisfy x_lo < x_hi, got [{x_lo}, {x_hi}]")
-    if not (x_lo >= p.x_min and x_hi <= p.x_max):
-        raise ModelDomainError(
-            f"range [{x_lo}, {x_hi}] must lie within the rate bounds "
-            f"[{p.x_min}, {p.x_max}]"
-        )
-    if grid_n < 2:
-        raise ModelDomainError(f"grid_n must be at least 2, got {grid_n}")
-
-    violations: list[AssumptionViolation] = []
-    if p.tau < p.T_delay:
-        violations.append(
-            AssumptionViolation(
-                "A1",
-                f"delay ordering violated: tau = {p.tau} < T = {p.T_delay}",
-                HARD,
-            )
-        )
-
-    # g = c0 - slope*x with slope >= 0 and rounding is monotone, so no node
-    # of the grid has less capacity than its last one, x_hi: only when that
-    # node fails is the grid built to name the first that does
-    if law.value(x_hi) <= 1.0:
-        x = next(x for x in uniform_grid(x_lo, x_hi, grid_n) if law.value(x) <= 1.0)
-        violations.append(
-            AssumptionViolation(
-                "A3",
-                f"capacity must exceed 1 on the range: g({x:.6g}) = "
-                f"{law.value(x):.6g}",
-                HARD,
-            )
-        )
-    if law.kind == AFFINE:
-        if law.derivative() >= -1.0:
-            violations.append(
-                AssumptionViolation(
-                    "A3",
-                    f"capacity slope must satisfy g'(x) < -1, got g'(x) = "
-                    f"{law.derivative():.6g}",
-                    WARNING,
-                )
-            )
-    else:
-        violations.append(
-            AssumptionViolation(
-                "A3", "constant capacity law is not strictly decreasing", WARNING
-            )
-        )
-    return violations
-
-
 def margin_kernel(p: ModelParams, law: CapacityLaw, eq: Equilibrium, points) -> list[float]:
     """The stability margin at one equilibrium, at every rate in ``points``.
 
@@ -297,22 +230,46 @@ def check_stability(
     x_range: tuple[float, float],
     grid_n: int,
 ) -> StabilityReport:
-    """Evaluate the margin on a uniform grid plus the x_star limit point."""
+    """Evaluate the margin on a uniform grid plus the x_star limit point.
+
+    ``p`` and ``law`` hold the other assumptions by construction; A3 is
+    reported on the grid.  g(x) <= 1 is hard, naming the first node;
+    g'(x) >= -1 warns (the benchmark law g(x) = 5 - x sits on that
+    boundary), as does every constant law, which is not decreasing."""
     if grid_n < 16:
         raise ModelDomainError(f"grid_n must be at least 16, got {grid_n}")
     eq = solve_equilibrium(p, law)
-    violations = tuple(validate_assumptions(p, law, x_range, grid_n))
-    profile_x = (*uniform_grid(x_range[0], x_range[1], grid_n), eq.x_star)
+    x_lo, x_hi = x_range
+    if not (x_lo < x_hi):
+        raise ModelDomainError(f"range must satisfy x_lo < x_hi, got [{x_lo}, {x_hi}]")
+    if not (x_lo >= p.x_min and x_hi <= p.x_max):
+        raise ModelDomainError(f"range [{x_lo}, {x_hi}] must lie within the rate bounds "
+                               f"[{p.x_min}, {p.x_max}]")
+    profile_x = (*uniform_grid(x_lo, x_hi, grid_n), eq.x_star)
     profile_margin = tuple(margin_kernel(p, law, eq, profile_x))
     # numpy.argmin's rule: the first NaN, else the first smallest margin
     if any(map(math.isnan, profile_margin)):
         i_min = next(i for i, m in enumerate(profile_margin) if math.isnan(m))
     else:
         i_min = profile_margin.index(min(profile_margin))
-    hard = any(v.severity == HARD for v in violations)
+    violations = []
+    # g = c0 - slope*x with slope >= 0 and rounding is monotone, so no grid
+    # node has less capacity than its last one, x_hi: only when that node
+    # fails is the grid searched for the first that does
+    hard = law.value(x_hi) <= 1.0
+    if hard:
+        x = next(x for x in profile_x if law.value(x) <= 1.0)
+        violations.append(AssumptionViolation(
+            "A3", f"capacity must exceed 1 on the range: g({x:.6g}) = {law.value(x):.6g}", HARD))
+    if law.kind != AFFINE:
+        violations.append(AssumptionViolation(
+            "A3", "constant capacity law is not strictly decreasing", WARNING))
+    elif law.derivative() >= -1.0:
+        violations.append(AssumptionViolation("A3", "capacity slope must satisfy g'(x) < -1, "
+                                              f"got g'(x) = {law.derivative():.6g}", WARNING))
     verdict = CERTIFIED if (profile_margin[i_min] > 0 and not hard) else NOT_CERTIFIED
     return StabilityReport(
-        equilibrium=eq, violations=violations, x_range=(float(x_range[0]), float(x_range[1])),
+        equilibrium=eq, violations=tuple(violations), x_range=(float(x_lo), float(x_hi)),
         grid_n=grid_n, profile_x=profile_x, profile_margin=profile_margin,
         min_margin=float(profile_margin[i_min]), min_margin_x=float(profile_x[i_min]),
         verdict=verdict,

@@ -43,10 +43,9 @@ class ModelParams(_ModelFields):
     checked at construction (``_replace`` and unpickling included).
 
     ``tau`` is the total round-trip delay acting on the rate feedback and
-    ``T_delay`` the (shorter) delay of the capacity information.  The delay
-    ordering tau >= T_delay is *not* enforced at construction so that
-    ``analysis.validate_assumptions`` can report it as a violation; every
-    scenario entry point rejects configs that break it.
+    ``T_delay`` the (shorter) delay of the capacity information.  The
+    checks are the model's assumption A1 (positive finite constants and
+    tau >= T_delay) and the rate bounds 0 < x_min < x_max.
     """
 
     __slots__ = ()
@@ -61,6 +60,10 @@ class ModelParams(_ModelFields):
         if not (0 < p.x_min < p.x_max):
             raise ModelDomainError(
                 f"rate bounds must satisfy 0 < x_min < x_max, got [{p.x_min}, {p.x_max}]"
+            )
+        if p.tau < p.T_delay:
+            raise ModelDomainError(
+                f"assumption A1 requires tau >= T, got tau = {p.tau}, T = {p.T_delay}"
             )
         return p
 

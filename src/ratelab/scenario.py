@@ -216,11 +216,6 @@ def build_config(values: dict, where: str, name: str = "scenario") -> ScenarioCo
         law = CapacityLaw(kind, c0, slope)
     except RatelabError as exc:
         raise ConfigError(f"{where}: invalid: {exc}") from exc
-    if params.tau < params.T_delay:
-        raise ConfigError(
-            f"{where}: [model] violates assumption A1: tau >= T required, "
-            f"got tau = {params.tau}, T = {params.T_delay}"
-        )
 
     # x_min > 0, so the bounds also keep init_x positive
     if not params.x_min <= v["init_x"] <= params.x_max:
@@ -343,25 +338,26 @@ def auto_margin_range(cfg: ScenarioConfig, traj: Trajectory | None, x_star: floa
 
     With a trajectory: its envelope padded by 20% of the span on each side
     (10% of the mean when the envelope is degenerate).  Without one (the
-    analysis-only path): a factor-of-two band around the equilibrium.  Either
-    range stops at 95% of an affine law's capacity root.
+    analysis-only path): a factor-of-two band around the equilibrium.  The
+    range is clamped to the rate bounds and stops at 95% of an affine law's
+    capacity root; when nothing is left, x_star*[0.9, 1.1] is clamped the
+    same way, and ConfigError names the interval if that is empty too.
     """
     p = cfg.params
     if traj is not None:
-        lo = float(traj.x.min())
-        hi = float(traj.x.max())
+        lo, hi = float(traj.x.min()), float(traj.x.max())
         span = hi - lo
         pad = 0.2 * span if span > 1e-9 * max(1.0, abs(hi)) else 0.1 * max(hi, 1e-9)
         lo, hi = lo - pad, hi + pad
     else:
         lo, hi = 0.5 * x_star, 2.0 * x_star
-    if cfg.law.kind == AFFINE:
-        hi = min(hi, 0.95 * cfg.law.c0 / cfg.law.slope)
-    lo = max(lo, p.x_min)
-    hi = min(hi, p.x_max)
-    if not lo < hi:
-        lo, hi = 0.9 * x_star, 1.1 * x_star
-    return (lo, hi)
+    top = min(p.x_max, 0.95 * cfg.law.c0 / cfg.law.slope) if cfg.law.kind == AFFINE else p.x_max
+    for lo, hi in ((lo, hi), (0.9 * x_star, 1.1 * x_star)):
+        lo, hi = max(lo, p.x_min), min(hi, top)
+        if lo < hi:
+            return (lo, hi)
+    raise ConfigError(f"margin_range = auto leaves no rate range: x_star*[0.9, 1.1] clamped to "
+                      f"the rate bounds and 95% of the capacity root is [{lo}, {hi}]")
 
 
 def _execute(cfg: ScenarioConfig) -> RunResult:

@@ -1,7 +1,8 @@
 """The model written out one formula per function: the oracles that
 ``model.stage_kernels``, the fused loop in ``dde.integrate``,
-``analysis.margin_kernel`` and ``analysis.validate_assumptions`` must match
-bit for bit, in values and in error messages."""
+``analysis.margin_kernel`` and the assumption violations of
+``analysis.check_stability`` must match bit for bit, in values and in error
+messages."""
 
 import numpy as np
 
@@ -66,8 +67,9 @@ def stability_margin(x: float, p: ModelParams, law: CapacityLaw, eq: Equilibrium
 
 
 def validate_assumptions(p: ModelParams, law: CapacityLaw, x_range, grid_n: int) -> list:
-    """The assumption registry with A3's g > 1 tested at every node of a
-    ``numpy.linspace`` grid, the first failing node named."""
+    """Assumption A3 over a range, with g > 1 tested at every node of a
+    ``numpy.linspace`` grid and the first failing node named: the reference
+    for ``check_stability(...).violations`` (A1 is a ModelParams invariant)."""
     x_lo, x_hi = x_range
     if not (x_lo < x_hi):
         raise ModelDomainError(f"range must satisfy x_lo < x_hi, got [{x_lo}, {x_hi}]")
@@ -80,10 +82,6 @@ def validate_assumptions(p: ModelParams, law: CapacityLaw, x_range, grid_n: int)
         raise ModelDomainError(f"grid_n must be at least 2, got {grid_n}")
 
     violations = []
-    if p.tau < p.T_delay:
-        violations.append(AssumptionViolation(
-            "A1", f"delay ordering violated: tau = {p.tau} < T = {p.T_delay}", HARD
-        ))
     grid = np.linspace(x_lo, x_hi, grid_n)
     g_vals = law.value(grid)
     if np.any(g_vals <= 1.0):

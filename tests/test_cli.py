@@ -405,6 +405,39 @@ def test_run_near_capacity_root_converges(tmp_path):
     assert (out / "trajectory.csv").is_file()
 
 
+def _fig2_past_the_cap(fig2_path, tmp_path, extra_model_lines=""):
+    # b = 1, h = 6e-4: x_star = 4.849 lies past 0.95*c0/slope = 4.75, and so
+    # does the envelope [4.8396, 4.86] of a 60 s run from init_x = 4.86
+    text = fig2_path.read_text()
+    for old, new in {"b = 0.2": "b = 1.0", "T = 2.0": f"T = 2.0\nh = 6e-4{extra_model_lines}",
+                     "init_x = 1.0": "init_x = 4.86", "t_end = 200.0": "t_end = 60"}.items():
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    path = tmp_path / "past-cap.scenario"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_auto_range_fallback_stops_below_capacity_root(fig2_path, tmp_path):
+    # the padded envelope clamped at 4.75 is empty; the fallback x_star*[0.9, 1.1]
+    # is clamped the same way instead of reaching g's root at 5
+    proc = run_cli("run", _fig2_past_the_cap(fig2_path, tmp_path), "--out", tmp_path / "o")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "margin_range: [4.364394029, 4.75]" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_empty_auto_range_is_config_error(fig2_path, tmp_path, command):
+    # x_min = 4.8 above the 4.75 cap: no auto range exists, not even the fallback
+    path = _fig2_past_the_cap(fig2_path, tmp_path, "\nx_min = 4.8")
+    proc = run_cli(command, path, "--out", tmp_path / "o")
+    assert proc.returncode == 65
+    assert proc.stderr.startswith("error[config]: margin_range = auto leaves no rate range")
+    assert "[4.8, 4.75]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["check", "run"])
 @pytest.mark.parametrize("hi", ["5", "6"])
 def test_margin_range_at_capacity_root_is_config_error(fig2_path, tmp_path, command, hi):

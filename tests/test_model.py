@@ -177,7 +177,12 @@ class TestModelParams:
         with pytest.raises(ModelDomainError):
             base_params(0.2, x_min=2.0, x_max=1.0)
 
-    def test_delay_ordering_left_to_validator(self):
-        # construction succeeds; validate_assumptions / load_scenario report it
-        p = ModelParams(kappa=1.0, a=1.5, b=0.2, tau=2.0, T_delay=3.0)
+    def test_delay_ordering_is_enforced(self):
+        # assumption A1, tau >= T, is checked at construction and by _replace
+        with pytest.raises(ModelDomainError, match=r"^assumption A1 requires tau >= T, "
+                           r"got tau = 2\.0, T = 3\.0$"):
+            ModelParams(kappa=1.0, a=1.5, b=0.2, tau=2.0, T_delay=3.0)
+        p = ModelParams(kappa=1.0, a=1.5, b=0.2, tau=3.0, T_delay=3.0)
         assert p.max_delay == 3.0
+        with pytest.raises(ModelDomainError, match="A1"):
+            p._replace(T_delay=3.5)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ratelab import (
@@ -92,7 +92,8 @@ class TestLoadScenario:
 
     def test_delay_ordering_rejected_citing_a1(self, tmp_path):
         text = MINIMAL.replace("tau = 3.0", "tau = 2.0").replace("T = 2.0", "T = 3.0")
-        with pytest.raises(ConfigError, match="A1"):
+        with pytest.raises(ConfigError, match=r": invalid: assumption A1 requires tau >= T, "
+                           r"got tau = 2\.0, T = 3\.0$"):
             load_scenario(write_scenario(tmp_path, text))
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -368,15 +369,27 @@ class TestAutoMarginRange:
         assert cfg.law.value(hi) > 0
 
     @settings(max_examples=25, deadline=None)
-    @given(x_top=st.floats(1.2, 4.99))
-    def test_padded_envelope_stops_below_capacity_root(self, fig2_result, x_top):
-        # g = 5 - x: the envelope [1.1, x_top] padded by 20% of its span passes
-        # 0.95*c0/slope = 4.75 from x_top ~ 4.1 on, and is cut there
+    @given(x_low=st.one_of(st.floats(1.1, 4.99), st.floats(4.76, 4.99)),
+           top=st.floats(0.0, 1.0), x_star=st.floats(1.1, 4.99))
+    @example(x_low=1.1, top=0.87, x_star=1.1)  # [1.1, 4.5] padded to 5.18, cut at 4.75
+    @example(x_low=4.8396, top=0.13, x_star=4.849)  # above 4.75 even when padded
+    def test_padded_envelope_stops_below_capacity_root(self, fig2_result, x_low, top, x_star):
+        # g = 5 - x: an envelope padded by 20% of its span passes 0.95*c0/slope =
+        # 4.75 as its top nears the root, and is cut there; when nothing is left,
+        # the fallback x_star*[0.9, 1.1] is cut the same way
         cfg = fig2_result.config
+        cap = 0.95 * cfg.law.c0 / cfg.law.slope
+        x_top = x_low + top * (4.99 - x_low)
         t = np.arange(0.0, 40.0, 0.01)
-        traj = synthetic_trajectory(t, np.linspace(x_top, 1.1, len(t)), cfg.params)
-        lo, hi = auto_margin_range(cfg, traj, 1.1)
-        assert lo < 1.1 < hi <= 0.95 * cfg.law.c0 / cfg.law.slope
+        traj = synthetic_trajectory(t, np.linspace(x_top, x_low, len(t)), cfg.params)
+        lo, hi = auto_margin_range(cfg, traj, x_star)
+        assert cfg.params.x_min <= lo < hi <= cap
+        if x_low < cap:
+            event("envelope reaches below the cap")
+            assert lo <= x_low and hi >= min(x_top, cap)
+        else:
+            event("envelope above the cap")
+            assert (lo <= x_low and hi == cap) or (lo, hi) == (0.9 * x_star, min(1.1 * x_star, cap))
 
 
 class TestSweep:
@@ -636,3 +649,43 @@ def test_time_rescaling_is_exact(case):
     assert other.classification.kind == base.classification.kind
     settling = base.classification.settling_time
     assert other.classification.settling_time == (None if settling is None else settling / s)
+
+
+def _rate_scaled(cfg, lam):
+    """The run of ``cfg`` with the rate rescaled, x -> lam*x.  c = g(x)
+    scales with it, so kappa takes lam**(a+1) and h takes lam**-(a+1), and
+    the intercept, the rate bounds, init_x and both tolerances take lam."""
+    values = {**scenario.config_values(cfg), "step": cfg.step_requested}
+    a1 = values["a"] + 1.0
+    values.update(kappa=values["kappa"] * lam ** a1, h=values["h"] * lam ** -a1)
+    for key in ("intercept", "x_min", "x_max", "init_x", "tol_conv", "tol_osc"):
+        values[key] *= lam
+    return _execute(build_config(values, "scaled", cfg.name))
+
+
+@pytest.mark.parametrize("result", ["fig1_result", "fig2_result"])
+@pytest.mark.parametrize("lam", [2.0, 0.5, 3.0])
+def test_rate_rescaling_is_a_symmetry(request, result, lam):
+    # not bit for bit: the powers of lam round, so the match is to a tolerance
+    base = request.getfixturevalue(result)
+    other = _rate_scaled(base.config, lam)
+    a1 = base.config.params.a + 1.0
+    np.testing.assert_allclose(other.trajectory.x / lam, base.trajectory.x, rtol=1e-13, atol=0)
+    assert other.report.min_margin * lam ** a1 == pytest.approx(base.report.min_margin, rel=1e-12)
+    assert other.report.verdict == base.report.verdict
+    assert other.classification.kind == base.classification.kind
+    assert other.classification.settling_time == base.classification.settling_time
+
+
+def test_rate_rescaling_meets_the_absolute_a3_threshold(fig2_result):
+    # A3's g > 1 does not scale with the rate: at lam = 0.1 fig2's capacity
+    # falls to about 0.40, and a hard A3 violation flips the verdict while
+    # the margin itself still scales
+    other = _rate_scaled(fig2_result.config, 0.1)
+    assert fig2_result.report.verdict == CERTIFIED
+    assert other.report.verdict == NOT_CERTIFIED
+    assert [(v.assumption, v.severity) for v in other.report.violations] == [
+        ("A3", "hard"), ("A3", "warning")
+    ]
+    assert other.report.min_margin * 0.1 ** 2.5 == pytest.approx(
+        fig2_result.report.min_margin, rel=1e-12)

@@ -24,8 +24,9 @@ def test_certification_boundary_prints_the_boundary(tmp_path):
     assert "\ncertification boundary in b: (" in proc.stdout
 
 
-@pytest.mark.parametrize("argv", [("--n", "1"), ("--n", "2", "--tol", "0")],
-                         ids=["n-1", "tol-0"])
+@pytest.mark.parametrize("argv", [("--n", "1"), ("--n", "2", "--tol", "0"),
+                                  ("--n", "2", "--jobs", "0"), ("--jobs", "-1")],
+                         ids=["n-1", "tol-0", "jobs-0", "jobs-minus-1"])
 def test_certification_boundary_refuses_bad_arguments(tmp_path, argv):
     proc = run_script("certification_boundary.py", *argv, "--out", tmp_path / "b")
     assert proc.returncode == 2
