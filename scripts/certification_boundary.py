@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Locate the certification boundary in the price exponent b.
 
-Sweeps b on the stable benchmark base, prints one line per value, and then
-bisects the certified/uncertified boundary down to --tol using the margin
-check alone (no simulation needed: the margin at the equilibrium decides).
+b is certified when the margin check of fig2 with that b passes over one
+rate range: the base fig2 run's margin range, resolved by the rule that
+`ratelab run` uses.  The script prints the margin check at --n evenly spaced
+values of b, brackets the boundary between the largest certified value and
+the smallest uncertified value above it, and bisects that bracket down to
+--tol with the same check.  Only the base run is integrated.
 """
 
 import argparse
@@ -14,74 +17,58 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from ratelab import CERTIFIED, load_scenario, sweep  # noqa: E402
+from ratelab import (  # noqa: E402
+    CERTIFIED, RatelabError, integrate, load_scenario, solve_equilibrium)
 from ratelab.analysis import check_stability  # noqa: E402
-from ratelab.scenario import apply_param  # noqa: E402
+from ratelab.scenario import apply_param, auto_margin_range  # noqa: E402
 
 
-def certified_at(cfg, b: float, x_range) -> bool:
+def margin_check(cfg, b: float, x_range):
+    """The margin check of ``cfg`` with price exponent ``b`` over ``x_range``."""
     cfg_b = apply_param(cfg, "b", b)
-    return check_stability(cfg_b.params, cfg_b.law, x_range, cfg.grid_n).verdict == CERTIFIED
-
-
-def at_least(minimum: int):
-    """An argument type: a whole number of at least ``minimum``."""
-    def whole_number(text: str) -> int:
-        n = int(text)
-        if n < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
-        return n
-    return whole_number
-
-
-def bisection_width(text: str) -> float:
-    """A --tol argument: a positive finite number."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return tol
+    return check_stability(cfg_b.params, cfg_b.law, x_range, cfg.grid_n)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--lo", type=float, default=0.05)
     parser.add_argument("--hi", type=float, default=1.0)
-    parser.add_argument("--n", type=at_least(2), default=20,
-                        help="sweep points (at least 2: the sweep spans lo to hi)")
-    parser.add_argument("--tol", type=bisection_width, default=1e-4,
+    parser.add_argument("--n", type=int, default=20,
+                        help="grid points (at least 2: the grid spans lo to hi)")
+    parser.add_argument("--tol", type=float, default=1e-4,
                         help="boundary bisection width (positive)")
-    parser.add_argument("--out", default="out/boundary", help="sweep output directory")
-    parser.add_argument("--jobs", type=at_least(1), default=1, help="parallel workers")
     args = parser.parse_args()
+    if args.n < 2:
+        parser.error(f"argument --n: must be at least 2, got {args.n}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        parser.error(f"argument --tol: must be a positive finite number, got {args.tol}")
 
     cfg = load_scenario(REPO / "scenarios" / "fig2.scenario")
-    values = [args.lo + (args.hi - args.lo) * i / (args.n - 1) for i in range(args.n)]
-    rep = sweep(cfg, "b", values, out_dir=args.out, n_jobs=args.jobs)
-    for r in rep.rows:
-        if r.status == "ok":
-            print(f"b={r.value:.4f}  verdict={r.verdict:>14}  "
-                  f"classification={r.classification:>12}  min_margin={r.min_margin:+.4f}")
-        else:
-            print(f"b={r.value:.4f}  error: {r.message}")
+    eq = solve_equilibrium(cfg.params, cfg.law)
+    traj = integrate(cfg.params, cfg.law, cfg.init_x, cfg.t_end, cfg.step)
+    x_range = cfg.margin_range or auto_margin_range(cfg, traj, eq.x_star)
 
-    if rep.certified_boundary is None:
+    checked = []  # (b, certified) for each grid value that the model accepts
+    for i in range(args.n):
+        b = args.lo + (args.hi - args.lo) * i / (args.n - 1)
+        try:
+            rep = margin_check(cfg, b, x_range)
+        except RatelabError as exc:
+            print(f"b={b:.4f}  error: {exc}")
+            continue
+        checked.append((b, rep.verdict == CERTIFIED))
+        print(f"b={b:.4f}  verdict={rep.verdict:>14}  min_margin={rep.min_margin:+.4f}")
+
+    lo = max((b for b, ok in checked if ok), default=math.inf)
+    hi = min((b for b, ok in checked if not ok and b > lo), default=None)
+    if hi is None:
         print("no certified/uncertified bracket in the swept range")
         return 1
-
-    # refine with the margin check over a fixed range anchored at the sweep
-    # bracket; use the base-case envelope so the range does not move with b
-    lo, hi = rep.certified_boundary
-    from ratelab.scenario import _execute
-
-    x_range = _execute(cfg).report.x_range  # the padded envelope: fig2 has margin_range = auto
     while hi - lo > args.tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # lo and hi are adjacent floats: a finer --tol cannot be met
-        if certified_at(cfg, mid, x_range):
+        if margin_check(cfg, mid, x_range).verdict == CERTIFIED:
             lo = mid
         else:
             hi = mid

@@ -370,6 +370,11 @@ def classify(
     tail = x[t >= traj.t_end - window]
     mid_lo = 0.5 * (horizon - window)
     mid = x[(t >= mid_lo) & (t <= mid_lo + window)]
+    if not (tail.size and mid.size):  # a window narrower than the step
+        raise ModelDomainError(
+            f"tail_fraction = {tail_fraction} leaves a window of {window:.6g} with no "
+            f"sample on the step {traj.step:.6g} grid"
+        )
 
     tail_pp = float(tail.max() - tail.min())
     mid_pp = float(mid.max() - mid.min())

@@ -229,7 +229,8 @@ def build_config(values: dict, where: str, name: str = "scenario") -> ScenarioCo
         step = snap_step(v["step"], params.tau, params.T_delay)
     except ConfigError as exc:
         raise ConfigError(f"{where}: [run] {exc}") from exc
-    if round(v["t_end"] / step) < 1:  # integrate's own count of steps
+    n_steps = round(v["t_end"] / step)  # integrate's own count of steps
+    if n_steps < 1:
         raise ConfigError(f"{where}: [run] t_end = {v['t_end']} shorter than one step {step}")
     if v["t_end"] / step > MAX_STEPS:
         raise ConfigError(
@@ -259,6 +260,14 @@ def build_config(values: dict, where: str, name: str = "scenario") -> ScenarioCo
     if not 0 < v["tail_fraction"] <= 0.5:
         raise ConfigError(
             f"{where}: [analysis] tail_fraction must be in (0, 0.5], got {v['tail_fraction']}"
+        )
+    # classify's tail and mid-run windows span tail_fraction of the horizon
+    # integrate covers; one narrower than a step can fall between two samples
+    window = v["tail_fraction"] * (step * n_steps)
+    if window < step:
+        raise ConfigError(
+            f"{where}: [analysis] tail_fraction = {v['tail_fraction']} leaves a window of "
+            f"{window:.6g} over the {step * n_steps:g} horizon, shorter than one step {step}"
         )
 
     fields = {key: v[key] for key in _CONFIG_KEYS}

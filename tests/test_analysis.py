@@ -575,6 +575,18 @@ class TestClassify:
         assert cls.settling_time is None
         assert cls.final_error == float(abs(traj.x[-1] - eq.x_star))
 
+    def test_window_between_two_samples_is_a_domain_error(self):
+        # on a 1 s grid to t = 101 the mid-run window [50.399, 50.601] holds
+        # no sample; a window of one step always holds one
+        p = base_params(0.2)
+        eq = solve_equilibrium(p, BASE_LAW)
+        t = np.arange(0.0, 101.0 + 1e-9, 1.0)
+        traj = synthetic_trajectory(t, np.full_like(t, eq.x_star), p)
+        with pytest.raises(ModelDomainError,
+                           match=r"tail_fraction = 0.002 leaves a window of 0.202 with no sample"):
+            classify(traj, eq, tail_fraction=0.002)
+        assert classify(traj, eq, tail_fraction=1 / 101).kind == CONVERGED
+
     def test_real_converged_run(self, fig2_result):
         cls = fig2_result.classification
         assert cls.kind == CONVERGED

@@ -25,6 +25,13 @@ FIG2_INIT_4_5.write_text(
     (SCENARIOS / "fig2.scenario").read_text().replace("init_x = 1.0", "init_x = 4.5"),
     encoding="utf-8",
 )
+# fig2 with a tail window of 1e-6 * 99.99 s, far below the 0.01 step
+FIG2_SHORT_TAIL = Path(_SCRATCH) / "fig2-short-tail.scenario"
+FIG2_SHORT_TAIL.write_text(
+    (SCENARIOS / "fig2.scenario").read_text().replace("t_end = 200.0", "t_end = 99.99")
+    + "tail_fraction = 1e-6\n",
+    encoding="utf-8",
+)
 
 
 def test_run_subcommand(fig2_path, tmp_path, capsys):
@@ -57,6 +64,42 @@ def test_check_certified_with_explicit_range(fig2_path, tmp_path, capsys):
     code = main(["check", str(path)])
     assert code == 0
     assert "verdict: CertifiedStable" in capsys.readouterr().out
+
+
+# fig2 edits, and the exit code and output lines of `check` on the result
+CHECK_EDITS = {
+    "margin-range-three-numbers": (
+        {"margin_range = auto": "margin_range = 1 2 3"}, 65,
+        ["[analysis] key 'margin_range': expected 'auto' or two numbers, got '1 2 3'"]),
+    "tol-conv-0": ({"grid_n = 256": "grid_n = 256\ntol_conv = 0"}, 65,
+                   ["[analysis] tolerances must be positive"]),
+    "tol-osc-minus-1": ({"grid_n = 256": "grid_n = 256\ntol_osc = -1"}, 65,
+                        ["[analysis] tolerances must be positive"]),
+    "tail-fraction-0.6": ({"grid_n = 256": "grid_n = 256\ntail_fraction = 0.6"}, 65,
+                          ["[analysis] tail_fraction must be in (0, 0.5], got 0.6"]),
+    "constant-law": ({"kind = affine": "kind = constant\nlevel = 4.0"}, 13,
+                     ["capacity: g(x) = 4 (constant)",
+                      "assumption_violation: [A3/warning] constant capacity law is not "
+                      "strictly decreasing"]),
+    "affine-30-2": ({"intercept = 5.0": "intercept = 30.0", "slope = 1.0": "slope = 2.0"}, 13,
+                    ["capacity: g(x) = 30 - 2*x", "assumption_violation: none"]),
+}
+
+
+@pytest.mark.parametrize("case", CHECK_EDITS)
+def test_check_of_an_edited_fig2(fig2_path, tmp_path, capsys, case):
+    edits, code, lines = CHECK_EDITS[case]
+    text = fig2_path.read_text()
+    for old, new in edits.items():
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    path = tmp_path / "edited.scenario"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code == 65:
+        assert err == f"error[config]: {path}: {lines[0]}\n"
+    else:
+        assert set(lines) <= set(out.splitlines())
 
 
 def test_check_not_certified(fig1_path, capsys):
@@ -530,6 +573,30 @@ def test_t_end_below_one_step_is_config_error(fig2_path, tmp_path):
     assert not out.exists()
 
 
+def test_tail_window_below_one_step_is_config_error(fig2_path, tmp_path):
+    # classify's mid-run window would fall between two samples: refused at load
+    out = tmp_path / "o"
+    proc = run_cli("run", FIG2_SHORT_TAIL, "--out", out)
+    assert proc.returncode == 65
+    assert proc.stderr.startswith(f"error[config]: {FIG2_SHORT_TAIL}: [analysis] "
+                                  "tail_fraction = 1e-06 leaves a window of 9.999e-05 "
+                                  "over the 99.99 horizon, shorter than one step 0.01")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+    # T = 2.001 snaps the step to 0.001, which the base's 0.005 s window
+    # spans; swept to T = 2.0 the step is 0.01 and the value is refused
+    path = tmp_path / "t2001.scenario"
+    text = fig2_path.read_text().replace("\nT = 2.0\n", "\nT = 2.001\n")
+    path.write_text(text.replace("t_end = 200.0", "t_end = 100.0") + "tail_fraction = 5e-5\n",
+                    encoding="utf-8")
+    proc = run_cli("sweep", path, "--param", "T", "--values", "2.0", "--out", out)
+    assert proc.returncode == 70
+    assert "Traceback" not in proc.stderr
+    assert (out / "sweep.csv").read_text().splitlines()[1].endswith(
+        ",T = 2.0: [analysis] tail_fraction = 5e-05 leaves a window of 0.005 "
+        "over the 100 horizon; shorter than one step 0.01")
+
+
 def test_missing_scenario_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.scenario")]) == 66
 
@@ -601,6 +668,7 @@ def cli_argvs(draw):
 @example(argv=["sweep", str(SCENARIOS / "fig2.scenario"), "--param", "b", "--values", "abc"])
 @example(argv=["run", str(FIG2_INIT_4_5)])
 @example(argv=["run", str(SCENARIOS / "fig2.scenario"), "--t-end", "0.004"])
+@example(argv=["run", str(FIG2_SHORT_TAIL)])
 def test_fuzzed_argv_exits_with_documented_code(argv):
     with tempfile.TemporaryDirectory() as tmp:
         assert _exit_code(argv + ["--out", tmp]) in DOCUMENTED_EXIT_CODES

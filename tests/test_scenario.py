@@ -408,6 +408,16 @@ class TestSweep:
         assert (tmp_path / "sw" / "sweep_report.txt").is_file()
         assert rep.monotone_consistent is True
 
+    def test_summary_flags_a_non_monotone_pattern(self):
+        # the shipped b-sweeps are monotone, so only a built report reaches the warning
+        rows = (scenario.SweepRow("b", 0.1, "ok", verdict=NOT_CERTIFIED),
+                scenario.SweepRow("b", 0.2, "ok", verdict=CERTIFIED))
+        rep = scenario.SweepReport("b", rows, 0.2, None, None, monotone_consistent=False)
+        assert scenario.format_sweep_summary(rep).splitlines()[-1] == (
+            "warning: certification pattern is not monotone in the swept value; "
+            "flagging for review"
+        )
+
     def test_error_rows_do_not_stop_the_sweep(self, fig2_path, tmp_path):
         cfg = load_scenario(fig2_path)._replace(t_end=60.0)
         rep = sweep(cfg, "b", [0.2, -1.0, 0.3], out_dir=tmp_path / "sw2")
