@@ -154,12 +154,10 @@ class SweepRow(NamedTuple):
 
 
 class SweepReport(NamedTuple):
+    """A sweep's rows, in input order; :func:`sweep` returns it with ``paths`` set."""
+
     param: str
     rows: tuple
-    largest_certified: float | None
-    smallest_oscillating: float | None
-    certified_boundary: tuple[float, float] | None
-    monotone_consistent: bool | None
     paths: dict | None = None
 
 
@@ -322,13 +320,9 @@ def load_scenario(path) -> ScenarioConfig:
     return build_config(values, str(path), path.stem)
 
 
-def apply_param(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
-    """Return ``cfg`` with one key of FIELDS replaced, checked and re-snapped
-    from the requested step by :func:`build_config`.
-
-    ``intercept`` sets a constant law's level; a capacity key that the law's
-    kind does not use is refused.
-    """
+def _field_for(cfg: ScenarioConfig, key: str) -> Field:
+    """The FIELDS entry that ``key`` sets in ``cfg``: ``intercept`` names a
+    constant law's level, and a capacity key of the other law kind is refused."""
     if key == "intercept" and cfg.law.kind == CONSTANT:
         key = "level"
     f = _FIELD_BY_KEY.get(key)
@@ -336,6 +330,14 @@ def apply_param(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
         raise ConfigError(f"unknown scenario key {key!r}")
     if f.kind not in (None, cfg.law.kind):
         raise ConfigError(f"cannot sweep {key!r} of a {cfg.law.kind} capacity law")
+    return f
+
+
+def apply_param(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
+    """Return ``cfg`` with one key of FIELDS replaced (``intercept`` sets a
+    constant law's level), checked and re-snapped from the requested step by
+    :func:`build_config`."""
+    key = _field_for(cfg, key).key
     values = config_values(cfg)
     values["step"] = cfg.step_requested
     values[key] = value
@@ -557,8 +559,8 @@ def sweep(
     out_dir=None,
     n_jobs: int = 1,
 ) -> SweepReport:
-    """Run the full pipeline once per value, summarize, and write sweep.csv
-    and sweep_report.txt into ``out_dir`` (default out/sweep-<param>).
+    """Run the full pipeline once per value, and write sweep.csv and
+    sweep_report.txt into ``out_dir`` (default out/sweep-<param>).
 
     Per-value failures (any exception) become status=error rows and the
     sweep continues.
@@ -569,14 +571,15 @@ def sweep(
         raise ConfigError(
             f"unknown sweep parameter {param_name!r}; choose one of {SWEEPABLE}"
         )
+    _field_for(cfg, param_name)  # a capacity key of the other law kind fails every value
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one value")
     out = out_dir or os.path.join("out", f"sweep-{param_name}")
     write_outputs(out, {})  # an unusable out_dir fails here, before any value runs
     jobs = [(cfg, param_name, v) for v in values]
-    # fork starts every worker at the first submit: no more than there are values
-    n_workers = min(n_jobs, len(jobs))
+    # fork starts every worker at the first submit: no more than there are values or CPUs
+    n_workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
     if n_workers > 1:
         # imported here: a pool loads multiprocessing, which no serial path needs
         from concurrent.futures import ProcessPoolExecutor
@@ -590,42 +593,28 @@ def sweep(
     else:
         rows = tuple(_sweep_one(j) for j in jobs)
 
-    certified = [r.value for r in rows if r.status == "ok" and r.verdict == CERTIFIED]
-    uncertified = [r.value for r in rows if r.status == "ok" and r.verdict != CERTIFIED]
-    oscillating = [
-        r.value for r in rows if r.status == "ok" and r.classification == OSCILLATING
-    ]
-    largest_certified = max(certified) if certified else None
-    smallest_oscillating = min(oscillating) if oscillating else None
-    above = [v for v in uncertified if certified and v > largest_certified]
-    boundary = (largest_certified, min(above)) if above else None
-
-    monotone = None
-    if param_name == "b":
-        # in increasing b, no certified value may follow an uncertified one
-        ordered = sorted((r for r in rows if r.status == "ok"), key=lambda r: r.value)
-        flags = [r.verdict == CERTIFIED for r in ordered]
-        monotone = flags == sorted(flags, reverse=True)
-
-    rep = SweepReport(param_name, rows, largest_certified, smallest_oscillating,
-                      boundary, monotone)
+    rep = SweepReport(param_name, rows)
     csv_text = "".join(",".join(map(_cell, r)) + "\n" for r in (SweepRow._fields, *rows))
     return rep._replace(paths=write_outputs(out, {"sweep.csv": csv_text,
                                                   "sweep_report.txt": format_sweep_summary(rep)}))
 
 
 def format_sweep_summary(rep: SweepReport) -> str:
-    lines = [f"sweep parameter: {rep.param}", f"values: {len(rep.rows)}"]
-    lc = "none" if rep.largest_certified is None else f"{rep.largest_certified:g}"
-    so = "none" if rep.smallest_oscillating is None else f"{rep.smallest_oscillating:g}"
-    lines.append(f"largest_certified: {lc}")
-    lines.append(f"smallest_oscillating: {so}")
-    if rep.certified_boundary is not None:
-        lines.append(
-            f"certified_boundary_bracket: ({rep.certified_boundary[0]:g}, "
-            f"{rep.certified_boundary[1]:g})"
-        )
-    if rep.monotone_consistent is not None and not rep.monotone_consistent:
+    """sweep_report.txt, derived from the rows.  Each verdict holds over its
+    own run's margin range, so the bracket is not the edge of one region."""
+    ok = [r for r in rep.rows if r.status == "ok"]
+    certified = [r.value for r in ok if r.verdict == CERTIFIED]
+    oscillating = [r.value for r in ok if r.classification == OSCILLATING]
+    lc, so = max(certified, default=None), min(oscillating, default=None)
+    lines = [f"sweep parameter: {rep.param}", f"values: {len(rep.rows)}",
+             f"largest_certified: {'none' if lc is None else f'{lc:g}'}",
+             f"smallest_oscillating: {'none' if so is None else f'{so:g}'}"]
+    above = [r.value for r in ok if r.verdict != CERTIFIED and certified and r.value > lc]
+    if above:
+        lines.append(f"certified_boundary_bracket: ({lc:g}, {min(above):g})")
+    # in increasing b, no certified value may follow an uncertified one
+    flags = [r.verdict == CERTIFIED for r in sorted(ok, key=lambda r: r.value)]
+    if rep.param == "b" and flags != sorted(flags, reverse=True):
         lines.append(
             "warning: certification pattern is not monotone in the swept value; "
             "flagging for review"

@@ -2,11 +2,19 @@
 ``model.stage_kernels``, the fused loop in ``dde.integrate``,
 ``analysis.margin_kernel`` and the assumption violations of
 ``analysis.check_stability`` must match bit for bit, in values and in error
-messages."""
+messages; and the sweep summary rules that ``scenario.format_sweep_summary``
+must match line for line."""
 
 import numpy as np
 
-from ratelab.analysis import EPS_BAND_REL, HARD, WARNING, AssumptionViolation
+from ratelab.analysis import (
+    CERTIFIED,
+    EPS_BAND_REL,
+    HARD,
+    OSCILLATING,
+    WARNING,
+    AssumptionViolation,
+)
 from ratelab.errors import MarginOverflowError, ModelDomainError
 from ratelab.model import (
     AFFINE,
@@ -104,3 +112,41 @@ def validate_assumptions(p: ModelParams, law: CapacityLaw, x_range, grid_n: int)
             "A3", "constant capacity law is not strictly decreasing", WARNING
         ))
     return violations
+
+
+def sweep_summary(param: str, rows) -> str:
+    """sweep_report.txt for ``rows`` (SweepRow records), one rule per line,
+    each value compared in a loop."""
+    ok = [r for r in rows if r.status == "ok"]
+    largest = smallest_osc = None
+    for r in ok:
+        if r.verdict == CERTIFIED and (largest is None or r.value > largest):
+            largest = r.value
+        if r.classification == OSCILLATING and (smallest_osc is None or r.value < smallest_osc):
+            smallest_osc = r.value
+    upper = None  # the smallest uncertified value above the largest certified one
+    for r in ok:
+        if (r.verdict != CERTIFIED and largest is not None and r.value > largest
+                and (upper is None or r.value < upper)):
+            upper = r.value
+    lines = [
+        f"sweep parameter: {param}",
+        f"values: {len(rows)}",
+        "largest_certified: " + ("none" if largest is None else format(largest, "g")),
+        "smallest_oscillating: " + ("none" if smallest_osc is None else format(smallest_osc, "g")),
+    ]
+    if upper is not None:
+        lines.append(f"certified_boundary_bracket: ({largest:g}, {upper:g})")
+    if param == "b":
+        seen_uncertified = False
+        for r in sorted(ok, key=lambda r: r.value):
+            if r.verdict != CERTIFIED:
+                seen_uncertified = True
+            elif seen_uncertified:
+                lines.append("warning: certification pattern is not monotone in the swept "
+                             "value; flagging for review")
+                break
+    n_err = len(rows) - len(ok)
+    if n_err:
+        lines.append(f"errors: {n_err} value(s) failed; see sweep rows")
+    return "\n".join(lines) + "\n"

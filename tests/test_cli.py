@@ -310,6 +310,18 @@ def test_sweep_jobs_below_one_is_usage_error(fig2_path, tmp_path, jobs):
     assert not out.exists()
 
 
+def test_sweep_of_a_key_the_law_lacks_is_config_error(fig2_path, tmp_path):
+    path = tmp_path / "constant.scenario"
+    path.write_text(fig2_path.read_text().replace("\nkind = affine\n",
+                                                  "\nkind = constant\nlevel = 4.0\n"),
+                    encoding="utf-8")
+    out = tmp_path / "o"
+    proc = run_cli("sweep", path, "--param", "slope", "--values", "1,2", "--out", out)
+    assert proc.returncode == 65
+    assert proc.stderr == "error[config]: cannot sweep 'slope' of a constant capacity law\n"
+    assert not out.exists()
+
+
 def test_non_utf8_scenario_is_config_error(fig2_path, tmp_path):
     path = tmp_path / "latin1.scenario"
     path.write_bytes(b"# caf\xe9\n" + fig2_path.read_bytes())

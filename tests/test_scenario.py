@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import os
 import pickle
 import tempfile
 import xml.etree.ElementTree as ET
@@ -15,6 +16,7 @@ from ratelab import (
     CONVERGED,
     NOT_CERTIFIED,
     OSCILLATING,
+    SATURATED,
     UNDETERMINED,
     ConfigError,
     IntegrationDivergedError,
@@ -39,6 +41,7 @@ from ratelab.scenario import (
 )
 from ratelab.svgplot import line_plot_svg
 from conftest import BASE_LAW, base_params, run_cli, synthetic_trajectory
+from oracle import sweep_summary as reference_sweep_summary
 
 MINIMAL = """\
 [model]
@@ -392,6 +395,17 @@ class TestAutoMarginRange:
             assert (lo <= x_low and hi == cap) or (lo, hi) == (0.9 * x_star, min(1.1 * x_star, cap))
 
 
+# rows as format_sweep_summary reads them: an error row may hold any value,
+# an ok row a finite one; the sampled values make repeats and signed zeros likely
+_ROW_VALUES = st.sampled_from([-0.0, 0.0, 0.1, 0.25, 0.5, 1.3, 2.0]) | st.floats(-1e3, 1e3)
+SWEEP_ROWS = st.builds(scenario.SweepRow, st.just("b"), st.floats(), st.just("error"),
+                       message=st.just("failed")) | st.builds(
+    scenario.SweepRow, st.just("b"), _ROW_VALUES, st.just("ok"),
+    verdict=st.sampled_from([CERTIFIED, NOT_CERTIFIED]),
+    classification=st.sampled_from([CONVERGED, OSCILLATING, SATURATED, UNDETERMINED]),
+)
+
+
 class TestSweep:
     def test_two_point_sweep(self, fig2_path, tmp_path):
         cfg = load_scenario(fig2_path)._replace(t_end=100.0)
@@ -400,23 +414,36 @@ class TestSweep:
         assert all(r.status == "ok" for r in rep.rows)
         assert rep.rows[0].verdict == CERTIFIED
         assert rep.rows[1].verdict == NOT_CERTIFIED
-        assert rep.largest_certified == 0.1
-        assert rep.certified_boundary == (0.1, 0.5)
         csv_text = Path(rep.paths["sweep"]).read_text().splitlines()
         assert csv_text[0].startswith("param,value,status")
         assert len(csv_text) == 3
-        assert (tmp_path / "sw" / "sweep_report.txt").is_file()
-        assert rep.monotone_consistent is True
+        summary = Path(rep.paths["sweep_report"]).read_text()
+        assert summary == scenario.format_sweep_summary(rep)
+        lines = summary.splitlines()
+        assert "largest_certified: 0.1" in lines
+        assert "certified_boundary_bracket: (0.1, 0.5)" in lines
+        assert not any(line.startswith("warning:") for line in lines)
 
     def test_summary_flags_a_non_monotone_pattern(self):
-        # the shipped b-sweeps are monotone, so only a built report reaches the warning
+        # the shipped b-sweeps are monotone, so only built rows reach the warning
         rows = (scenario.SweepRow("b", 0.1, "ok", verdict=NOT_CERTIFIED),
                 scenario.SweepRow("b", 0.2, "ok", verdict=CERTIFIED))
-        rep = scenario.SweepReport("b", rows, 0.2, None, None, monotone_consistent=False)
+        rep = scenario.SweepReport("b", rows)
         assert scenario.format_sweep_summary(rep).splitlines()[-1] == (
             "warning: certification pattern is not monotone in the swept value; "
             "flagging for review"
         )
+        assert "warning" not in scenario.format_sweep_summary(rep._replace(param="kappa"))
+
+    @given(st.sampled_from(["b", "kappa"]), st.lists(SWEEP_ROWS, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_summary_matches_the_oracle(self, param, rows):
+        rows = tuple(r._replace(param=param) for r in rows)
+        rep = scenario.SweepReport(param, rows)
+        expected = reference_sweep_summary(param, rows)
+        for line in expected.splitlines()[4:]:  # the optional lines
+            event(line.split(":")[0])
+        assert scenario.format_sweep_summary(rep) == expected
 
     def test_error_rows_do_not_stop_the_sweep(self, fig2_path, tmp_path):
         cfg = load_scenario(fig2_path)._replace(t_end=60.0)
@@ -443,6 +470,16 @@ class TestSweep:
         cfg = load_scenario(fig2_path)
         with pytest.raises(ConfigError, match="unknown sweep parameter"):
             sweep(cfg, "color", [1.0], out_dir=tmp_path)
+
+    def test_capacity_key_of_the_other_law_fails_before_any_value(self, fig2_path, tmp_path):
+        cfg = load_scenario(fig2_path)._replace(law=CapacityLaw(CONSTANT, 4.0))
+        with pytest.raises(ConfigError) as info:
+            sweep(cfg, "slope", [1.0, 2.0], out_dir=tmp_path / "sw")
+        assert str(info.value) == "cannot sweep 'slope' of a constant capacity law"
+        assert not (tmp_path / "sw").exists()
+        # intercept names a constant law's level
+        rep = sweep(cfg._replace(t_end=30.0), "intercept", [3.5], out_dir=tmp_path / "lv")
+        assert rep.rows[0].status == "ok"
 
     def test_unusable_out_dir_fails_before_any_value(self, fig2_path, tmp_path, monkeypatch):
         def must_not_run(job):
@@ -497,12 +534,21 @@ class TestSweep:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         cfg = load_scenario(fig2_path)._replace(t_end=30.0)
         rep = sweep(cfg, "b", [0.15, 0.45], out_dir=tmp_path, n_jobs=10_000)
         assert built == [2]
         assert [r.status for r in rep.rows] == ["ok", "ok"]
         sweep(cfg, "b", [0.15], out_dir=tmp_path, n_jobs=10_000)
         assert built == [2]
+        # nor more than there are CPUs; an unknown count means one
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rep = sweep(cfg, "b", [0.15, 0.3, 0.45], out_dir=tmp_path, n_jobs=3)
+        assert built == [2, 2]
+        assert [r.status for r in rep.rows] == ["ok", "ok", "ok"]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        sweep(cfg, "b", [0.15, 0.45], out_dir=tmp_path, n_jobs=2)
+        assert built == [2, 2]
 
     def test_apply_param_variants(self, fig2_path):
         cfg = load_scenario(fig2_path)
