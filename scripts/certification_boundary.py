@@ -20,7 +20,8 @@ sys.path.insert(0, str(REPO / "src"))
 from ratelab import (  # noqa: E402
     CERTIFIED, RatelabError, integrate, load_scenario, solve_equilibrium)
 from ratelab.analysis import check_stability  # noqa: E402
-from ratelab.scenario import apply_param, auto_margin_range  # noqa: E402
+from ratelab.config import apply_param  # noqa: E402
+from ratelab.scenario import auto_margin_range  # noqa: E402
 
 
 def margin_check(cfg, b: float, x_range):

@@ -6,19 +6,9 @@ with a delay-independent margin check, monitors an energy functional along
 trajectories, and classifies run outcomes.
 """
 
-from .analysis import (
-    CERTIFIED,
-    CONVERGED,
-    NOT_CERTIFIED,
-    OSCILLATING,
-    SATURATED,
-    UNDETERMINED,
-    check_stability,
-    classify,
-    lyapunov_values,
-    solve_equilibrium,
-)
-from .dde import Trajectory, integrate
+import importlib
+
+from .config import load_scenario, snap_step
 from .errors import (
     CapacityExhaustedError,
     ConfigError,
@@ -31,6 +21,22 @@ from .errors import (
     RatelabError,
 )
 from .model import CapacityLaw, ModelParams, capacity
-from .scenario import load_scenario, run_scenario, snap_step, sweep
 
 __version__ = "0.1.0"
+
+# name -> module that defines it, imported on the name's first use (PEP 562):
+# importing ratelab and loading a scenario compile only config, errors and model
+_LAZY = {name: module for module, names in (
+    ("analysis", "CERTIFIED CONVERGED NOT_CERTIFIED OSCILLATING SATURATED UNDETERMINED "
+                 "check_stability classify lyapunov_values solve_equilibrium"),
+    ("dde", "Trajectory integrate"), ("scenario", "run_scenario sweep")) for name in names.split()}
+__all__ = ["CapacityExhaustedError", "ConfigError", "EquilibriumBracketError",
+           "GridMismatchError", "HistoryRangeError", "HorizonError", "IntegrationDivergedError",
+           "ModelDomainError", "RatelabError", "CapacityLaw", "ModelParams", "capacity",
+           "load_scenario", "snap_step", *_LAZY]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

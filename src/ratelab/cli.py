@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from .analysis import CERTIFIED, check_stability, solve_equilibrium
+from .config import SWEEPABLE, apply_param, load_scenario
 from .errors import (
     ConfigError,
     EquilibriumBracketError,
@@ -23,12 +24,9 @@ from .errors import (
 )
 from .scenario import (
     EXIT_CODES,
-    SWEEPABLE,
-    apply_param,
     auto_margin_range,
     format_report,
     format_sweep_summary,
-    load_scenario,
     run_scenario,
     sweep,
     write_outputs,

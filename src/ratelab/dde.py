@@ -22,12 +22,10 @@ from .errors import (
     IntegrationDivergedError,
     ModelDomainError,
 )
-from .model import CapacityLaw, ModelParams, capacity, stage_kernels
+from .model import DELAY_MULTIPLE_RTOL, CapacityLaw, ModelParams, capacity, stage_kernels
 
 # Exact-hit snap tolerance for time queries, as a fraction of the step.
 GRID_SNAP = 1e-12
-# Relative tolerance for "delay is an integer multiple of the step".
-DELAY_MULTIPLE_RTOL = 1e-9
 # Classical RK4 is stable on the negative real axis down to step*lambda = -2.785.
 RK4_REAL_STABILITY = 2.785
 

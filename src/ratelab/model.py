@@ -21,6 +21,8 @@ from .errors import CapacityExhaustedError, ModelDomainError
 
 AFFINE = "affine"
 CONSTANT = "constant"
+# Relative tolerance for "delay is an integer multiple of the step".
+DELAY_MULTIPLE_RTOL = 1e-9
 
 
 class _ModelFields(NamedTuple):

@@ -43,7 +43,8 @@ from ratelab import (
 )
 from ratelab.cli import main
 from ratelab.model import AFFINE, CONSTANT
-from ratelab.scenario import _execute, apply_param
+from ratelab.config import apply_param
+from ratelab.scenario import _execute
 from conftest import BASE_LAW, base_params
 
 

@@ -1,4 +1,5 @@
 import atexit
+import importlib
 import os
 import shutil
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratelab import scenario
+import ratelab
+from ratelab import config, scenario
 from ratelab.cli import main
 from conftest import SCENARIOS, SRC, run_cli
 
@@ -83,6 +85,9 @@ CHECK_EDITS = {
                       "strictly decreasing"]),
     "affine-30-2": ({"intercept = 5.0": "intercept = 30.0", "slope = 1.0": "slope = 2.0"}, 13,
                     ["capacity: g(x) = 30 - 2*x", "assumption_violation: none"]),
+    # configparser copies [DEFAULT] keys into every section: refused whole
+    "default-section": ({"[model]": "[DEFAULT]\nt_end = 30\n\n[model]"}, 65,
+                        ["unknown section [DEFAULT]"]),
 }
 
 
@@ -402,19 +407,49 @@ def test_import_and_load_leave_numpy_unloaded(fig2_path):
     assert _numpy_loaded_after(script, fig2_path) == (["fig2"], False)
 
 
-def test_import_and_load_leave_dataclasses_unloaded(fig2_path):
-    # the records are NamedTuples; count only what ratelab adds to the
-    # modules the interpreter (and any site hook) had already loaded
+def test_import_and_load_leave_the_pipeline_and_dataclasses_unloaded(fig2_path):
+    # the records are NamedTuples, and the package resolves the pipeline's
+    # names on first use; count only what ratelab adds to the modules the
+    # interpreter (and any site hook) had already loaded
+    unloaded = {"dataclasses", "inspect", "ratelab.analysis", "ratelab.dde",
+                "ratelab.scenario", "ratelab.svgplot"}
     probe = (
         "import sys\nbefore = set(sys.modules)\nimport ratelab\n"
         "ratelab.load_scenario(sys.argv[1])\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        f"print(sorted({unloaded!r} & (set(sys.modules) - before)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe, str(fig2_path)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+# The package's public names, each with the module that defines it, pinned
+# so that the lazily resolved namespace cannot drift from them.
+PUBLIC_NAMES = {
+    **dict.fromkeys(["CERTIFIED", "CONVERGED", "NOT_CERTIFIED", "OSCILLATING", "SATURATED",
+                     "UNDETERMINED", "check_stability", "classify", "lyapunov_values",
+                     "solve_equilibrium"], "analysis"),
+    **dict.fromkeys(["load_scenario", "snap_step"], "config"),
+    **dict.fromkeys(["Trajectory", "integrate"], "dde"),
+    **dict.fromkeys(["CapacityExhaustedError", "ConfigError", "EquilibriumBracketError",
+                     "GridMismatchError", "HistoryRangeError", "HorizonError",
+                     "IntegrationDivergedError", "ModelDomainError", "RatelabError"], "errors"),
+    **dict.fromkeys(["CapacityLaw", "ModelParams", "capacity"], "model"),
+    **dict.fromkeys(["run_scenario", "sweep"], "scenario"),
+}
+
+
+def test_lazy_namespace_is_the_public_namespace():
+    star = {}
+    exec("from ratelab import *", star)
+    assert set(star) - {"__builtins__"} == set(PUBLIC_NAMES)
+    for name, module in PUBLIC_NAMES.items():
+        assert getattr(ratelab, name) is getattr(importlib.import_module(f"ratelab.{module}"), name)
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        ratelab.nope
+    assert not hasattr(ratelab, "nope")
 
 
 @pytest.mark.parametrize(
@@ -553,7 +588,7 @@ def test_rk4_stiffness_failure_names_the_step_bound(fig2_path, tmp_path, case):
     assert proc.stderr.startswith(
         f"error[diverged]: integration left the model domain at t = {t_fail}: {cause}"
     )
-    cfg = scenario.load_scenario(path)
+    cfg = config.load_scenario(path)
     kappa, a = cfg.params.kappa, cfg.params.a
     x_bound = (kappa * a * cfg.step / 2.785) ** (1 / (a + 1))
     h_max = 2.785 * x_low ** (a + 1) / (kappa * a)

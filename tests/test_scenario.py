@@ -26,19 +26,10 @@ from ratelab import (
     snap_step,
     sweep,
 )
-from ratelab import scenario
+from ratelab import config, scenario
 from ratelab.model import AFFINE, CONSTANT, CapacityLaw, ModelParams
-from ratelab.scenario import (
-    EXIT_CODES,
-    FIELDS,
-    RunResult,
-    ScenarioConfig,
-    apply_param,
-    auto_margin_range,
-    build_config,
-    write_config_echo,
-    _execute,
-)
+from ratelab.config import FIELDS, ScenarioConfig, apply_param, build_config, write_config_echo
+from ratelab.scenario import EXIT_CODES, RunResult, auto_margin_range, _execute
 from ratelab.svgplot import line_plot_svg
 from conftest import BASE_LAW, base_params, run_cli, synthetic_trajectory
 from oracle import sweep_summary as reference_sweep_summary
@@ -711,7 +702,7 @@ def _rate_scaled(cfg, lam):
     """The run of ``cfg`` with the rate rescaled, x -> lam*x.  c = g(x)
     scales with it, so kappa takes lam**(a+1) and h takes lam**-(a+1), and
     the intercept, the rate bounds, init_x and both tolerances take lam."""
-    values = {**scenario.config_values(cfg), "step": cfg.step_requested}
+    values = {**config.config_values(cfg), "step": cfg.step_requested}
     a1 = values["a"] + 1.0
     values.update(kappa=values["kappa"] * lam ** a1, h=values["h"] * lam ** -a1)
     for key in ("intercept", "x_min", "x_max", "init_x", "tol_conv", "tol_osc"):
