@@ -17,11 +17,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from ratelab import (  # noqa: E402
-    CERTIFIED, RatelabError, integrate, load_scenario, solve_equilibrium)
+from ratelab import CERTIFIED, RatelabError, load_scenario  # noqa: E402
 from ratelab.analysis import check_stability  # noqa: E402
 from ratelab.config import apply_param  # noqa: E402
-from ratelab.scenario import auto_margin_range  # noqa: E402
+from ratelab.scenario import _execute  # noqa: E402
 
 
 def margin_check(cfg, b: float, x_range):
@@ -45,9 +44,7 @@ def main() -> int:
         parser.error(f"argument --tol: must be a positive finite number, got {args.tol}")
 
     cfg = load_scenario(REPO / "scenarios" / "fig2.scenario")
-    eq = solve_equilibrium(cfg.params, cfg.law)
-    traj = integrate(cfg.params, cfg.law, cfg.init_x, cfg.t_end, cfg.step)
-    x_range = cfg.margin_range or auto_margin_range(cfg, traj, eq.x_star)
+    x_range = _execute(cfg).report.x_range  # the range `ratelab run` resolves
 
     checked = []  # (b, certified) for each grid value that the model accepts
     for i in range(args.n):

@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .analysis import CERTIFIED, check_stability, solve_equilibrium
-from .config import SWEEPABLE, apply_param, load_scenario
+from .config import SWEEPABLE, apply_params, load_scenario
 from .errors import (
     ConfigError,
     EquilibriumBracketError,
@@ -105,11 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_with_overrides(path, step=None, t_end=None):
     cfg = load_scenario(path)
-    if t_end is not None:
-        cfg = apply_param(cfg, "t_end", t_end)
-    if step is not None:
-        cfg = apply_param(cfg, "step", step)
-    return cfg
+    overrides = {k: v for k, v in (("t_end", t_end), ("step", step)) if v is not None}
+    return apply_params(cfg, overrides) if overrides else cfg
 
 
 def _cmd_run(args) -> int:

@@ -273,11 +273,20 @@ def apply_param(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
     """Return ``cfg`` with one key of FIELDS replaced (``intercept`` sets a
     constant law's level), checked and re-snapped from the requested step by
     :func:`build_config`."""
-    key = _field_for(cfg, key).key
+    return apply_params(cfg, {key: value})
+
+
+def apply_params(cfg: ScenarioConfig, changes: dict) -> ScenarioConfig:
+    """:func:`apply_param` for several keys at once, checked together, so
+    that each is checked against the others' new values."""
     values = config_values(cfg)
     values["step"] = cfg.step_requested
-    values[key] = value
-    return build_config(values, f"{key} = {value}", cfg.name)
+    where = []
+    for key, value in changes.items():
+        key = _field_for(cfg, key).key
+        values[key] = value
+        where.append(f"{key} = {value}")
+    return build_config(values, ", ".join(where), cfg.name)
 
 
 def _fmt(v: float) -> str:

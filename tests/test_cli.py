@@ -36,13 +36,21 @@ FIG2_SHORT_TAIL.write_text(
 )
 
 
-def test_run_subcommand(fig2_path, tmp_path, capsys):
-    code = main(["run", str(fig2_path), "--out", str(tmp_path / "o"), "--t-end", "50"])
+@pytest.mark.parametrize("name, equilibrium, verdict", [
+    ("fig1", "x_star=1.367154041 c_star=3.632845959", "NotCertified"),
+    ("fig2", "x_star=1.105944895 c_star=3.894055105", "CertifiedStable"),
+], ids=["fig1", "fig2"])
+def test_run_subcommand(tmp_path, capsys, name, equilibrium, verdict):
+    # the figures: each shipped scenario over its full horizon
+    out = tmp_path / name
+    code = main(["run", str(SCENARIOS / f"{name}.scenario"), "--out", str(out)])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "verdict: CertifiedStable" in out
-    assert "classification: Converged" in out
-    assert (tmp_path / "o" / "trajectory.csv").is_file()
+    report = capsys.readouterr().out
+    assert f"\nequilibrium: {equilibrium} residual=" in report
+    assert f"\nverdict: {verdict}\n" in report
+    assert "\nclassification: Converged\n" in report
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config_echo.scenario", "lyapunov.csv", "plot.svg", "report.txt", "trajectory.csv"]
 
 
 def test_run_exit_code_tracks_classification(fig2_path, tmp_path):
@@ -618,6 +626,28 @@ def test_t_end_below_one_step_is_config_error(fig2_path, tmp_path):
     assert main(["sweep", str(fig2_path), "--param", "b", "--values", "0.2",
                  "--t-end", "0.004", "--out", str(out)]) == 65
     assert not out.exists()
+
+
+def test_step_and_t_end_overrides_are_checked_together(fig2_path, tmp_path, capsys):
+    # 0.04 s is 40 steps of 0.001 with a tail window of 8: valid together,
+    # though t_end = 0.04 alone leaves a window shorter than the file's 0.01
+    out = tmp_path / "o"
+    assert main(["run", str(fig2_path), "--t-end", "0.04", "--step", "0.001",
+                 "--out", str(out)]) == 12  # Undetermined: 0.04 < 10 tau
+    assert "\nstep = 0.001\n" in (out / "config_echo.scenario").read_text()
+    assert main(["sweep", str(fig2_path), "--param", "b", "--values", "0.2", "--t-end",
+                 "0.04", "--step", "0.001", "--out", str(tmp_path / "sw")]) == 0
+    assert "\nb,0.20000000000000001,ok,0.001," in (tmp_path / "sw" / "sweep.csv").read_text()
+    # 2e5 steps of 1 are under MAX_STEPS, though 2e5 / 0.01 is not
+    assert config.apply_params(config.load_scenario(fig2_path),
+                               {"t_end": 2e5, "step": 1.0}).step == 1.0
+    capsys.readouterr()
+    # a refusal names both overrides
+    assert main(["run", str(fig2_path), "--t-end", "0.004", "--step", "0.01",
+                 "--out", str(tmp_path / "short")]) == 65
+    assert capsys.readouterr().err == ("error[config]: t_end = 0.004, step = 0.01: "
+                                       "[run] t_end = 0.004 shorter than one step 0.01\n")
+    assert not (tmp_path / "short").exists()
 
 
 def test_tail_window_below_one_step_is_config_error(fig2_path, tmp_path):

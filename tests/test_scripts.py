@@ -1,4 +1,4 @@
-"""The two scripts in scripts/, run end to end in a fresh interpreter."""
+"""The one script in scripts/, run end to end in a fresh interpreter."""
 
 import subprocess
 import sys
@@ -9,7 +9,7 @@ from conftest import REPO
 
 
 def run_script(name, *argv, cwd=None):
-    """``scripts/<name>`` in a fresh interpreter (each puts src/ on its own
+    """``scripts/<name>`` in a fresh interpreter (the script puts src/ on its own
     path), so an uncaught exception shows as a traceback and a hang as
     ``subprocess.TimeoutExpired``."""
     return subprocess.run(
@@ -78,11 +78,3 @@ def test_certification_boundary_without_a_bracket_exits_1():
         "no certified/uncertified bracket in the swept range",
     ]
     assert "Traceback" not in proc.stderr
-
-
-def test_reproduce_figures_prints_both_rows(tmp_path):
-    proc = run_script("reproduce_figures.py", "--out", tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split()[:6] for line in proc.stdout.splitlines()]
-    assert ["fig1", "0.8", "1.36715", "3.63285", "NotCertified", "Converged"] in rows
-    assert ["fig2", "0.2", "1.10594", "3.89406", "CertifiedStable", "Converged"] in rows
