@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_with_overrides(path, step=None, t_end=None):
+def _load_with_overrides(path, step, t_end):
     cfg = load_scenario(path)
     overrides = {k: v for k, v in (("t_end", t_end), ("step", step)) if v is not None}
     return apply_params(cfg, overrides) if overrides else cfg

@@ -125,7 +125,7 @@ def snap_step(step: float, tau: float, t_delay: float) -> float:
     )
 
 
-def build_config(values: dict, where: str, name: str = "scenario") -> ScenarioConfig:
+def build_config(values: dict, where: str, name: str) -> ScenarioConfig:
     """Check one scenario's key values (FIELDS names) and assemble its config.
 
     Missing keys take their FIELDS defaults.  Scenario files, CLI overrides

@@ -180,7 +180,6 @@ def integrate(
     n_steps = round(t_end / step)
     if n_steps < 1:
         raise GridMismatchError(f"t_end = {t_end} shorter than one step {step}")
-    t0 = 0.0
 
     # Append-only records over [-max delay, t_end]; index i0 of xs is t = 0.
     # The junction at t = 0 carries two one-sided derivatives: the
@@ -206,7 +205,7 @@ def integrate(
     try:
         d0_dyn = slope(x0, flow(x0, xs[i0 - k_tau], xs[i0 - k_t]))
     except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
-        raise _diverged(exc, t0, params, step, x0) from exc
+        raise _diverged(exc, 0.0, params, step, x0) from exc
     ds = [d0_dyn]
     append_x, append_d = xs.append, ds.append
     # Step j reads the grid at xs[i0 + j + 1 - k] for k = k_tau, k_t >= 1:
@@ -251,7 +250,7 @@ def integrate(
             else:
                 k3 = slope(x_stage, f)
         except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
-            raise _diverged(exc, t0 + j * step + half, params, step, min(xs), x_half) from exc
+            raise _diverged(exc, j * step + half, params, step, min(xs), x_half) from exc
         # recorded rates are positive, so the grid read needs no x_delayed test
         try:
             x_stage = x + step * k3
@@ -267,12 +266,12 @@ def integrate(
                 k_next = kappa * (x_next ** neg_a - f)
             else:
                 if not math.isfinite(x_next):
-                    raise _diverged(None, t0 + j * step + step, params, step, min(xs), x_half)
+                    raise _diverged(None, j * step + step, params, step, min(xs), x_half)
                 x_next = min(max(x_next, x_min), x_max)
                 capacity(law, x_next)
                 k_next = slope(x_next, f)
         except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
-            raise _diverged(exc, t0 + j * step + step, params, step, min(xs), x_half) from exc
+            raise _diverged(exc, j * step + step, params, step, min(xs), x_half) from exc
         append_x(x_next)
         append_d(k_next)
         mids[w] = 0.5 * (x + x_next) + eighth * (k1 - k_next)
@@ -280,7 +279,7 @@ def integrate(
 
     import numpy as np
 
-    t_arr = t0 + step * np.arange(n_steps + 1)
+    t_arr = step * np.arange(n_steps + 1)
     x_arr = np.array(xs[i0:], dtype=float)
     d_arr = np.array(ds, dtype=float)
     c_arr = law.value(x_arr)

@@ -14,12 +14,12 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 _MAX_POINTS = 2000
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     import numpy as np
 
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(1, n - 1)
+    raw = (hi - lo) / 5  # five intervals: about six ticks
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -37,9 +37,9 @@ def line_plot_svg(
     path,
     x: np.ndarray,
     series: list[tuple[str, np.ndarray]],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    title: str,
+    xlabel: str,
+    ylabel: str,
 ) -> None:
     """Write one SVG with a shared x-axis and one polyline per series."""
     import numpy as np
@@ -78,11 +78,10 @@ def line_plot_svg(
         f'stroke="#333" stroke-width="1"/>',
     ]
     font = 'font-family="monospace" font-size="12"'
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="monospace" font-size="15">{_text(title)}</text>'
-        )
+    parts.append(
+        f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="monospace" font-size="15">{_text(title)}</text>'
+    )
     for tv in _ticks(x_lo, x_hi):
         px = sx(tv)
         parts.append(
@@ -101,16 +100,14 @@ def line_plot_svg(
         parts.append(
             f'<text x="{_ML - 8}" y="{py + 4:.2f}" text-anchor="end" {font}>{tv:g}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{_ML + px_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-            f"{font}>{_text(xlabel)}</text>"
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="18" y="{_MT + px_h / 2:.1f}" text-anchor="middle" {font} '
-            f'transform="rotate(-90 18 {_MT + px_h / 2:.1f})">{_text(ylabel)}</text>'
-        )
+    parts.append(
+        f'<text x="{_ML + px_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
+        f"{font}>{_text(xlabel)}</text>"
+    )
+    parts.append(
+        f'<text x="18" y="{_MT + px_h / 2:.1f}" text-anchor="middle" {font} '
+        f'transform="rotate(-90 18 {_MT + px_h / 2:.1f})">{_text(ylabel)}</text>'
+    )
     for i, (label, v) in enumerate(ys):
         color = _COLORS[i % len(_COLORS)]
         # Python floats: the same IEEE arithmetic as numpy scalars, with less overhead

@@ -25,7 +25,9 @@ from ratelab import (
 )
 from ratelab import analysis
 from ratelab.analysis import margin_kernel
+from ratelab.config import apply_param, load_scenario
 from ratelab.model import AFFINE, CONSTANT
+from ratelab.scenario import _execute
 from conftest import BASE_LAW, base_params, synthetic_trajectory
 from oracle import stability_margin as reference_margin
 from oracle import validate_assumptions as reference_assumptions
@@ -251,6 +253,36 @@ class TestCheckTheorem2:
             assert report.verdict == reference.verdict
             assert np.array_equal(report.profile_margin, reference.profile_margin)
 
+
+class TestReadmeNumbers:
+    """The criterion 2 and 3 figures that README states, at the digits it prints."""
+
+    def test_criterion_3_margins(self, fig2_result):
+        envelope = fig2_result.report.x_range
+        stable = check_stability(base_params(0.2), BASE_LAW, envelope, 256)
+        assert stable.verdict == CERTIFIED
+        assert f"{stable.min_margin:.4f}" == "0.0282"
+        steep = check_stability(base_params(0.8), BASE_LAW, envelope, 256)
+        assert steep.min_margin_x == steep.equilibrium.x_star
+        assert (f"{steep.min_margin:.3f}", f"{steep.min_margin_x:.4f}") == ("-0.275", "1.3672")
+        steep_wide = check_stability(base_params(0.8), BASE_LAW, (0.5, 3.0), 256)
+        assert f"{steep_wide.min_margin:.3f}" == "-1.893"
+        wide = check_stability(base_params(0.2), BASE_LAW, (0.5, 3.0), 256)
+        assert (f"{wide.min_margin:.3f}", wide.min_margin_x) == ("-0.911", 3.0)
+
+    def test_criterion_3_certified_interval(self):
+        # README: b = 0.2 is certified on [0.01, 1.2539)
+        inside = check_stability(base_params(0.2), BASE_LAW, (0.01, 1.2539), 256)
+        beyond = check_stability(base_params(0.2), BASE_LAW, (0.01, 1.2540), 256)
+        assert (inside.verdict, beyond.verdict) == (CERTIFIED, NOT_CERTIFIED)
+
+    def test_criterion_2_tail_amplitudes(self, fig1_path, fig1_result):
+        assert f"{fig1_result.classification.tail_peak_to_peak:.1e}" == "2.5e-03"
+        res = _execute(apply_param(load_scenario(fig1_path), "b", 2.0))
+        assert res.classification.kind == OSCILLATING
+        assert f"{res.classification.tail_peak_to_peak:.3f}" == "1.378"
+        x = res.trajectory.x
+        assert (f"{x.min():.3f}", f"{x.max():.3f}") == ("0.865", "2.285")
 
 
 @st.composite

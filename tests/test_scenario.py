@@ -415,6 +415,13 @@ class TestSweep:
         assert "certified_boundary_bracket: (0.1, 0.5)" in lines
         assert not any(line.startswith("warning:") for line in lines)
 
+    def test_full_horizon_boundary_is_readmes(self, fig2_path, tmp_path):
+        # README: a b-sweep of fig2 certifies up to b ~ 0.2152
+        rep = sweep(load_scenario(fig2_path), "b", [0.2151, 0.2152], out_dir=tmp_path / "sw")
+        assert [r.verdict for r in rep.rows] == [CERTIFIED, NOT_CERTIFIED]
+        lines = Path(rep.paths["sweep_report"]).read_text().splitlines()
+        assert "certified_boundary_bracket: (0.2151, 0.2152)" in lines
+
     def test_summary_flags_a_non_monotone_pattern(self):
         # the shipped b-sweeps are monotone, so only built rows reach the warning
         rows = (scenario.SweepRow("b", 0.1, "ok", verdict=NOT_CERTIFIED),

@@ -40,6 +40,8 @@ def test_certification_boundary_prints_the_boundary(tmp_path):
         assert x_range == "[0.9618, 1.2293]"
         assert 0.2603 <= lo <= 0.26036 <= hi <= 0.2605
         intervals.append((lo, hi))
+    assert proc.stdout.splitlines()[-1] == (  # README's line, at the default --n 20
+        "certification boundary in b: (0.26035, 0.26045) over x-range [0.9618, 1.2293]")
     assert max(lo for lo, _ in intervals) <= min(hi for _, hi in intervals)
     assert list(tmp_path.iterdir()) == []  # the script writes no file
 
