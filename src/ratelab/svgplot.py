@@ -2,11 +2,16 @@
 
 Outputs are plain vector files consumed post-hoc by people and CI; no
 display toolkit is involved and the bytes are deterministic for identical
-inputs.  numpy is imported by the functions that use it, when a plot is
-drawn, so importing this module does not load it.
+inputs.  The plot is drawn from plain floats: lists and arrays take the
+same path, and no array library is imported.
 """
 
 from __future__ import annotations
+
+import math
+from collections.abc import Sequence
+
+from .errors import ConfigError
 
 _WIDTH, _HEIGHT = 860, 520
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
@@ -15,18 +20,22 @@ _MAX_POINTS = 2000
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    import numpy as np
-
+    """About six round ticks: ``arange(first, hi + step/2, step)`` by its length
+    rule ``ceil((stop - first)/step)`` and its fill ``first, first + step,
+    first + i*((first + step) - first)``, so every tick keeps its bits."""
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / 5  # five intervals: about six ticks
-    mag = 10.0 ** np.floor(np.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = np.ceil(lo / step) * step
-    return [float(v) for v in np.arange(first, hi + 0.5 * step, step)]
+    try:  # an infinite end or tick count cannot become an int
+        mag = 10.0 ** math.floor(math.log10(raw))
+        step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag)
+        q = lo / step
+        first = math.copysign(math.ceil(q), q) * step  # -0.0 stays, printed "-0"
+        n = math.ceil((hi + 0.5 * step - first) / step)
+    except OverflowError:
+        raise ConfigError(f"plot axis [{lo:g}, {hi:g}]: its ticks exceed the float range") from None
+    delta = (first + step) - first
+    return [first, first + step][:n] + [first + i * delta for i in range(2, n)]
 
 
 def _text(s: str) -> str:  # as SVG character data
@@ -35,29 +44,22 @@ def _text(s: str) -> str:  # as SVG character data
 
 def line_plot_svg(
     path,
-    x: np.ndarray,
-    series: list[tuple[str, np.ndarray]],
+    x: Sequence[float],
+    series: list[tuple[str, Sequence[float]]],
     title: str,
     xlabel: str,
     ylabel: str,
 ) -> None:
     """Write one SVG with a shared x-axis and one polyline per series."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
     stride = max(1, len(x) // _MAX_POINTS)
-    xs = x[::stride]
-    ys = [(label, np.asarray(v, dtype=float)[::stride]) for label, v in series]
+    xs = list(map(float, x[::stride]))
+    ys = [(label, list(map(float, v[::stride]))) for label, v in series]
 
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo = min(float(v.min()) for _, v in ys)
-    y_hi = max(float(v.max()) for _, v in ys)
-    if y_hi - y_lo < 1e-12:
-        pad = max(1e-6, abs(y_hi) * 0.05)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-    else:
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo = min(min(v) for _, v in ys)
+    y_hi = max(max(v) for _, v in ys)
+    pad = max(1e-6, abs(y_hi) * 0.05) if y_hi - y_lo < 1e-12 else 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
     if x_hi - x_lo < 1e-12:
         x_hi = x_lo + 1.0
 
@@ -110,10 +112,7 @@ def line_plot_svg(
     )
     for i, (label, v) in enumerate(ys):
         color = _COLORS[i % len(_COLORS)]
-        # Python floats: the same IEEE arithmetic as numpy scalars, with less overhead
-        pts = " ".join(
-            f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xs.tolist(), v.tolist())
-        )
+        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xs, v))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -2,8 +2,9 @@
 ``model.stage_kernels``, the fused loop in ``dde.integrate``,
 ``analysis.margin_kernel`` and the assumption violations of
 ``analysis.check_stability`` must match bit for bit, in values and in error
-messages; and the sweep summary rules that ``scenario.format_sweep_summary``
-must match line for line."""
+messages; the sweep summary rules that ``scenario.format_sweep_summary``
+must match line for line; and the numpy tick rule that ``svgplot._ticks``
+must match bit for bit."""
 
 import numpy as np
 
@@ -150,3 +151,19 @@ def sweep_summary(param: str, rows) -> str:
     if n_err:
         lines.append(f"errors: {n_err} value(s) failed; see sweep rows")
     return "\n".join(lines) + "\n"
+
+
+def ticks(lo: float, hi: float) -> list[float]:
+    """The plot's axis ticks as numpy computes them: a round step of 1, 2,
+    2.5, 5 or 10 times a power of ten, about (hi - lo)/5, and
+    ``arange(first, hi + step/2, step)`` from the first multiple of it."""
+    if hi <= lo:
+        return [lo]
+    raw = (hi - lo) / 5
+    mag = 10.0 ** np.floor(np.log10(raw))
+    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
+        if raw <= mult * mag:
+            step = mult * mag
+            break
+    first = np.ceil(lo / step) * step
+    return [float(v) for v in np.arange(first, hi + 0.5 * step, step)]

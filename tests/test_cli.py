@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -483,6 +484,15 @@ def test_check_and_error_exits_leave_numpy_unloaded(fig2_path, tmp_path, argv, c
         assert (tmp_path / "report" / "report.txt").is_file()
 
 
+def test_plot_from_lists_leaves_numpy_unloaded(tmp_path):
+    script = (
+        "import sys\nfrom ratelab.svgplot import line_plot_svg\n"
+        "line_plot_svg(sys.argv[1], [0.0, 1.0, 2.0], [('x', [1.0, 3.0, 2.0])], 't', 'u', 'v')\n"
+        "print(open(sys.argv[1]).read().count('<polyline'))"
+    )
+    assert _numpy_loaded_after(script, tmp_path / "p.svg") == (["1"], False)
+
+
 def test_check_unwritable_report_is_io_error(fig2_path, tmp_path):
     (tmp_path / "report.txt").mkdir()
     proc = run_cli("check", fig2_path, "--out", tmp_path)
@@ -752,10 +762,17 @@ def test_fuzzed_argv_exits_with_documented_code(argv):
 
 
 FIG2_LINES = (SCENARIOS / "fig2.scenario").read_text(encoding="utf-8").splitlines()
-VALUE_TOKENS = ("", "abc", "nan", "inf", "-1", "0", "0.2", "1", "16", "1e12", "1e400",
-                "auto", "0.5 3.0", "constant", "affine")
+VALUE_TOKENS = ("", "abc", "nan", "inf", "-1", "0", "0.2", "1", "16", "1e12", "1.75e308",
+                "1e400", "auto", "0.5 3.0", "constant", "affine")
 EXTRA_LINES = ("[extra]", "[model]", "bogus = 1", "kappa = 2.0", "level = 4.0",
-               "no equals sign", "% = 1")
+               "x_max = 1e30", "no equals sign", "% = 1")
+
+
+def fig2_near_float_max(intercept: str) -> str:
+    """fig2 with the capacity's intercept at ``intercept`` and x_max = 1e30,
+    so that the run is valid and the plot's y axis reaches ``intercept``."""
+    text = "\n".join(FIG2_LINES).replace("intercept = 5.0", f"intercept = {intercept}")
+    return text.replace("T = 2.0", "T = 2.0\nx_max = 1e30") + "\n"
 
 
 @st.composite
@@ -781,8 +798,35 @@ def scenario_texts(draw):
 @example(text="\n".join(FIG2_LINES).replace("a = 1.5", "a = 1e12"))
 @example(text="\n".join(FIG2_LINES).replace("grid_n = 256", "grid_n = 100.5"))
 @example(text="\ufeff" + "\n".join(FIG2_LINES))
-def test_fuzzed_scenario_text_checks_with_documented_code(text):
+@example(text=fig2_near_float_max("1.75e308"))  # the padded y axis ends at inf
+@example(text=fig2_near_float_max("1.6e308"))  # the last tick's stop overflows
+def test_fuzzed_scenario_text_exits_with_documented_code(text):
+    # run reaches the classifier, the energy monitor, the CSV writers and the
+    # plot; a 20 s horizon keeps each run well under 0.2 s
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.scenario"
         path.write_text(text, encoding="utf-8")
         assert _exit_code(["check", str(path), "--out", tmp]) in DOCUMENTED_EXIT_CODES
+        argv = ["run", str(path), "--t-end", "20", "--out", str(Path(tmp) / "run")]
+        assert _exit_code(argv) in DOCUMENTED_EXIT_CODES
+
+
+@pytest.mark.parametrize("intercept, code", [
+    ("1.75e308", 65),  # the 5% pad takes the y axis's top to inf
+    ("1.6e308", 65),  # the top fits, but the tick stop top + step/2 does not
+    ("1e308", 12),  # every tick fits, the first one at -0.0
+])
+def test_plot_axis_near_the_float_maximum(tmp_path, intercept, code):
+    path = tmp_path / "near-max.scenario"
+    path.write_text(fig2_near_float_max(intercept), encoding="utf-8")
+    out = tmp_path / "out"
+    proc = run_cli("run", path, "--t-end", "20", "--out", out)
+    assert (proc.returncode, "Traceback" in proc.stderr) == (code, False)
+    if code == 65:
+        assert proc.stderr.startswith("error[config]: plot axis [")
+        assert proc.stderr.rstrip().endswith(": its ticks exceed the float range")
+        assert not out.exists() or not any(out.iterdir())
+    else:
+        y_ticks = [e.text for e in ET.parse(out / "plot.svg").iter()
+                   if e.tag.endswith("text") and e.get("text-anchor") == "end"]
+        assert y_ticks == ["-0", "2.5e+307", "5e+307", "7.5e+307", "1e+308"]

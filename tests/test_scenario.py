@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from ratelab import (
@@ -30,9 +30,10 @@ from ratelab import config, scenario
 from ratelab.model import AFFINE, CONSTANT, CapacityLaw, ModelParams
 from ratelab.config import FIELDS, ScenarioConfig, apply_param, build_config, write_config_echo
 from ratelab.scenario import EXIT_CODES, RunResult, auto_margin_range, _execute
-from ratelab.svgplot import line_plot_svg
+from ratelab.svgplot import _ticks, line_plot_svg
 from conftest import BASE_LAW, base_params, run_cli, synthetic_trajectory
 from oracle import sweep_summary as reference_sweep_summary
+from oracle import ticks as reference_ticks
 
 MINIMAL = """\
 [model]
@@ -743,3 +744,31 @@ def test_rate_rescaling_meets_the_absolute_a3_threshold(fig2_result):
     ]
     assert other.report.min_margin * 0.1 ** 2.5 == pytest.approx(
         fig2_result.report.min_margin, rel=1e-12)
+
+
+def _spans_at_powers_of_ten(test):
+    """@examples whose step candidate (hi - lo)/5 lies at, or one ulp either
+    side of, a power of ten: there a last-bit difference between math.log10
+    and numpy's log10 could change the floor."""
+    for k in (-300, -7, -1, 0, 1, 7, 299):
+        span = 5.0 * 10.0 ** k
+        for hi in (math.nextafter(span, 0.0), span, math.nextafter(span, math.inf)):
+            test = example(lo=0.0, hi=hi)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(allow_nan=False, allow_infinity=False),
+       hi=st.floats(allow_nan=False, allow_infinity=False))
+@example(lo=-0.3, hi=5.0)  # the first tick is -0.0, which the plot prints as "-0"
+@_spans_at_powers_of_ten
+def test_ticks_match_numpy_oracle(lo, hi):
+    assume(lo != hi)  # a point is its own one tick
+    lo, hi = min(lo, hi), max(lo, hi)
+    try:
+        with np.errstate(all="ignore"):
+            expected = reference_ticks(lo, hi)
+    except (ValueError, UnboundLocalError):  # numpy cannot size the tick range
+        expected = None
+    assume(expected is not None)
+    assert [v.hex() for v in _ticks(lo, hi)] == [v.hex() for v in expected]
