@@ -22,7 +22,7 @@ from .errors import (
     IntegrationDivergedError,
     ModelDomainError,
 )
-from .model import DELAY_MULTIPLE_RTOL, CapacityLaw, ModelParams, capacity, stage_kernels
+from .model import DELAY_MULTIPLE_RTOL, CapacityLaw, ModelParams, capacity
 
 # Exact-hit snap tolerance for time queries, as a fraction of the step.
 GRID_SNAP = 1e-12
@@ -120,6 +120,32 @@ def _diverged(cause, t_fail: float, p: ModelParams, step: float, *rates: float):
     return IntegrationDivergedError(message, t_fail)
 
 
+def _require_positive(name: str, v: float) -> None:
+    # "rhs" names the right-hand side; the text reaches stderr and sweep.csv
+    if not v > 0:
+        raise ModelDomainError(f"rhs requires {name} > 0, got {v}")
+
+
+def flow(p: ModelParams, law: CapacityLaw, x_now: float, x_delayed: float, x_cap: float) -> float:
+    """The delayed price flow h*x_d**(b+1)*c_d**-b at c_d = g(x_cap), after
+    the positivity checks in their order: capacity, x_now, x_delayed."""
+    c = capacity(law, x_cap)
+    _require_positive("x_now", x_now)
+    _require_positive("x_delayed", x_delayed)
+    return p.h_gain * x_delayed ** (p.b + 1.0) * c ** -p.b
+
+
+def slope(p: ModelParams, x_now: float, f: float) -> float:
+    """kappa*(x_now**-a - f) after the x_now check, projected at the rate bounds."""
+    _require_positive("x_now", x_now)
+    d = p.kappa * (x_now ** -p.a - f)
+    if x_now >= p.x_max:
+        return min(d, 0.0)
+    if x_now <= p.x_min:
+        return max(d, 0.0)
+    return d
+
+
 def integrate(
     params: ModelParams,
     law: CapacityLaw,
@@ -149,13 +175,15 @@ def integrate(
     time, shared by k2/k3 at t + step/2 and by k4 and the recorded
     derivative at t + step, and each interval's Hermite midpoint is formed
     once, when its right end is recorded.  That is four projected slopes and
-    two price flows per step.  The stage arithmetic of
-    :func:`model.stage_kernels` is written inline for interior stages
-    (positive capacity and delayed rate, rate strictly inside the bounds);
-    every other stage calls its closures, which raise or project.  Both are
-    the floating-point operations of the plain five-stage loop in the same
+    two price flows per step.  Interior stages (positive capacity and
+    delayed rate, rate strictly inside the bounds) repeat the expressions of
+    :func:`flow` and :func:`slope` inline, in the same association; every
+    other stage, and the slope at t = 0, calls them to raise or project.
+    Both are the plain five-stage loop's floating-point operations in its
     order, so results, error messages and failure times are bit-identical
-    to it.
+    to it.  ``tests/test_dde.py`` checks that against a loop over the
+    formulas of ``tests/oracle.py``: a change to either function must
+    change its inline copy too.
 
     Every delayed read is a fixed lag into what is already recorded (the
     method of steps), so the loop works out no index: the grid reads come
@@ -163,7 +191,8 @@ def integrate(
     entries, and the midpoint ring's write and read slots from one cycle at
     three offsets.  The grid reads feed k4 and the recorded derivative
     without the x_delayed > 0 test of the midpoint reads: every recorded
-    rate is init_x > 0 or projected into [x_min, x_max], and x_min > 0.
+    rate is init_x > 0 or projected into [x_min, x_max], and x_min > 0;
+    :func:`flow` still checks it on the fallback path.
 
     Two runs with identical inputs produce bit-identical trajectories: the
     loop is sequential pure-float arithmetic with no ambient state.
@@ -198,12 +227,11 @@ def integrate(
         x_hi = math.nextafter(x_hi, x_max)
     while law.value(math.nextafter(x_hi, 0.0)) <= 0:
         x_hi = math.nextafter(x_hi, 0.0)
-    flow, slope = stage_kernels(params, law)
     half = 0.5 * step
     sixth = step / 6.0
     eighth = 0.125 * step
     try:
-        d0_dyn = slope(x0, flow(x0, xs[i0 - k_tau], xs[i0 - k_t]))
+        d0_dyn = slope(params, x0, flow(params, law, x0, xs[i0 - k_tau], xs[i0 - k_t]))
     except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
         raise _diverged(exc, 0.0, params, step, x0) from exc
     ds = [d0_dyn]
@@ -231,10 +259,10 @@ def integrate(
     ):
         xd_t = mids[r_t]
         xd_tau = mids[r_tau]
-        # Stage arithmetic of stage_kernels, inline wherever its closures
-        # would take no branch: positive capacity and delayed rate, and a
-        # rate strictly inside (x_min, x_max).  Any other input goes to the
-        # closures, which raise or project.
+        # The arithmetic of flow and slope, inline for interior stages:
+        # positive capacity and delayed rate, and a rate strictly inside
+        # (x_min, x_max).  Any other input goes to flow and slope, which
+        # raise or project.
         try:
             x_half = x + half * k1
             c_d = c0 - slope_g * xd_t
@@ -242,13 +270,13 @@ def integrate(
                 f = h * xd_tau ** b_plus_1 * c_d ** neg_b
                 k2 = kappa * (x_half ** neg_a - f)
             else:
-                f = flow(x_half, xd_tau, xd_t)
-                k2 = slope(x_half, f)
+                f = flow(params, law, x_half, xd_tau, xd_t)
+                k2 = slope(params, x_half, f)
             x_stage = x + half * k2
             if x_min < x_stage < x_max:
                 k3 = kappa * (x_stage ** neg_a - f)
             else:
-                k3 = slope(x_stage, f)
+                k3 = slope(params, x_stage, f)
         except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
             raise _diverged(exc, j * step + half, params, step, min(xs), x_half) from exc
         # recorded rates are positive, so the grid read needs no x_delayed test
@@ -259,8 +287,8 @@ def integrate(
                 f = h * xd_tau4 ** b_plus_1 * c_d ** neg_b
                 k4 = kappa * (x_stage ** neg_a - f)
             else:
-                f = flow(x_stage, xd_tau4, xd_t4)
-                k4 = slope(x_stage, f)
+                f = flow(params, law, x_stage, xd_tau4, xd_t4)
+                k4 = slope(params, x_stage, f)
             x_next = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             if x_min < x_next < x_hi:
                 k_next = kappa * (x_next ** neg_a - f)
@@ -269,7 +297,7 @@ def integrate(
                     raise _diverged(None, j * step + step, params, step, min(xs), x_half)
                 x_next = min(max(x_next, x_min), x_max)
                 capacity(law, x_next)
-                k_next = slope(x_next, f)
+                k_next = slope(params, x_next, f)
         except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
             raise _diverged(exc, j * step + step, params, step, min(xs), x_half) from exc
         append_x(x_next)

@@ -1,7 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package; keep each message self-contained.
 
-The CLI maps each class to a distinct exit code, so keep the hierarchy flat
-and the messages self-contained.
+``cli.main`` exits 65 with ``error[config]`` on ConfigError,
+EquilibriumBracketError and MarginOverflowError, 70 with ``error[diverged]``
+on IntegrationDivergedError, and 70 with ``error[runtime]`` on every other
+RatelabError.
 """
 
 

@@ -7,11 +7,10 @@ The source adjusts its rate x from delayed feedback:
 
 which is the primal rate update kappa*(x*U'(x) - x_d*p(x_d, c_d)) for the
 utility U(x) = -1/(a*x**a) and the price p(x, c) = h*(x/c)**b.  The module
-holds the parameter records, the capacity law and the fused projected
-right-hand side (:func:`stage_kernels`): the integrator repeats its
-arithmetic inline for interior stages and calls it for the rest, where its
-checks and projection apply.  All powers act on strictly positive bases;
-nonpositive bases raise ModelDomainError rather than propagating NaN.
+holds the parameter records and the capacity law; the right-hand side and
+its projection at the rate bounds live in :mod:`ratelab.dde`, beside the
+loop that evaluates them.  :func:`capacity` raises CapacityExhaustedError
+for a nonpositive capacity rather than letting a power propagate NaN.
 """
 
 import math
@@ -127,63 +126,3 @@ def capacity(law: CapacityLaw, x: float) -> float:
     if not c > 0:
         raise CapacityExhaustedError(f"capacity law returned c = {c} <= 0 at x = {x}")
     return c
-
-
-def _require_positive(name: str, v: float) -> None:
-    # "rhs" names the right-hand side; the text reaches stderr and sweep.csv
-    if not v > 0:
-        raise ModelDomainError(f"rhs requires {name} > 0, got {v}")
-
-
-def stage_kernels(p: ModelParams, law: CapacityLaw):
-    """The projected right-hand side, split for a fused RK stage loop.
-
-    Returns ``(flow, slope)``:
-
-    - ``flow(x_now, x_delayed, x_cap)`` is the delayed price flow
-      h*x_d**(b+1)*c_d**-b at c_d = g(x_cap), after the positivity checks
-      in their order (capacity, then x_now, then x_delayed);
-    - ``slope(x_now, f)`` is kappa*(x_now**-a - f) after the x_now check,
-      projected at the rate bounds: no outward motion at x_min/x_max.
-
-    Stages that share their delayed arguments can share one flow.  The
-    constants are bound once; a failing check raises through
-    :func:`capacity` or :func:`_require_positive`, so errors read the same
-    from every stage.
-
-    :func:`dde.integrate` writes the no-branch arithmetic of both closures
-    inline, with the same expressions in the same association, and calls
-    them only for a stage that fails a check or sits at a rate bound.  Its
-    inline guard for the grid-time stage (k4 and the recorded derivative)
-    tests the capacity and x_now but not x_delayed: that rate is a recorded
-    sample, positive by construction (init_x > 0, later samples projected
-    into [x_min, x_max] with x_min > 0), and ``flow`` still checks it on the
-    fallback path.  A change to either closure must change that inline copy
-    with it;
-    ``tests/test_dde.py`` compares the integrator bit for bit with a plain
-    loop over the formulas of ``tests/oracle.py`` and catches a drift.
-    """
-    kappa, neg_a, x_min, x_max = p.kappa, -p.a, p.x_min, p.x_max
-    h, b_plus_1, neg_b = p.h_gain, p.b + 1.0, -p.b
-    c0, slope_g = law.c0, law.slope
-
-    def flow(x_now: float, x_delayed: float, x_cap: float) -> float:
-        c_delayed = c0 - slope_g * x_cap
-        if not (c_delayed > 0 and x_now > 0 and x_delayed > 0):
-            capacity(law, x_cap)
-            _require_positive("x_now", x_now)
-            _require_positive("x_delayed", x_delayed)
-        return h * x_delayed ** b_plus_1 * c_delayed ** neg_b
-
-    def slope(x_now: float, f: float) -> float:
-        if not x_now > 0:
-            _require_positive("x_now", x_now)
-        d = kappa * (x_now ** neg_a - f)
-        if x_now >= x_max:
-            return min(d, 0.0)
-        if x_now <= x_min:
-            return max(d, 0.0)
-        return d
-
-    return flow, slope
-

@@ -130,13 +130,14 @@ def write_outputs(out_dir, files) -> dict:
     ``files`` maps each file name, in write order, to its text (written as
     UTF-8 with ``\\n`` newlines) or to a function that writes the file at the
     path it is given.  On any exception every file begun so far, the failing
-    one included, is unlinked (a directory never is) before the exception
-    propagates.  Returns ``{file stem: path}``.
+    one included, is removed, and so is every directory the call created,
+    leaf first, before the exception propagates.  Returns ``{file stem: path}``.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    made = [d for d in (out, *out.parents) if not d.exists()]
     begun = []
     try:
+        out.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():
             begun.append(out / name)
             if callable(content):
@@ -144,9 +145,9 @@ def write_outputs(out_dir, files) -> dict:
             else:
                 begun[-1].write_text(content, encoding="utf-8", newline="\n")
     except BaseException:
-        for path in begun:
+        for remove in [path.unlink for path in begun] + [d.rmdir for d in made]:
             with suppress(OSError):
-                path.unlink()
+                remove()
         raise
     return {path.stem: str(path) for path in begun}
 

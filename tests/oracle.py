@@ -1,5 +1,5 @@
 """The model written out one formula per function: the oracles that
-``model.stage_kernels``, the fused loop in ``dde.integrate``,
+``dde.flow`` and ``dde.slope``, the fused loop in ``dde.integrate``,
 ``analysis.margin_kernel`` and the assumption violations of
 ``analysis.check_stability`` must match bit for bit, in values and in error
 messages; the sweep summary rules that ``scenario.format_sweep_summary``
@@ -16,15 +16,9 @@ from ratelab.analysis import (
     WARNING,
     AssumptionViolation,
 )
+from ratelab.dde import _require_positive
 from ratelab.errors import MarginOverflowError, ModelDomainError
-from ratelab.model import (
-    AFFINE,
-    CapacityLaw,
-    Equilibrium,
-    ModelParams,
-    _require_positive,
-    capacity,
-)
+from ratelab.model import AFFINE, CapacityLaw, Equilibrium, ModelParams, capacity
 
 
 def price_flow(x_delayed: float, c_delayed: float, p: ModelParams) -> float:

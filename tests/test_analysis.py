@@ -443,7 +443,7 @@ def assumption_inputs(draw):
 @given(inputs=assumption_inputs())
 @example(inputs=(base_params(0.8), CapacityLaw(AFFINE, 5.0, 2.0), (0.5, 1.9), 64))  # holds
 @example(inputs=(base_params(0.8), CapacityLaw(AFFINE, 5.0, 2.0), (0.5, 2.1), 64))  # fails
-def test_validate_assumptions_matches_full_scan(inputs):
+def test_a3_check_matches_full_scan(inputs):
     # A3's g > 1 is tested at x_hi alone, and the grid scanned only when that
     # fails: check_stability's violations must read as those of the full
     # numpy scan

@@ -18,9 +18,10 @@ from ratelab import (
     load_scenario,
     solve_equilibrium,
 )
+from ratelab import dde
 from ratelab.model import AFFINE, CONSTANT
 from conftest import BASE_LAW, SCENARIOS, base_params
-from oracle import clamp, rhs
+from oracle import clamp, price_flow, rhs
 
 
 def with_stiffness_hint(err, rates, params, step):
@@ -147,6 +148,41 @@ class TestInterpX:
             traj.interp_x(np.array([1.0, 4.5]))
 
 
+class TestStageKernels:
+    @given(
+        x=st.floats(min_value=1e-3, max_value=1e3),
+        x_d=st.floats(min_value=1e-2, max_value=1e2),
+        x_c=st.floats(min_value=0.0, max_value=4.99),
+        b=st.floats(min_value=0.1, max_value=3.0),
+        h=st.floats(min_value=0.5, max_value=2.0),
+    )
+    def test_bitwise_equal_to_projected_rhs(self, x, x_d, x_c, b, h):
+        p = ModelParams(kappa=1.7, a=1.5, b=b, tau=1.0, T_delay=1.0, h_gain=h,
+                        x_min=0.01, x_max=50.0)
+        c_d = capacity(BASE_LAW, x_c)
+        f = dde.flow(p, BASE_LAW, x, x_d, x_c)
+        assert f == price_flow(x_d, c_d, p)
+        assert dde.slope(p, x, f) == clamp(x, rhs(x, x_d, c_d, p), p)
+
+    @pytest.mark.parametrize(
+        "x_now, x_d, x_c, match",
+        [
+            (-1.0, -1.0, 6.0, "capacity law returned"),
+            (-1.0, -1.0, 1.0, "x_now > 0"),
+            (1.0, float("nan"), 1.0, "x_delayed > 0"),
+        ],
+    )
+    def test_checks_in_rhs_order(self, x_now, x_d, x_c, match):
+        p = base_params(0.8)
+        with pytest.raises(ModelDomainError, match=match) as got:
+            dde.flow(p, BASE_LAW, x_now, x_d, x_c)
+        with pytest.raises(ModelDomainError) as ref:
+            rhs(x_now, x_d, capacity(BASE_LAW, x_c), p)
+        assert str(got.value) == str(ref.value)
+        with pytest.raises(ModelDomainError, match="x_now > 0"):
+            dde.slope(p, 0.0, 1.0)
+
+
 def _scenario_run(name):
     cfg = load_scenario(SCENARIOS / f"{name}.scenario")
     return cfg.params, cfg.law, cfg.init_x, cfg.t_end, cfg.step
@@ -271,7 +307,7 @@ def loop_inputs(draw):
     CapacityLaw(AFFINE, 5.0, 1.0), 2.0, 7 * HYP_STEP, HYP_STEP,
 ))
 def test_loop_matches_reference_on_random_inputs(inputs):
-    # the inline interior stages and the closure fallback, against the plain loop
+    # the inline interior stages and the flow/slope fallback, against the plain loop
     try:
         x_ref, d_ref = reference_integrate(*inputs)
     except IntegrationDivergedError as ref:

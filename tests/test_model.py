@@ -13,13 +13,9 @@ from ratelab import (
     capacity,
     solve_equilibrium,
 )
-from ratelab.model import AFFINE, CONSTANT, stage_kernels
+from ratelab.model import AFFINE, CONSTANT
 from conftest import BASE_LAW, base_params
-from oracle import clamp, price_flow, rhs
-
-positive = st.floats(min_value=1e-2, max_value=1e2)
-exponents = st.floats(min_value=0.1, max_value=3.0)
-
+from oracle import clamp, rhs
 
 class TestCapacity:
     def test_affine(self):
@@ -48,8 +44,9 @@ class TestCapacity:
 
 
 class TestRhs:
-    """The oracle's formula against independent evaluations; TestStageKernels
-    ties the kernels to the oracle bit for bit."""
+    """The oracle's formula against independent evaluations;
+    test_dde.py's TestStageKernels ties dde.flow and dde.slope to the oracle
+    bit for bit."""
 
     def test_equilibrium_annihilates(self):
         p = base_params(0.8)
@@ -84,43 +81,6 @@ class TestRhs:
             above = eq.x_star + dx
             assert rhs(below, below, BASE_LAW.value(below), p) > 0
             assert rhs(above, above, BASE_LAW.value(above), p) < 0
-
-
-class TestStageKernels:
-    @given(
-        x=st.floats(min_value=1e-3, max_value=1e3),
-        x_d=positive,
-        x_c=st.floats(min_value=0.0, max_value=4.99),
-        b=exponents,
-        h=st.floats(min_value=0.5, max_value=2.0),
-    )
-    def test_bitwise_equal_to_projected_rhs(self, x, x_d, x_c, b, h):
-        p = ModelParams(kappa=1.7, a=1.5, b=b, tau=1.0, T_delay=1.0, h_gain=h,
-                        x_min=0.01, x_max=50.0)
-        flow, slope = stage_kernels(p, BASE_LAW)
-        c_d = capacity(BASE_LAW, x_c)
-        f = flow(x, x_d, x_c)
-        assert f == price_flow(x_d, c_d, p)
-        assert slope(x, f) == clamp(x, rhs(x, x_d, c_d, p), p)
-
-    @pytest.mark.parametrize(
-        "x_now, x_d, x_c, match",
-        [
-            (-1.0, -1.0, 6.0, "capacity law returned"),
-            (-1.0, -1.0, 1.0, "x_now > 0"),
-            (1.0, float("nan"), 1.0, "x_delayed > 0"),
-        ],
-    )
-    def test_checks_in_rhs_order(self, x_now, x_d, x_c, match):
-        p = base_params(0.8)
-        flow, slope = stage_kernels(p, BASE_LAW)
-        with pytest.raises(ModelDomainError, match=match) as got:
-            flow(x_now, x_d, x_c)
-        with pytest.raises(ModelDomainError) as ref:
-            rhs(x_now, x_d, capacity(BASE_LAW, x_c), p)
-        assert str(got.value) == str(ref.value)
-        with pytest.raises(ModelDomainError, match="x_now > 0"):
-            slope(0.0, 1.0)
 
 
 class TestClamp:

@@ -286,6 +286,19 @@ class TestRunScenario:
         out = tmp_path / "partial"
         with pytest.raises(OSError, match="disk full"):
             run_scenario(cfg, out_dir=out)
+        assert not out.exists()
+
+    def test_failed_write_keeps_a_directory_that_existed(self, fig2_path, tmp_path,
+                                                         monkeypatch):
+        def broken_plot(path, *args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(scenario, "line_plot_svg", broken_plot)
+        cfg = load_scenario(fig2_path)._replace(t_end=10.0)
+        out = tmp_path / "existing"
+        out.mkdir()
+        with pytest.raises(OSError, match="disk full"):
+            run_scenario(cfg, out_dir=out)
         assert list(out.iterdir()) == []
 
     def test_snap_recorded_in_echo(self, tmp_path):
