@@ -118,25 +118,31 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
         x_star = lo
     elif f_hi == 0.0:
         x_star = hi
-    elif f_lo * f_hi > 0:
+    elif f_lo * f_hi > 0.0:
         raise EquilibriumBracketError(
             f"no sign change of the equilibrium residual on [{lo}, {hi}] "
             f"(f({lo}) = {f_lo:.3g}, f({hi}) = {f_hi:.3g})"
         )
     else:
+        # f inline, no call per step (change both together); f(lo) keeps f(x_min)'s sign
+        lo_positive = f_lo > 0.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            f_mid = f(mid)
+            try:
+                f_mid = c0 - slope_g * mid - h_factor * mid ** exponent
+            except OverflowError:
+                f_mid = -math.inf
             if f_mid == 0.0:
                 lo = hi = mid
                 break
-            if (f_lo > 0) == (f_mid > 0):
-                lo, f_lo = mid, f_mid
+            if lo_positive == (f_mid > 0.0):
+                lo = mid
             else:
-                hi, f_hi = mid, f_mid
-            if hi - lo < 1e-15 * max(1.0, 0.5 * (lo + hi)):
+                hi = mid
+            m = 0.5 * (lo + hi)
+            if hi - lo < 1e-15 * (m if m > 1.0 else 1.0):
                 break
         x_star = 0.5 * (lo + hi)
     try:
@@ -197,7 +203,7 @@ def margin_kernel(p: ModelParams, law: CapacityLaw, eq: Equilibrium, points) -> 
     append = margins.append
     try:
         for x in points:
-            if not x > 0:
+            if not x > 0.0:
                 raise ModelDomainError(f"margin requires x > 0, got {x}")
             # the same decision as abs(d) < band: band >= 0 and x is not NaN
             d = x - xs
@@ -210,7 +216,7 @@ def margin_kernel(p: ModelParams, law: CapacityLaw, eq: Equilibrium, points) -> 
                 append(limit)
                 continue
             c = c0 - slope_g * x
-            if not c > 0:
+            if not c > 0.0:
                 capacity(law, x)
             if flow_star is None:
                 # one assignment: an overflow leaves both unset, so every

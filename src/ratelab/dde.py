@@ -266,7 +266,7 @@ def integrate(
         try:
             x_half = x + half * k1
             c_d = c0 - slope_g * xd_t
-            if c_d > 0 and x_min < x_half < x_max and xd_tau > 0:
+            if c_d > 0.0 and x_min < x_half < x_max and xd_tau > 0.0:
                 f = h * xd_tau ** b_plus_1 * c_d ** neg_b
                 k2 = kappa * (x_half ** neg_a - f)
             else:
@@ -283,7 +283,7 @@ def integrate(
         try:
             x_stage = x + step * k3
             c_d = c0 - slope_g * xd_t4
-            if c_d > 0 and x_min < x_stage < x_max:
+            if c_d > 0.0 and x_min < x_stage < x_max:
                 f = h * xd_tau4 ** b_plus_1 * c_d ** neg_b
                 k4 = kappa * (x_stage ** neg_a - f)
             else:

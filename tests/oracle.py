@@ -3,8 +3,11 @@
 ``analysis.margin_kernel`` and the assumption violations of
 ``analysis.check_stability`` must match bit for bit, in values and in error
 messages; the sweep summary rules that ``scenario.format_sweep_summary``
-must match line for line; and the numpy tick rule that ``svgplot._ticks``
-must match bit for bit."""
+must match line for line; the numpy tick rule that ``svgplot._ticks``
+must match bit for bit; and the bisection, with the residual as a nested
+function, that ``analysis.solve_equilibrium`` must match bit for bit."""
+
+import math
 
 import numpy as np
 
@@ -17,7 +20,12 @@ from ratelab.analysis import (
     AssumptionViolation,
 )
 from ratelab.dde import _require_positive
-from ratelab.errors import MarginOverflowError, ModelDomainError
+from ratelab.errors import (
+    CapacityExhaustedError,
+    EquilibriumBracketError,
+    MarginOverflowError,
+    ModelDomainError,
+)
 from ratelab.model import AFFINE, CapacityLaw, Equilibrium, ModelParams, capacity
 
 
@@ -161,3 +169,69 @@ def ticks(lo: float, hi: float) -> list[float]:
             break
     first = np.ceil(lo / step) * step
     return [float(v) for v in np.arange(first, hi + 0.5 * step, step)]
+
+
+def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
+    """Bisect g(x) - h**(1/b) * x**((a+b+1)/b) to its root in [x_min, x_max].
+
+    The root is the unique rate at which the update law vanishes; it also
+    satisfies first-order optimality U'(x*) = p(x*, c*).  The bracket is
+    tightened well below the 1e-12*x_star contract so the absolute residual
+    stays tiny even for steep exponents (small b).
+    """
+    exponent = (p.a + p.b + 1.0) / p.b
+    c0, slope_g = law.c0, law.slope
+    try:
+        h_factor = p.h_gain ** (1.0 / p.b)
+    except OverflowError:
+        raise EquilibriumBracketError(
+            f"h**(1/b) exceeds the float range (h = {p.h_gain}, b = {p.b}), so the "
+            f"equilibrium residual cannot be evaluated in floating point"
+        ) from None
+
+    def f(x: float) -> float:
+        try:
+            power = x ** exponent
+        except OverflowError:
+            # x**exponent beyond the float range: the residual is -inf
+            return -math.inf
+        return c0 - slope_g * x - h_factor * power
+
+    lo, hi = p.x_min, p.x_max
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        x_star = lo
+    elif f_hi == 0.0:
+        x_star = hi
+    elif f_lo * f_hi > 0:
+        raise EquilibriumBracketError(
+            f"no sign change of the equilibrium residual on [{lo}, {hi}] "
+            f"(f({lo}) = {f_lo:.3g}, f({hi}) = {f_hi:.3g})"
+        )
+    else:
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            f_mid = f(mid)
+            if f_mid == 0.0:
+                lo = hi = mid
+                break
+            if (f_lo > 0) == (f_mid > 0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi, f_hi = mid, f_mid
+            if hi - lo < 1e-15 * max(1.0, 0.5 * (lo + hi)):
+                break
+        x_star = 0.5 * (lo + hi)
+    try:
+        c_star = capacity(law, x_star)
+    except CapacityExhaustedError:
+        # a data problem, not a runtime one: the root lies within rounding
+        # of the capacity root, so no x_star has c_star > 0 in floating point
+        raise EquilibriumBracketError(
+            f"the equilibrium rounds onto the capacity root: g(x_star) = "
+            f"{law.value(x_star)} <= 0 at x_star = {x_star}"
+        ) from None
+    residual = abs(f(x_star)) / c_star
+    return Equilibrium(x_star=x_star, c_star=c_star, residual=residual)

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -23,12 +26,13 @@ from ratelab import (
     lyapunov_values,
     solve_equilibrium,
 )
-from ratelab import analysis
+from ratelab import analysis, dde
 from ratelab.analysis import margin_kernel
 from ratelab.config import apply_param, load_scenario
 from ratelab.model import AFFINE, CONSTANT
 from ratelab.scenario import _execute
 from conftest import BASE_LAW, base_params, synthetic_trajectory
+from oracle import solve_equilibrium as reference_equilibrium
 from oracle import stability_margin as reference_margin
 from oracle import validate_assumptions as reference_assumptions
 
@@ -396,6 +400,90 @@ def test_margin_kernel_matches_point_by_point_oracle(inputs):
     assert _outcome(lambda: margin_kernel(p, law, eq, points[:len(values)])) == values
     if first_error is not None:
         assert _outcome(lambda: margin_kernel(p, law, eq, points)) == first_error
+
+
+@st.composite
+def equilibrium_inputs(draw):
+    """A model (b from 1e-3 to 30), either law, and rate bounds from two
+    adjacent floats up to [1e-6, 1e6].  h is drawn over 24 decades, or aimed
+    so that the root is a drawn rate inside the bounds: free draws often
+    bracket no root, and some overflow x**exponent at x_max."""
+    x_min = 10.0 ** draw(st.floats(-6.0, 5.9))
+    if draw(st.booleans()):
+        x_max = math.nextafter(x_min, math.inf)
+    else:
+        x_max = max(10.0 ** draw(st.floats(math.log10(x_min), 6.0)),
+                    math.nextafter(x_min, math.inf))
+    a = 10.0 ** draw(st.floats(-2.0, 1.0))
+    b = 10.0 ** draw(st.floats(-3.0, math.log10(30.0)))
+    if draw(st.booleans()):
+        law = CapacityLaw(AFFINE, 10.0 ** draw(st.floats(-1.0, 3.0)),
+                          10.0 ** draw(st.floats(-3.0, 2.0)))
+    else:
+        law = CapacityLaw(CONSTANT, 10.0 ** draw(st.floats(-2.0, 3.0)))
+    h = 10.0 ** draw(st.floats(-12.0, 12.0))
+    if draw(st.booleans()):  # h with the residual's root at rate r
+        r = x_min + draw(st.floats(0.0, 1.0)) * (x_max - x_min)
+        try:
+            aimed = (max(law.value(r), 0.0) / r ** ((a + b + 1.0) / b)) ** b
+        except (OverflowError, ZeroDivisionError):
+            aimed = 0.0
+        if 0.0 < aimed < math.inf:
+            h = aimed
+    params = ModelParams(kappa=1.0, a=a, b=b, tau=3.0, T_delay=2.0, h_gain=h,
+                         x_min=x_min, x_max=x_max)
+    return params, law
+
+
+@settings(max_examples=50, deadline=None)
+@given(inputs=equilibrium_inputs())
+# one example per exit of the solver, pinned by hand
+@example(inputs=(base_params(0.01), BASE_LAW))  # x_max**(1 + 2.5/0.01) overflows
+@example(inputs=(  # one ulp of bracket: the first midpoint is an endpoint
+    base_params(0.2, x_min=1.1059448952257895, x_max=math.nextafter(1.1059448952257895, 2.0)),
+    BASE_LAW,
+))
+@example(inputs=(base_params(0.8, x_min=1.0), CapacityLaw(CONSTANT, 0.5)))  # no sign change
+@example(inputs=(  # the root rounds onto g's root, x_star = 1
+    ModelParams(kappa=1.0, a=1.0, b=0.1, tau=3.0, T_delay=2.0, h_gain=0.01,
+                x_min=0.1, x_max=10.0),
+    CapacityLaw(AFFINE, 1.0, 1.0),
+))
+@example(inputs=(base_params(0.01, h_gain=1e4), BASE_LAW))  # h**(1/b) overflows
+@example(inputs=(  # x_star near 1e4: the stopping width scales with the midpoint
+    base_params(0.2, h_gain=1e-10, x_max=1e6), CapacityLaw(CONSTANT, 12345.678)
+))
+def test_solve_equilibrium_matches_bisection_oracle(inputs):
+    # the loop evaluates the residual inline and tests the sign of f(x_min)
+    # once: every root, residual and error must read as the bisection that
+    # called f at each step
+    p, law = inputs
+    expected = _outcome(lambda: reference_equilibrium(p, law))  # x_star, c_star, residual
+    event(expected[0].__name__ if isinstance(expected, tuple) else "root")
+    assert _outcome(lambda: solve_equilibrium(p, law)) == expected
+
+
+@pytest.mark.parametrize("fn", [dde.integrate, analysis.margin_kernel,
+                                analysis.solve_equilibrium], ids=lambda fn: fn.__name__)
+def test_hot_loop_compares_floats_with_float_literals(fn):
+    """CPython 3.11 specialises a float comparison only when both operands
+    are floats: a float tested against the int literal 0 takes the generic
+    compare at every step, grid point and bisection step.  Those 7 tests
+    cost ``integrate`` about 5% of its time per step on fig2 and
+    ``margin_kernel`` about 9% of a certify-b profile (BENCH_25.json), and
+    ``0.0`` decides every one of them the same way, NaN included.  So no
+    comparison inside a ``for`` loop of these functions may have an int
+    literal operand.  The rule is read from the source, not from ``dis``,
+    so it holds on every Python version."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    int_compares = {
+        (node.lineno, node.col_offset, ast.unparse(node))
+        for loop in ast.walk(tree) if isinstance(loop, ast.For)
+        for node in ast.walk(loop) if isinstance(node, ast.Compare)
+        if any(isinstance(operand, ast.Constant) and type(operand.value) is int
+               for operand in (node.left, *node.comparators))
+    }
+    assert not int_compares
 
 
 _ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
