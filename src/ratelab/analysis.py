@@ -30,7 +30,7 @@ from .errors import (
     MarginOverflowError,
     ModelDomainError,
 )
-from .model import AFFINE, CapacityLaw, Equilibrium, ModelParams, capacity
+from .model import CapacityLaw, Equilibrium, ModelParams, capacity
 
 CERTIFIED = "CertifiedStable"
 NOT_CERTIFIED = "NotCertified"
@@ -241,7 +241,7 @@ def check_stability(
     ``p`` and ``law`` hold the other assumptions by construction; A3 is
     reported on the grid.  g(x) <= 1 is hard, naming the first node;
     g'(x) >= -1 warns (the benchmark law g(x) = 5 - x sits on that
-    boundary), as does every constant law, which is not decreasing."""
+    boundary, and a slope of 0 is past it)."""
     if grid_n < 16:
         raise ModelDomainError(f"grid_n must be at least 16, got {grid_n}")
     eq = solve_equilibrium(p, law)
@@ -267,10 +267,7 @@ def check_stability(
         x = next(x for x in profile_x if law.value(x) <= 1.0)
         violations.append(AssumptionViolation(
             "A3", f"capacity must exceed 1 on the range: g({x:.6g}) = {law.value(x):.6g}", HARD))
-    if law.kind != AFFINE:
-        violations.append(AssumptionViolation(
-            "A3", "constant capacity law is not strictly decreasing", WARNING))
-    elif law.derivative() >= -1.0:
+    if law.derivative() >= -1.0:
         violations.append(AssumptionViolation("A3", "capacity slope must satisfy g'(x) < -1, "
                                               f"got g'(x) = {law.derivative():.6g}", WARNING))
     verdict = CERTIFIED if (profile_margin[i_min] > 0 and not hard) else NOT_CERTIFIED

@@ -13,7 +13,12 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, RatelabError
-from .model import AFFINE, CONSTANT, DELAY_MULTIPLE_RTOL, CapacityLaw, ModelParams
+from .model import DELAY_MULTIPLE_RTOL, CapacityLaw, ModelParams
+
+# The two spellings of a capacity law in a scenario file: [capacity] kind.
+# A constant law, g(x) = level, is the affine law with slope 0.
+AFFINE = "affine"
+CONSTANT = "constant"
 
 # Ceiling on t_end / step and on grid_n, checked before integrate or the
 # margin scan allocates its grid: 500x the 2e4 steps of the shipped scenarios.
@@ -36,7 +41,8 @@ def _parse_range(text: str):
 class Field(NamedTuple):
     """One scenario key.  ``parse`` turns its file text into a value;
     ``default`` is REQUIRED for a key without one; ``kind`` names the
-    capacity law that requires the key (a law of the other kind ignores it).
+    capacity law spelling that requires the key (a file of the other
+    spelling may not give it).
     """
 
     section: str
@@ -141,11 +147,12 @@ def build_config(values: dict, where: str, name: str) -> ScenarioConfig:
                 raise ConfigError(f"{where}: missing required key '{key}' in [{section}]")
         elif isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{where}: [{section}] key '{key}' must be finite, got {value!r}")
-    c0, slope = (v["intercept"], v["slope"]) if kind == AFFINE else (v["level"], 0.0)
     try:
         params = ModelParams(v["kappa"], v["a"], v["b"], v["tau"], v["T"],
                              v["h"], v["x_min"], v["x_max"])
-        law = CapacityLaw(kind, c0, slope)
+        if kind not in (AFFINE, CONSTANT):
+            raise ConfigError(f"unknown capacity law kind {kind!r}")
+        law = CapacityLaw(v["intercept"], v["slope"]) if kind == AFFINE else CapacityLaw(v["level"])
     except RatelabError as exc:
         raise ConfigError(f"{where}: invalid: {exc}") from exc
 
@@ -209,15 +216,15 @@ def build_config(values: dict, where: str, name: str) -> ScenarioConfig:
 
 def config_values(cfg: ScenarioConfig) -> dict:
     """The key values of ``cfg``, named as in FIELDS: the inverse of
-    :func:`build_config`.  ``step`` is the snapped step; capacity keys that
-    the law's kind does not use are absent."""
+    :func:`build_config`.  ``step`` is the snapped step; a law of slope 0
+    takes the constant form, ``level``, and any other the affine form."""
     p, law = cfg.params, cfg.law
     values = {"kappa": p.kappa, "a": p.a, "b": p.b, "tau": p.tau, "T": p.T_delay,
-              "h": p.h_gain, "x_min": p.x_min, "x_max": p.x_max, "kind": law.kind}
-    if law.kind == AFFINE:
-        values["intercept"], values["slope"] = law.c0, law.slope
+              "h": p.h_gain, "x_min": p.x_min, "x_max": p.x_max}
+    if law.slope:
+        values.update(kind=AFFINE, intercept=law.c0, slope=law.slope)
     else:
-        values["level"] = law.c0
+        values.update(kind=CONSTANT, level=law.c0)
     for key in _CONFIG_KEYS:
         values[key] = getattr(cfg, key)
     if cfg.margin_range is None:
@@ -253,26 +260,18 @@ def load_scenario(path) -> ScenarioConfig:
                 values[f.key] = f.parse(text)
             except ValueError as exc:
                 raise ConfigError(f"{path}: [{sec}] key '{key}': {exc}") from exc
+    kind = values.get("kind")
+    for f in FIELDS:
+        if f.key in values and kind in (AFFINE, CONSTANT) and f.kind not in (None, kind):
+            law = "an affine" if kind == AFFINE else "a constant"
+            raise ConfigError(f"{path}: [{f.section}] key '{f.key}' is not used by {law} law")
     return build_config(values, str(path), path.stem)
 
 
-def _field_for(cfg: ScenarioConfig, key: str) -> Field:
-    """The FIELDS entry that ``key`` sets in ``cfg``: ``intercept`` names a
-    constant law's level, and a capacity key of the other law kind is refused."""
-    if key == "intercept" and cfg.law.kind == CONSTANT:
-        key = "level"
-    f = _FIELD_BY_KEY.get(key)
-    if f is None:
-        raise ConfigError(f"unknown scenario key {key!r}")
-    if f.kind not in (None, cfg.law.kind):
-        raise ConfigError(f"cannot sweep {key!r} of a {cfg.law.kind} capacity law")
-    return f
-
-
 def apply_param(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
-    """Return ``cfg`` with one key of FIELDS replaced (``intercept`` sets a
-    constant law's level), checked and re-snapped from the requested step by
-    :func:`build_config`."""
+    """Return ``cfg`` with one key of FIELDS replaced, checked and re-snapped
+    from the requested step by :func:`build_config`.  The capacity keys
+    apply to any law: ``intercept`` and ``level`` both set c0."""
     return apply_params(cfg, {key: value})
 
 
@@ -280,11 +279,14 @@ def apply_params(cfg: ScenarioConfig, changes: dict) -> ScenarioConfig:
     """:func:`apply_param` for several keys at once, checked together, so
     that each is checked against the others' new values."""
     values = config_values(cfg)
-    values["step"] = cfg.step_requested
+    # the affine form holds every law
+    values.update(kind=AFFINE, intercept=cfg.law.c0, slope=cfg.law.slope,
+                  step=cfg.step_requested)
     where = []
     for key, value in changes.items():
-        key = _field_for(cfg, key).key
-        values[key] = value
+        if key not in _FIELD_BY_KEY:
+            raise ConfigError(f"unknown scenario key {key!r}")
+        values["intercept" if key == "level" else key] = value
         where.append(f"{key} = {value}")
     return build_config(values, ", ".join(where), cfg.name)
 

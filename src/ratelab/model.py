@@ -18,8 +18,6 @@ from typing import NamedTuple
 
 from .errors import CapacityExhaustedError, ModelDomainError
 
-AFFINE = "affine"
-CONSTANT = "constant"
 # Relative tolerance for "delay is an integer multiple of the step".
 DELAY_MULTIPLE_RTOL = 1e-9
 
@@ -70,29 +68,28 @@ class ModelParams(_ModelFields):
 
 
 class _LawFields(NamedTuple):
-    kind: str
     c0: float
     slope: float = 0.0
 
     def value(self, x):
         """Raw g(x); may be <= 0.  Use :func:`capacity` when positivity is required.
 
-        Accepts scalars or numpy arrays (slope is 0 for the constant form).
+        Accepts scalars or numpy arrays.
         """
         return self.c0 - self.slope * x
 
     def derivative(self) -> float:
-        """g'(x), constant for both supported forms."""
-        return -self.slope if self.kind == AFFINE else 0.0
+        """g'(x), a constant; +0.0, not -0.0, for slope 0, so that it prints as 0."""
+        return 0.0 - self.slope
 
 
 class CapacityLaw(_LawFields):
     """Link capacity as a function of the instantaneous source rate, c = g(x),
     an immutable NamedTuple checked at construction like :class:`ModelParams`.
 
-    Two forms are supported: ``affine`` with g(x) = c0 - slope*x (slope > 0,
-    strictly decreasing) and ``constant`` with g(x) = c0, whose slope is
-    always 0.0.
+    The law is g(x) = c0 - slope*x with c0 > 0 and slope >= 0, both finite:
+    the adaptive-virtual-queue controller, or a constant capacity c0 when
+    slope is 0.
     """
 
     __slots__ = ()
@@ -100,15 +97,11 @@ class CapacityLaw(_LawFields):
 
     def __new__(cls, *args, **kwargs):
         law = super().__new__(cls, *args, **kwargs)
-        if law.kind not in (AFFINE, CONSTANT):
-            raise ModelDomainError(f"unknown capacity law kind {law.kind!r}")
         if not (math.isfinite(law.c0) and law.c0 > 0):
             raise ModelDomainError(f"capacity intercept/level must be positive, got {law.c0}")
-        if law.kind == AFFINE and not (math.isfinite(law.slope) and law.slope > 0):
-            raise ModelDomainError(
-                f"affine capacity law must be strictly decreasing: slope > 0, got {law.slope}"
-            )
-        return super().__new__(cls, CONSTANT, law.c0) if law.kind == CONSTANT else law
+        if not (math.isfinite(law.slope) and law.slope >= 0):
+            raise ModelDomainError(f"capacity slope must be finite and >= 0, got {law.slope}")
+        return law
 
 
 class Equilibrium(NamedTuple):

@@ -20,11 +20,10 @@ from .analysis import (
     lyapunov_values,
     solve_equilibrium,
 )
-from .config import SWEEPABLE, ScenarioConfig, _field_for, _fmt, apply_param, write_config_echo
+from .config import SWEEPABLE, ScenarioConfig, _fmt, apply_param, write_config_echo
 from .config import load_scenario  # noqa: F401  re-exported: bench/ reads it from here
 from .dde import Trajectory, integrate
 from .errors import ConfigError, RatelabError
-from .model import AFFINE
 from .svgplot import line_plot_svg
 
 # Rows formatted per write by write_csv: bounds the text held in memory.
@@ -84,9 +83,10 @@ def auto_margin_range(cfg: ScenarioConfig, traj: Trajectory | None, x_star: floa
     With a trajectory: its envelope padded by 20% of the span on each side
     (10% of the mean when the envelope is degenerate).  Without one (the
     analysis-only path): a factor-of-two band around the equilibrium.  The
-    range is clamped to the rate bounds and stops at 95% of an affine law's
-    capacity root; when nothing is left, x_star*[0.9, 1.1] is clamped the
-    same way, and ConfigError names the interval if that is empty too.
+    range is clamped to the rate bounds and, for a positive slope, stops at
+    95% of the capacity root; when nothing is left, x_star*[0.9, 1.1] is
+    clamped the same way, and ConfigError names the interval if that is
+    empty too.
     """
     p = cfg.params
     if traj is not None:
@@ -96,7 +96,7 @@ def auto_margin_range(cfg: ScenarioConfig, traj: Trajectory | None, x_star: floa
         lo, hi = lo - pad, hi + pad
     else:
         lo, hi = 0.5 * x_star, 2.0 * x_star
-    top = min(p.x_max, 0.95 * cfg.law.c0 / cfg.law.slope) if cfg.law.kind == AFFINE else p.x_max
+    top = min(p.x_max, 0.95 * cfg.law.c0 / cfg.law.slope) if cfg.law.slope else p.x_max
     for lo, hi in ((lo, hi), (0.9 * x_star, 1.1 * x_star)):
         lo, hi = max(lo, p.x_min), min(hi, top)
         if lo < hi:
@@ -189,7 +189,7 @@ def format_report(cfg: ScenarioConfig, report: StabilityReport, cls=None) -> str
         f"params: kappa={p.kappa:g} a={p.a:g} b={p.b:g} h={p.h_gain:g} "
         f"tau={p.tau:g} T={p.T_delay:g} bounds=[{p.x_min:g}, {p.x_max:g}]",
     ]
-    if cfg.law.kind == AFFINE:
+    if cfg.law.slope:
         lines.append(f"capacity: g(x) = {cfg.law.c0:g} - {cfg.law.slope:g}*x")
     else:
         lines.append(f"capacity: g(x) = {cfg.law.c0:g} (constant)")
@@ -279,7 +279,6 @@ def sweep(
         raise ConfigError(
             f"unknown sweep parameter {param_name!r}; choose one of {SWEEPABLE}"
         )
-    _field_for(cfg, param_name)  # a capacity key of the other law kind fails every value
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one value")

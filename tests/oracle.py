@@ -26,7 +26,7 @@ from ratelab.errors import (
     MarginOverflowError,
     ModelDomainError,
 )
-from ratelab.model import AFFINE, CapacityLaw, Equilibrium, ModelParams, capacity
+from ratelab.model import CapacityLaw, Equilibrium, ModelParams, capacity
 
 
 def price_flow(x_delayed: float, c_delayed: float, p: ModelParams) -> float:
@@ -102,17 +102,12 @@ def validate_assumptions(p: ModelParams, law: CapacityLaw, x_range, grid_n: int)
             f"capacity must exceed 1 on the range: g({grid[i]:.6g}) = {g_vals[i]:.6g}",
             HARD,
         ))
-    if law.kind == AFFINE:
-        if law.derivative() >= -1.0:
-            violations.append(AssumptionViolation(
-                "A3",
-                f"capacity slope must satisfy g'(x) < -1, got g'(x) = "
-                f"{law.derivative():.6g}",
-                WARNING,
-            ))
-    else:
+    if law.derivative() >= -1.0:
         violations.append(AssumptionViolation(
-            "A3", "constant capacity law is not strictly decreasing", WARNING
+            "A3",
+            f"capacity slope must satisfy g'(x) < -1, got g'(x) = "
+            f"{law.derivative():.6g}",
+            WARNING,
         ))
     return violations
 

@@ -29,7 +29,6 @@ from ratelab import (
 from ratelab import analysis, dde
 from ratelab.analysis import margin_kernel
 from ratelab.config import apply_param, load_scenario
-from ratelab.model import AFFINE, CONSTANT
 from ratelab.scenario import _execute
 from conftest import BASE_LAW, base_params, synthetic_trajectory
 from oracle import solve_equilibrium as reference_equilibrium
@@ -56,7 +55,7 @@ class TestSolveEquilibrium:
         for a, b in ((1.5, 0.2), (0.7, 0.4), (2.0, 1.0)):
             eq = solve_equilibrium(
                 ModelParams(kappa=1.0, a=a, b=b, tau=1.0, T_delay=1.0),
-                CapacityLaw(CONSTANT, 1.0),
+                CapacityLaw(1.0),
             )
             assert eq.x_star == pytest.approx(1.0, abs=1e-12)
 
@@ -79,7 +78,7 @@ class TestSolveEquilibrium:
     def test_no_bracket(self):
         p = base_params(0.8, x_min=1.0)
         with pytest.raises(EquilibriumBracketError, match="sign change"):
-            solve_equilibrium(p, CapacityLaw(CONSTANT, 0.5))
+            solve_equilibrium(p, CapacityLaw(0.5))
 
     def test_deterministic(self):
         p = base_params(0.37)
@@ -119,15 +118,17 @@ class TestValidateAssumptions:
             base_params(0.2)._replace(T_delay=3.0 + 1e-12)
 
     def test_steep_affine_law_clean(self):
-        violations = self.violations(base_params(0.8), CapacityLaw(AFFINE, 5.0, 2.0), (0.5, 1.9))
+        violations = self.violations(base_params(0.8), CapacityLaw(5.0, 2.0), (0.5, 1.9))
         assert violations == ()
 
     def test_constant_law_always_warns(self):
-        violations = self.violations(base_params(0.8), CapacityLaw(CONSTANT, 3.0), (0.5, 1.9))
+        violations = self.violations(base_params(0.8), CapacityLaw(3.0), (0.5, 1.9))
         assert [(v.assumption, v.severity) for v in violations] == [("A3", "warning")]
+        # the slope warning, for a slope of 0: +0.0 prints as 0
+        assert violations[0].description == "capacity slope must satisfy g'(x) < -1, got g'(x) = 0"
 
     def test_capacity_below_one_is_hard(self):
-        violations = self.violations(base_params(0.8), CapacityLaw(CONSTANT, 0.9), (0.5, 1.9))
+        violations = self.violations(base_params(0.8), CapacityLaw(0.9), (0.5, 1.9))
         assert [(v.assumption, v.severity) for v in violations] == [
             ("A3", "hard"), ("A3", "warning")
         ]
@@ -232,7 +233,7 @@ class TestCheckTheorem2:
     def test_hard_violation_blocks_certification(self):
         # g = 0.9 <= 1 breaks A3 while the margin stays positive: the hard
         # violation alone decides the verdict
-        report = check_stability(base_params(0.2), CapacityLaw(CONSTANT, 0.9), (0.95, 1.05), 256)
+        report = check_stability(base_params(0.2), CapacityLaw(0.9), (0.95, 1.05), 256)
         assert [v.severity for v in report.violations] == ["hard", "warning"]
         assert report.verdict == NOT_CERTIFIED
         assert report.min_margin > 0
@@ -307,10 +308,10 @@ def margin_inputs(draw):
         x_max=x_max,
     )
     if draw(st.booleans()):
-        law = CapacityLaw(AFFINE, 10.0 ** draw(st.floats(0.0, 2.0)),
+        law = CapacityLaw(10.0 ** draw(st.floats(0.0, 2.0)),
                           10.0 ** draw(st.floats(-2.0, 1.0)))
     else:
-        law = CapacityLaw(CONSTANT, 10.0 ** draw(st.floats(-1.0, 2.0)))
+        law = CapacityLaw(10.0 ** draw(st.floats(-1.0, 2.0)))
     lo = x_min + draw(st.floats(0.0, 0.5)) * (x_max - x_min)
     hi = x_min + draw(st.floats(0.5, 1.0)) * (x_max - x_min)
     grid_n = draw(st.sampled_from([16, 17, 64, 257]))
@@ -342,7 +343,7 @@ HUGE_A = ModelParams(kappa=1.0, a=1e12, b=2.0, tau=3.0, T_delay=2.0, h_gain=1e30
     base_params(0.2), BASE_LAW, (0.5, 6.0), 64, [5.0 / FIG2_X_STAR, 5.0]
 ))
 @example(inputs=(  # x**-a fits at x = 2 but x_star**-a overflows, and so does the limit
-    HUGE_A, CapacityLaw(CONSTANT, 0.5), (0.6, 2.0), 16, [2.0, 1.0]
+    HUGE_A, CapacityLaw(0.5), (0.6, 2.0), 16, [2.0, 1.0]
 ))
 @example(inputs=(  # x**-a overflows at x = 1e-300, the equilibrium terms fit
     base_params(0.2, x_min=1e-300), BASE_LAW, (1e-300, 2.0), 16, [1e-300 / FIG2_X_STAR, 1.5]
@@ -354,7 +355,7 @@ HUGE_A = ModelParams(kappa=1.0, a=1e12, b=2.0, tau=3.0, T_delay=2.0, h_gain=1e30
     ModelParams(kappa=1.0, a=4.024316117873561, b=0.09252848999507815, tau=3.0,
                 T_delay=2.0, h_gain=0.005415772853813795, x_min=1.045971826213325e-148,
                 x_max=3.4102365131286726e+233),
-    CapacityLaw(CONSTANT, 1.2370128581013361e-274),
+    CapacityLaw(1.2370128581013361e-274),
     (1.1993496406187543e+233, 3.381569582978877e+233), 16, [],
 ))
 def test_margin_kernel_matches_point_by_point_oracle(inputs):
@@ -417,10 +418,10 @@ def equilibrium_inputs(draw):
     a = 10.0 ** draw(st.floats(-2.0, 1.0))
     b = 10.0 ** draw(st.floats(-3.0, math.log10(30.0)))
     if draw(st.booleans()):
-        law = CapacityLaw(AFFINE, 10.0 ** draw(st.floats(-1.0, 3.0)),
+        law = CapacityLaw(10.0 ** draw(st.floats(-1.0, 3.0)),
                           10.0 ** draw(st.floats(-3.0, 2.0)))
     else:
-        law = CapacityLaw(CONSTANT, 10.0 ** draw(st.floats(-2.0, 3.0)))
+        law = CapacityLaw(10.0 ** draw(st.floats(-2.0, 3.0)))
     h = 10.0 ** draw(st.floats(-12.0, 12.0))
     if draw(st.booleans()):  # h with the residual's root at rate r
         r = x_min + draw(st.floats(0.0, 1.0)) * (x_max - x_min)
@@ -443,15 +444,15 @@ def equilibrium_inputs(draw):
     base_params(0.2, x_min=1.1059448952257895, x_max=math.nextafter(1.1059448952257895, 2.0)),
     BASE_LAW,
 ))
-@example(inputs=(base_params(0.8, x_min=1.0), CapacityLaw(CONSTANT, 0.5)))  # no sign change
+@example(inputs=(base_params(0.8, x_min=1.0), CapacityLaw(0.5)))  # no sign change
 @example(inputs=(  # the root rounds onto g's root, x_star = 1
     ModelParams(kappa=1.0, a=1.0, b=0.1, tau=3.0, T_delay=2.0, h_gain=0.01,
                 x_min=0.1, x_max=10.0),
-    CapacityLaw(AFFINE, 1.0, 1.0),
+    CapacityLaw(1.0, 1.0),
 ))
 @example(inputs=(base_params(0.01, h_gain=1e4), BASE_LAW))  # h**(1/b) overflows
 @example(inputs=(  # x_star near 1e4: the stopping width scales with the midpoint
-    base_params(0.2, h_gain=1e-10, x_max=1e6), CapacityLaw(CONSTANT, 12345.678)
+    base_params(0.2, h_gain=1e-10, x_max=1e6), CapacityLaw(12345.678)
 ))
 def test_solve_equilibrium_matches_bisection_oracle(inputs):
     # the loop evaluates the residual inline and tests the sign of f(x_min)
@@ -520,17 +521,17 @@ def assumption_inputs(draw):
     t = draw(st.one_of(st.floats(0.0, 1.2), st.just(1.0)))
     if draw(st.booleans()):
         slope = 10.0 ** draw(st.floats(-3.0, -0.01)) / hi
-        law = CapacityLaw(AFFINE, 1.0 + slope * (lo + t * (hi - lo)), slope)
+        law = CapacityLaw(1.0 + slope * (lo + t * (hi - lo)), slope)
     else:
-        law = CapacityLaw(CONSTANT, draw(st.one_of(st.floats(0.5, 1.5), st.just(1.0))))
+        law = CapacityLaw(draw(st.one_of(st.floats(0.5, 1.5), st.just(1.0))))
     grid_n = draw(st.one_of(st.sampled_from([16, 17, 257]), st.integers(16, 600)))
     return params, law, (lo, hi), grid_n
 
 
 @settings(max_examples=100, deadline=None)
 @given(inputs=assumption_inputs())
-@example(inputs=(base_params(0.8), CapacityLaw(AFFINE, 5.0, 2.0), (0.5, 1.9), 64))  # holds
-@example(inputs=(base_params(0.8), CapacityLaw(AFFINE, 5.0, 2.0), (0.5, 2.1), 64))  # fails
+@example(inputs=(base_params(0.8), CapacityLaw(5.0, 2.0), (0.5, 1.9), 64))  # holds
+@example(inputs=(base_params(0.8), CapacityLaw(5.0, 2.0), (0.5, 2.1), 64))  # fails
 def test_a3_check_matches_full_scan(inputs):
     # A3's g > 1 is tested at x_hi alone, and the grid scanned only when that
     # fails: check_stability's violations must read as those of the full

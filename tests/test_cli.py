@@ -1,4 +1,5 @@
 import atexit
+import csv
 import importlib
 import os
 import shutil
@@ -88,10 +89,16 @@ CHECK_EDITS = {
                         ["[analysis] tolerances must be positive"]),
     "tail-fraction-0.6": ({"grid_n = 256": "grid_n = 256\ntail_fraction = 0.6"}, 65,
                           ["[analysis] tail_fraction must be in (0, 0.5], got 0.6"]),
-    "constant-law": ({"kind = affine": "kind = constant\nlevel = 4.0"}, 13,
+    "constant-law": ({"kind = affine\nintercept = 5.0\nslope = 1.0":
+                      "kind = constant\nlevel = 4.0"}, 13,
                      ["capacity: g(x) = 4 (constant)",
-                      "assumption_violation: [A3/warning] constant capacity law is not "
-                      "strictly decreasing"]),
+                      "assumption_violation: [A3/warning] capacity slope must satisfy "
+                      "g'(x) < -1, got g'(x) = 0"]),
+    # a capacity key that the file's law does not use is refused, not dropped
+    "constant-law-with-affine-keys": ({"kind = affine": "kind = constant\nlevel = 4.0"}, 65,
+                                      ["[capacity] key 'intercept' is not used by a constant law"]),
+    "affine-law-with-level": ({"slope = 1.0": "slope = 1.0\nlevel = 9.0"}, 65,
+                              ["[capacity] key 'level' is not used by an affine law"]),
     "affine-30-2": ({"intercept = 5.0": "intercept = 30.0", "slope = 1.0": "slope = 2.0"}, 13,
                     ["capacity: g(x) = 30 - 2*x", "assumption_violation: none"]),
     # configparser copies [DEFAULT] keys into every section: refused whole
@@ -324,16 +331,19 @@ def test_sweep_jobs_below_one_is_usage_error(fig2_path, tmp_path, jobs):
     assert not out.exists()
 
 
-def test_sweep_of_a_key_the_law_lacks_is_config_error(fig2_path, tmp_path):
+def test_sweep_of_slope_turns_a_constant_law_affine(fig2_path, tmp_path, capsys):
     path = tmp_path / "constant.scenario"
-    path.write_text(fig2_path.read_text().replace("\nkind = affine\n",
-                                                  "\nkind = constant\nlevel = 4.0\n"),
-                    encoding="utf-8")
+    text = fig2_path.read_text().replace("\nkind = affine\nintercept = 5.0\nslope = 1.0\n",
+                                         "\nkind = constant\nlevel = 4.0\n")
+    path.write_text(text, encoding="utf-8")
     out = tmp_path / "o"
-    proc = run_cli("sweep", path, "--param", "slope", "--values", "1,2", "--out", out)
-    assert proc.returncode == 65
-    assert proc.stderr == "error[config]: cannot sweep 'slope' of a constant capacity law\n"
-    assert not out.exists()
+    code = main(["sweep", str(path), "--param", "slope", "--values", "0.5,1", "--t-end", "60",
+                 "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["value"], r["status"]) for r in rows] == [("0.5", "ok"), ("1", "ok")]
 
 
 def test_non_utf8_scenario_is_config_error(fig2_path, tmp_path):

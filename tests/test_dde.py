@@ -19,7 +19,6 @@ from ratelab import (
     solve_equilibrium,
 )
 from ratelab import dde
-from ratelab.model import AFFINE, CONSTANT
 from conftest import BASE_LAW, SCENARIOS, base_params
 from oracle import clamp, price_flow, rhs
 
@@ -204,7 +203,7 @@ class TestFusedStepMatchesReference:
             pytest.param(lambda: _run(tau=2.0, T_delay=2.0), id="tau-equals-T"),
             pytest.param(lambda: _run(b=0.5, h_gain=1.3, kappa=0.7), id="h-gain"),
             pytest.param(
-                lambda: _run(law=CapacityLaw(CONSTANT, 4.0), b=0.2), id="constant-law"
+                lambda: _run(law=CapacityLaw(4.0), b=0.2), id="constant-law"
             ),
         ],
     )
@@ -264,9 +263,9 @@ def loop_inputs(draw):
         x_max=x_max,
     )
     if draw(st.booleans()):
-        law = CapacityLaw(AFFINE, draw(st.floats(0.5, 10.0)), draw(st.floats(0.1, 5.0)))
+        law = CapacityLaw(draw(st.floats(0.5, 10.0)), draw(st.floats(0.1, 5.0)))
     else:
-        law = CapacityLaw(CONSTANT, draw(st.floats(0.5, 10.0)))
+        law = CapacityLaw(draw(st.floats(0.5, 10.0)))
     init_x = min(x_min + draw(st.floats(0.0, 1.0)) * (x_max - x_min), x_max)
     t_end = draw(st.integers(1, 300)) * HYP_STEP
     return params, law, init_x, t_end, HYP_STEP
@@ -277,34 +276,34 @@ def loop_inputs(draw):
 # no draw reaches these branches: pinned by hand
 @example(inputs=(  # x_min**-a near the float ceiling: k1 + 2*(k2 + k3) overflows
     ModelParams(kappa=1e8, a=1.0, b=0.2, tau=0.05, T_delay=0.05, x_min=1e-300, x_max=1.0),
-    CapacityLaw(CONSTANT, 1.0), 1e-300, 1.0, HYP_STEP,
+    CapacityLaw(1.0), 1e-300, 1.0, HYP_STEP,
 ))
 @example(inputs=(  # a stage power overflows at t = 0.625
     ModelParams(kappa=5.2, a=4.9, b=18.0, tau=0.6, T_delay=0.2, h_gain=110.0,
                 x_min=3.9e-09, x_max=1.5e-07),
-    CapacityLaw(CONSTANT, 0.0001), 1.1e-07, 1.0, HYP_STEP,
+    CapacityLaw(0.0001), 1.1e-07, 1.0, HYP_STEP,
 ))
 @example(inputs=(  # a recorded rate lies past the capacity root 83.9/36
     ModelParams(kappa=10.0, a=3.2, b=16.0, tau=0.4, T_delay=0.4, h_gain=520.0,
                 x_min=0.074, x_max=5.3),
-    CapacityLaw(AFFINE, 83.9, 36.0), 2.1, 0.3, HYP_STEP,
+    CapacityLaw(83.9, 36.0), 2.1, 0.3, HYP_STEP,
 ))
 # the lag edges of the grid and midpoint reads
 @example(inputs=(  # tau = T = step: both grid reads trail the newest sample by one
     ModelParams(kappa=3.0, a=1.5, b=0.8, tau=HYP_STEP, T_delay=HYP_STEP),
-    CapacityLaw(AFFINE, 5.0, 1.0), 0.6, 300 * HYP_STEP, HYP_STEP,
+    CapacityLaw(5.0, 1.0), 0.6, 300 * HYP_STEP, HYP_STEP,
 ))
 @example(inputs=(  # T = step < tau: one read trails by one, the other by nine
     ModelParams(kappa=2.0, a=1.5, b=1.5, tau=9 * HYP_STEP, T_delay=HYP_STEP),
-    CapacityLaw(AFFINE, 5.0, 1.0), 1.0, 300 * HYP_STEP, HYP_STEP,
+    CapacityLaw(5.0, 1.0), 1.0, 300 * HYP_STEP, HYP_STEP,
 ))
 @example(inputs=(  # t_end is one step: the loop runs once, on pre-history only
     ModelParams(kappa=2.0, a=1.5, b=0.2, tau=60 * HYP_STEP, T_delay=40 * HYP_STEP),
-    CapacityLaw(AFFINE, 5.0, 1.0), 2.0, HYP_STEP, HYP_STEP,
+    CapacityLaw(5.0, 1.0), 2.0, HYP_STEP, HYP_STEP,
 ))
 @example(inputs=(  # fewer steps than k_t: no read reaches a computed sample
     ModelParams(kappa=2.0, a=1.5, b=0.2, tau=60 * HYP_STEP, T_delay=40 * HYP_STEP),
-    CapacityLaw(AFFINE, 5.0, 1.0), 2.0, 7 * HYP_STEP, HYP_STEP,
+    CapacityLaw(5.0, 1.0), 2.0, 7 * HYP_STEP, HYP_STEP,
 ))
 def test_loop_matches_reference_on_random_inputs(inputs):
     # the inline interior stages and the flow/slope fallback, against the plain loop

@@ -13,34 +13,35 @@ from ratelab import (
     capacity,
     solve_equilibrium,
 )
-from ratelab.model import AFFINE, CONSTANT
 from conftest import BASE_LAW, base_params
 from oracle import clamp, rhs
 
 class TestCapacity:
     def test_affine(self):
-        assert capacity(CapacityLaw(AFFINE, 5.0, 1.0), 1.0) == 4.0
+        assert capacity(CapacityLaw(5.0, 1.0), 1.0) == 4.0
 
     def test_constant(self):
-        assert capacity(CapacityLaw(CONSTANT, 3.0), 17.0) == 3.0
+        assert capacity(CapacityLaw(3.0), 17.0) == 3.0
 
     def test_exhausted(self):
         with pytest.raises(CapacityExhaustedError, match="x = 5"):
-            capacity(CapacityLaw(AFFINE, 5.0, 1.0), 5.0)
+            capacity(CapacityLaw(5.0, 1.0), 5.0)
 
     def test_constant_law_slope_is_zero(self):
-        law = CapacityLaw(CONSTANT, 2.0, 5.0)
-        assert law.slope == 0.0
-        assert law == CapacityLaw(CONSTANT, 2.0)
-        assert law._replace(c0=3.0, slope=4.0) == CapacityLaw(CONSTANT, 3.0)
+        assert CapacityLaw._fields == ("c0", "slope")
+        assert CapacityLaw(5.0, 0.0) == CapacityLaw(5.0)
+        assert CapacityLaw(2.0).value(17.0) == 2.0
+        # +0.0, so the A3 warning prints g'(x) = 0, not -0
+        assert math.copysign(1.0, CapacityLaw(4.0).derivative()) == 1.0
+        assert CapacityLaw(5.0, 1.0).derivative() == -1.0
 
     def test_law_validation(self):
-        with pytest.raises(ModelDomainError):
-            CapacityLaw(AFFINE, 5.0, 0.0)
-        with pytest.raises(ModelDomainError):
-            CapacityLaw(AFFINE, -1.0, 1.0)
-        with pytest.raises(ModelDomainError):
-            CapacityLaw("weird", 1.0)
+        for c0, slope in ((-1.0, 1.0), (0.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                          (5.0, -1.0), (5.0, math.nan), (5.0, math.inf)):
+            with pytest.raises(ModelDomainError):
+                CapacityLaw(c0, slope)
+        with pytest.raises(ModelDomainError, match="slope must be finite and >= 0, got -1"):
+            CapacityLaw(5.0, 1.0)._replace(slope=-1.0)
 
 
 class TestRhs:

@@ -21,15 +21,17 @@ from ratelab import (
     ConfigError,
     IntegrationDivergedError,
     RatelabError,
+    check_stability,
     load_scenario,
     run_scenario,
     snap_step,
     sweep,
 )
 from ratelab import config, scenario
-from ratelab.model import AFFINE, CONSTANT, CapacityLaw, ModelParams
-from ratelab.config import FIELDS, ScenarioConfig, apply_param, build_config, write_config_echo
-from ratelab.scenario import EXIT_CODES, RunResult, auto_margin_range, _execute
+from ratelab.model import CapacityLaw, ModelParams
+from ratelab.config import (AFFINE, CONSTANT, FIELDS, ScenarioConfig, apply_param, build_config,
+                            write_config_echo)
+from ratelab.scenario import EXIT_CODES, RunResult, auto_margin_range, format_report, _execute
 from ratelab.svgplot import _ticks, line_plot_svg
 from conftest import BASE_LAW, base_params, run_cli, synthetic_trajectory
 from oracle import sweep_summary as reference_sweep_summary
@@ -65,8 +67,7 @@ class TestLoadScenario:
         assert cfg1.params.b == 0.8
         assert (cfg1.params.kappa, cfg1.params.a) == (1.0, 1.5)
         assert (cfg1.params.tau, cfg1.params.T_delay) == (3.0, 2.0)
-        assert cfg1.law.kind == "affine"
-        assert (cfg1.law.c0, cfg1.law.slope) == (5.0, 1.0)
+        assert cfg1.law == CapacityLaw(5.0, 1.0)
         assert cfg1.init_x == 1.0
         assert cfg1.t_end == 200.0
         assert cfg1.step == 0.01
@@ -204,7 +205,7 @@ class TestLoadScenario:
             "kind = affine\nintercept = 5.0\nslope = 1.0", "kind = constant\nlevel = 4.0"
         )
         cfg = load_scenario(write_scenario(tmp_path, text))
-        assert cfg.law.kind == "constant"
+        assert cfg.law == CapacityLaw(4.0)
         assert cfg.law.value(123.0) == 4.0
 
 
@@ -483,16 +484,6 @@ class TestSweep:
         with pytest.raises(ConfigError, match="unknown sweep parameter"):
             sweep(cfg, "color", [1.0], out_dir=tmp_path)
 
-    def test_capacity_key_of_the_other_law_fails_before_any_value(self, fig2_path, tmp_path):
-        cfg = load_scenario(fig2_path)._replace(law=CapacityLaw(CONSTANT, 4.0))
-        with pytest.raises(ConfigError) as info:
-            sweep(cfg, "slope", [1.0, 2.0], out_dir=tmp_path / "sw")
-        assert str(info.value) == "cannot sweep 'slope' of a constant capacity law"
-        assert not (tmp_path / "sw").exists()
-        # intercept names a constant law's level
-        rep = sweep(cfg._replace(t_end=30.0), "intercept", [3.5], out_dir=tmp_path / "lv")
-        assert rep.rows[0].status == "ok"
-
     def test_unusable_out_dir_fails_before_any_value(self, fig2_path, tmp_path, monkeypatch):
         def must_not_run(job):
             raise AssertionError(f"value ran before --out was checked: {job[1:]}")
@@ -590,9 +581,18 @@ class TestSweep:
         )
         cfg = load_scenario(write_scenario(tmp_path, text))
         assert apply_param(cfg, "intercept", 6.0).law == apply_param(cfg, "level", 6.0).law
-        assert apply_param(cfg, "intercept", 6.0).law.c0 == 6.0
-        with pytest.raises(ConfigError, match="cannot sweep 'slope' of a constant"):
-            apply_param(cfg, "slope", 2.0)
+        assert apply_param(cfg, "intercept", 6.0).law == CapacityLaw(6.0)
+        # a slope turns the law affine
+        assert apply_param(cfg, "slope", 1.0).law == CapacityLaw(4.0, 1.0)
+
+    def test_apply_param_slope_0_gives_the_constant_form(self, tmp_path):
+        cfg = apply_param(load_scenario(write_scenario(tmp_path, MINIMAL)), "slope", 0.0)
+        assert cfg.law == CapacityLaw(5.0)
+        report = check_stability(cfg.params, cfg.law, (0.5, 2.0), cfg.grid_n)
+        assert "\ncapacity: g(x) = 5 (constant)\n" in format_report(cfg, report)
+        write_config_echo(cfg, tmp_path / "echo.scenario")
+        assert "\n[capacity]\nkind = constant\nlevel = 5\n\n" in (
+            tmp_path / "echo.scenario").read_text()
 
 
 # Drawn values for the keys whose default is not a number to scale (below).
@@ -604,7 +604,7 @@ _DRAWN = {
     "b": st.floats(0.05, 2.0),
     "kind": st.sampled_from([AFFINE, CONSTANT]),
     "intercept": st.floats(1.0, 10.0),
-    "slope": st.floats(0.1, 3.0),
+    "slope": st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
     "level": st.floats(1.0, 10.0),
     "init_x": st.floats(0.1, 10.0),
     "step": st.sampled_from([0.01, 0.02, 0.025, 0.007, 0.015, 0.03]),
