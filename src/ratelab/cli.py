@@ -6,22 +6,17 @@ Subcommands:
   sweep  repeat the pipeline over a list of values for one parameter
 
 Exit codes: 0 Converged, 10 Oscillating, 11 Saturated, 12 Undetermined; ``check``
-exits 0 when certified, 13 when not; ``sweep`` exits 70 if any row is an error, even a
-data error; errors: 64 usage, 65 invalid config/data, 66 missing input, 70 runtime or I/O.
+exits 0 when certified, 13 when not; ``sweep`` the largest code of its failed values,
+else 0; errors: 64 usage, 65 invalid config/data, 66 missing input, 70 runtime or I/O,
+where a package error's ``error[<tag>]`` line and code are set by its type.
 """
 
 import argparse
 import sys
 
-from .analysis import CERTIFIED, check_stability, solve_equilibrium
+from .analysis import check_stability, solve_equilibrium
 from .config import SWEEPABLE, apply_params, load_scenario
-from .errors import (
-    ConfigError,
-    EquilibriumBracketError,
-    IntegrationDivergedError,
-    MarginOverflowError,
-    RatelabError,
-)
+from .errors import RatelabError
 from .scenario import (
     EXIT_CODES,
     auto_margin_range,
@@ -33,10 +28,8 @@ from .scenario import (
 )
 
 EX_USAGE = 64
-EX_DATAERR = 65
 EX_NOINPUT = 66
 EX_SOFTWARE = 70
-CHECK_NOT_CERTIFIED = 13
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,7 +119,7 @@ def _cmd_check(args) -> int:
     sys.stdout.write(text)
     if args.out is not None:
         write_outputs(args.out, {"report.txt": text})
-    return 0 if report.verdict == CERTIFIED else CHECK_NOT_CERTIFIED
+    return EXIT_CODES[report.verdict]
 
 
 def _cmd_sweep(args) -> int:
@@ -142,33 +135,23 @@ def _cmd_sweep(args) -> int:
         else:
             print(f"  {r.param}={r.value:g}: error: {r.message}")
     print(f"outputs: {rep.paths['sweep']}")
-    return 0 if all(r.status == "ok" for r in rep.rows) else EX_SOFTWARE
+    return rep.exit_code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    commands = {"run": _cmd_run, "check": _cmd_check, "sweep": _cmd_sweep}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        return _cmd_sweep(args)
+        return commands[args.command](args)
     except FileNotFoundError as exc:
         print(f"error[input]: {exc}", file=sys.stderr)
         return EX_NOINPUT
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return EX_SOFTWARE
-    except (ConfigError, EquilibriumBracketError, MarginOverflowError) as exc:
-        print(f"error[config]: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    except IntegrationDivergedError as exc:
-        print(f"error[diverged]: {exc}", file=sys.stderr)
-        return EX_SOFTWARE
     except RatelabError as exc:
-        print(f"error[runtime]: {exc}", file=sys.stderr)
-        return EX_SOFTWARE
+        print(f"error[{exc.tag}]: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -269,15 +269,18 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def apply_param(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
-    """Return ``cfg`` with one key of FIELDS replaced, checked and re-snapped
-    from the requested step by :func:`build_config`.  The capacity keys
-    apply to any law: ``intercept`` and ``level`` both set c0."""
+    """Return ``cfg`` with one key of FIELDS other than ``kind`` replaced, checked
+    and re-snapped from the requested step by :func:`build_config`.  The capacity
+    keys apply to any law: ``intercept`` and ``level`` both set c0."""
     return apply_params(cfg, {key: value})
 
 
 def apply_params(cfg: ScenarioConfig, changes: dict) -> ScenarioConfig:
     """:func:`apply_param` for several keys at once, checked together, so
     that each is checked against the others' new values."""
+    if "kind" in changes:
+        raise ConfigError(f"kind = {changes['kind']}: a law's kind is set only in a scenario "
+                          "file; apply slope = 0 for a constant law")
     values = config_values(cfg)
     # the affine form holds every law
     values.update(kind=AFFINE, intercept=cfg.law.c0, slope=cfg.law.slope,

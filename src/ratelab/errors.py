@@ -1,14 +1,15 @@
 """Exception types shared across the package; keep each message self-contained.
 
-``cli.main`` exits 65 with ``error[config]`` on ConfigError,
-EquilibriumBracketError and MarginOverflowError, 70 with ``error[diverged]``
-on IntegrationDivergedError, and 70 with ``error[runtime]`` on every other
-RatelabError.
+Each type carries the ``tag`` and ``exit_code`` with which ``ratelab``
+reports it: ``cli.main`` prints ``error[<tag>]: <message>`` and exits
+``exit_code``, and a sweep exits with the largest code among its failed values.
 """
 
 
 class RatelabError(Exception):
     """Base class for all errors raised deliberately by this package."""
+
+    tag, exit_code = "runtime", 70
 
 
 class ModelDomainError(RatelabError, ValueError):
@@ -22,6 +23,8 @@ class CapacityExhaustedError(ModelDomainError):
 class MarginOverflowError(ModelDomainError):
     """A margin term at a rate of the configured range exceeds the float range."""
 
+    tag, exit_code = "config", 65
+
 
 class HistoryRangeError(RatelabError, ValueError):
     """A time query fell outside the recorded span."""
@@ -34,6 +37,8 @@ class GridMismatchError(RatelabError, ValueError):
 class IntegrationDivergedError(RatelabError, RuntimeError):
     """The integration produced a non-finite or out-of-domain state."""
 
+    tag = "diverged"
+
     def __init__(self, message: str, t_fail: float):
         super().__init__(message)
         self.t_fail = t_fail
@@ -42,6 +47,8 @@ class IntegrationDivergedError(RatelabError, RuntimeError):
 class EquilibriumBracketError(RatelabError, ValueError):
     """The equilibrium residual does not change sign on the search bracket."""
 
+    tag, exit_code = "config", 65
+
 
 class HorizonError(RatelabError, ValueError):
     """A trajectory is too short for the requested analysis window."""
@@ -49,3 +56,5 @@ class HorizonError(RatelabError, ValueError):
 
 class ConfigError(RatelabError, ValueError):
     """A scenario file failed to parse or violated a validation rule."""
+
+    tag, exit_code = "config", 65

@@ -10,6 +10,7 @@ from typing import NamedTuple
 from .analysis import (
     CERTIFIED,
     CONVERGED,
+    NOT_CERTIFIED,
     OSCILLATING,
     SATURATED,
     UNDETERMINED,
@@ -29,7 +30,8 @@ from .svgplot import line_plot_svg
 # Rows formatted per write by write_csv: bounds the text held in memory.
 CSV_CHUNK_ROWS = 4096
 
-EXIT_CODES = {CONVERGED: 0, OSCILLATING: 10, SATURATED: 11, UNDETERMINED: 12}
+EXIT_CODES = {CONVERGED: 0, OSCILLATING: 10, SATURATED: 11, UNDETERMINED: 12,
+              CERTIFIED: 0, NOT_CERTIFIED: 13}
 
 
 class RunResult(NamedTuple):
@@ -70,10 +72,12 @@ class SweepRow(NamedTuple):
 
 
 class SweepReport(NamedTuple):
-    """A sweep's rows, in input order; :func:`sweep` returns it with ``paths`` set."""
+    """A sweep's rows, in input order, and the largest exit code their errors carry
+    (0 when every row is ok); :func:`sweep` returns it with ``paths`` set."""
 
     param: str
     rows: tuple
+    exit_code: int
     paths: dict | None = None
 
 
@@ -244,20 +248,20 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     return res._replace(paths=write_outputs(out_dir or os.path.join("out", cfg.name), files))
 
 
-def _sweep_one(args) -> SweepRow:
+def _sweep_one(args) -> tuple[SweepRow, int]:
     cfg, name, value = args
     try:
         cfg_v = apply_param(cfg, name, value)
         res = _execute(cfg_v)
-    except Exception as exc:
-        message = str(exc)
-        if not isinstance(exc, RatelabError):
-            message = f"{type(exc).__name__}: {message}"
-        return SweepRow(param=name, value=value, status="error", message=message)
+    except RatelabError as exc:
+        return SweepRow(name, value, "error", message=str(exc)), exc.exit_code
+    except Exception as exc:  # not raised on purpose: a runtime error, named in the row
+        message = f"{type(exc).__name__}: {exc}"
+        return SweepRow(name, value, "error", message=message), RatelabError.exit_code
     rep, cls = res.report, res.classification
     return SweepRow(name, value, "ok", step=cfg_v.step, x_star=rep.equilibrium.x_star,
                     min_margin=rep.min_margin, verdict=rep.verdict,
-                    classification=cls.kind, final_error=cls.final_error)
+                    classification=cls.kind, final_error=cls.final_error), 0
 
 
 def sweep(
@@ -271,7 +275,7 @@ def sweep(
     sweep_report.txt into ``out_dir`` (default out/sweep-<param>).
 
     Per-value failures (any exception) become status=error rows and the
-    sweep continues.
+    sweep continues, and the report's ``exit_code`` is the largest they carry.
     Results are gathered by index, so the output order equals the input
     order regardless of worker scheduling.
     """
@@ -296,11 +300,11 @@ def sweep(
         import numpy  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            rows = tuple(pool.map(_sweep_one, jobs))
+            rows, codes = zip(*pool.map(_sweep_one, jobs))
     else:
-        rows = tuple(_sweep_one(j) for j in jobs)
+        rows, codes = zip(*map(_sweep_one, jobs))
 
-    rep = SweepReport(param_name, rows)
+    rep = SweepReport(param_name, rows, max(codes))
     csv_text = "".join(",".join(map(_cell, r)) + "\n" for r in (SweepRow._fields, *rows))
     return rep._replace(paths=write_outputs(out, {"sweep.csv": csv_text,
                                                   "sweep_report.txt": format_sweep_summary(rep)}))

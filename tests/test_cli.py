@@ -14,6 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ratelab
+import ratelab.cli
+import ratelab.errors
 from ratelab import config, scenario
 from ratelab.cli import main
 from conftest import SCENARIOS, SRC, run_cli
@@ -170,7 +172,7 @@ def test_sweep_with_error_value_signals_failure(fig2_path, tmp_path):
             "60",
         ]
     )
-    assert code == 70
+    assert code == 65  # b = -1 is a data error, as under `run`
 
 
 def test_check_small_b_has_no_traceback(fig2_path, tmp_path):
@@ -227,8 +229,8 @@ def test_equilibrium_on_capacity_root_is_config_error(tmp_path, command):
     proc = run_cli(command, path, *sweep_args, "--out", out)
     assert "Traceback" not in proc.stderr
     message = "the equilibrium rounds onto the capacity root: g(x_star) = 0.0 <= 0 at x_star = 1.0"
-    if command == "sweep":  # the row reports it; a failed row makes the sweep exit 70
-        assert proc.returncode == 70
+    if command == "sweep":  # the row reports it, and the sweep exits with its code
+        assert proc.returncode == 65
         assert (out / "sweep.csv").read_text().splitlines()[1].endswith(message)
     else:
         assert proc.returncode == 65
@@ -255,6 +257,59 @@ def test_sweep_isolates_non_ratelab_errors(fig2_path, tmp_path, monkeypatch, cap
     assert rows[0].endswith(",OverflowError: (34; 'Numerical result out of range')")
     assert rows[1].startswith("b,0.20000000000000001,ok,")
     assert "Traceback" not in capsys.readouterr().err
+
+
+# What `ratelab` prints and exits with for each error type of the package,
+# written out here so that a change to the mapping shows as a test change
+ERROR_TABLE = {
+    "RatelabError": ("runtime", 70),
+    "ModelDomainError": ("runtime", 70),
+    "CapacityExhaustedError": ("runtime", 70),
+    "MarginOverflowError": ("config", 65),
+    "HistoryRangeError": ("runtime", 70),
+    "GridMismatchError": ("runtime", 70),
+    "IntegrationDivergedError": ("diverged", 70),
+    "EquilibriumBracketError": ("config", 65),
+    "HorizonError": ("runtime", 70),
+    "ConfigError": ("config", 65),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_TABLE))
+def test_each_error_type_sets_its_tag_and_exit_code(fig2_path, monkeypatch, capsys, name):
+    cls = getattr(ratelab.errors, name)
+    exc = cls("boom", 0.0) if cls is ratelab.errors.IntegrationDivergedError else cls("boom")
+
+    def load_fails(path):
+        raise exc
+
+    monkeypatch.setattr(ratelab.cli, "load_scenario", load_fails)
+    tag, code = ERROR_TABLE[name]
+    assert main(["check", str(fig2_path)]) == code
+    assert capsys.readouterr().err == f"error[{tag}]: boom\n"
+
+
+def test_error_table_covers_every_error_type():
+    errors = ratelab.errors
+    types = {n for n, v in vars(errors).items()
+             if isinstance(v, type) and issubclass(v, errors.RatelabError)}
+    assert types == set(ERROR_TABLE)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("param, values, code", [
+    ("b", "0.2,-1,0.3", 65),  # a data error, as `run` with b = -1 exits
+    ("kappa", "1e300", 70),  # integration left the model domain at t = 0.005
+    ("kappa", "1e300,-1", 70),  # the larger of 70 and 65
+])
+def test_sweep_exits_with_the_largest_code_of_its_failures(fig2_path, tmp_path, capsys,
+                                                           jobs, param, values, code):
+    out = tmp_path / "sw"
+    assert main(["sweep", str(fig2_path), "--param", param, "--values", values,
+                 "--t-end", "10", "--jobs", jobs, "--out", str(out)]) == code
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(values.split(","))
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_small_b_completes(fig2_path, tmp_path):
@@ -687,7 +742,7 @@ def test_tail_window_below_one_step_is_config_error(fig2_path, tmp_path):
     path.write_text(text.replace("t_end = 200.0", "t_end = 100.0") + "tail_fraction = 5e-5\n",
                     encoding="utf-8")
     proc = run_cli("sweep", path, "--param", "T", "--values", "2.0", "--out", out)
-    assert proc.returncode == 70
+    assert proc.returncode == 65
     assert "Traceback" not in proc.stderr
     assert (out / "sweep.csv").read_text().splitlines()[1].endswith(
         ",T = 2.0: [analysis] tail_fraction = 5e-05 leaves a window of 0.005 "

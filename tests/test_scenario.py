@@ -441,7 +441,7 @@ class TestSweep:
         # the shipped b-sweeps are monotone, so only built rows reach the warning
         rows = (scenario.SweepRow("b", 0.1, "ok", verdict=NOT_CERTIFIED),
                 scenario.SweepRow("b", 0.2, "ok", verdict=CERTIFIED))
-        rep = scenario.SweepReport("b", rows)
+        rep = scenario.SweepReport("b", rows, 0)
         assert scenario.format_sweep_summary(rep).splitlines()[-1] == (
             "warning: certification pattern is not monotone in the swept value; "
             "flagging for review"
@@ -452,7 +452,7 @@ class TestSweep:
     @settings(max_examples=200, deadline=None)
     def test_summary_matches_the_oracle(self, param, rows):
         rows = tuple(r._replace(param=param) for r in rows)
-        rep = scenario.SweepReport(param, rows)
+        rep = scenario.SweepReport(param, rows, 0)
         expected = reference_sweep_summary(param, rows)
         for line in expected.splitlines()[4:]:  # the optional lines
             event(line.split(":")[0])
@@ -584,6 +584,16 @@ class TestSweep:
         assert apply_param(cfg, "intercept", 6.0).law == CapacityLaw(6.0)
         # a slope turns the law affine
         assert apply_param(cfg, "slope", 1.0).law == CapacityLaw(4.0, 1.0)
+
+    def test_apply_param_refuses_the_law_kind(self, fig2_path):
+        # kind only spells a law in a file: refused before any other key is read
+        cfg = load_scenario(fig2_path)
+        message = "a law's kind is set only in a scenario file; apply slope = 0 for a constant law"
+        with pytest.raises(ConfigError, match="^kind = constant: " + message):
+            apply_param(cfg, "kind", "constant")
+        with pytest.raises(ConfigError, match="^kind = constant: " + message):
+            config.apply_params(cfg, {"kind": "constant", "level": 3.0})
+        assert apply_param(cfg, "slope", 0.0).law == CapacityLaw(cfg.law.c0)
 
     def test_apply_param_slope_0_gives_the_constant_form(self, tmp_path):
         cfg = apply_param(load_scenario(write_scenario(tmp_path, MINIMAL)), "slope", 0.0)
