@@ -13,9 +13,6 @@ from .errors import (
     CapacityExhaustedError,
     ConfigError,
     EquilibriumBracketError,
-    GridMismatchError,
-    HistoryRangeError,
-    HorizonError,
     IntegrationDivergedError,
     ModelDomainError,
     RatelabError,
@@ -31,9 +28,8 @@ _LAZY = {name: module for module, names in (
                  "check_stability classify lyapunov_values solve_equilibrium"),
     ("dde", "Trajectory integrate"), ("scenario", "run_scenario sweep")) for name in names.split()}
 __all__ = ["CapacityExhaustedError", "ConfigError", "EquilibriumBracketError",
-           "GridMismatchError", "HistoryRangeError", "HorizonError", "IntegrationDivergedError",
-           "ModelDomainError", "RatelabError", "CapacityLaw", "ModelParams", "capacity",
-           "load_scenario", "snap_step", *_LAZY]
+           "IntegrationDivergedError", "ModelDomainError", "RatelabError", "CapacityLaw",
+           "ModelParams", "capacity", "load_scenario", "snap_step", *_LAZY]
 
 
 def __getattr__(name):

@@ -26,7 +26,6 @@ from .dde import Trajectory
 from .errors import (
     CapacityExhaustedError,
     EquilibriumBracketError,
-    HorizonError,
     MarginOverflowError,
     ModelDomainError,
 )
@@ -46,6 +45,9 @@ WARNING = "warning"
 # Relative half-width of the band around x_star where the margin switches to
 # its analytic limit (the difference quotients are 0/0 there).
 EPS_BAND_REL = 1e-6
+
+# Slack of lyapunov_values' horizon checks, as a fraction of the step.
+HORIZON_SLACK = 1e-9
 
 # Samples per quadrature block in lyapunov_values: bounds the
 # (samples x theta_nodes) temporaries.
@@ -306,16 +308,17 @@ def lyapunov_values(
     if theta_nodes < 3:
         raise ModelDomainError(f"theta_nodes must be at least 3, got {theta_nodes}")
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    early = ts - p.max_delay < -1e-9 * traj.step
-    late = ts > traj.t_end + 1e-9 * traj.step
+    slack = HORIZON_SLACK * traj.step
+    early = ts - p.max_delay < -slack
+    late = ts > traj.t_end + slack
     if np.any(early | late):
         i = int(np.argmax(early | late))
         if early[i]:
-            raise HorizonError(
+            raise ModelDomainError(
                 f"need max(tau, T) = {p.max_delay} of recorded history before "
                 f"t = {ts[i]}; trajectory starts at 0.0"
             )
-        raise HorizonError(f"t = {ts[i]} beyond trajectory end {traj.t_end}")
+        raise ModelDomainError(f"t = {ts[i]} beyond trajectory end {traj.t_end}")
 
     b, h = p.b, p.h_gain
     theta = np.linspace(-1.0, 0.0, theta_nodes)

@@ -16,12 +16,7 @@ import math
 from itertools import cycle, islice
 from typing import NamedTuple
 
-from .errors import (
-    GridMismatchError,
-    HistoryRangeError,
-    IntegrationDivergedError,
-    ModelDomainError,
-)
+from .errors import IntegrationDivergedError, ModelDomainError
 from .model import DELAY_MULTIPLE_RTOL, CapacityLaw, ModelParams, capacity
 
 # Exact-hit snap tolerance for time queries, as a fraction of the step.
@@ -70,7 +65,7 @@ class Trajectory(NamedTuple):
         out_of_range = (rel < -tol) | (rel > (n - 1) + tol)
         if np.any(out_of_range):
             bad = tq.flat[int(np.argmax(out_of_range))]
-            raise HistoryRangeError(
+            raise ModelDomainError(
                 f"t = {bad} outside trajectory span [0.0, {self.t_end}]"
             )
         j = np.clip(np.floor(rel).astype(np.int64), 0, n - 2)
@@ -90,7 +85,7 @@ def _delay_steps(delay: float, step: float, name: str) -> int:
     k = delay / step
     k_int = round(k)
     if k_int < 1 or abs(k - k_int) > DELAY_MULTIPLE_RTOL * max(1.0, k):
-        raise GridMismatchError(
+        raise ModelDomainError(
             f"{name} = {delay} is not an integer multiple of step = {step}"
         )
     return k_int
@@ -198,9 +193,9 @@ def integrate(
     loop is sequential pure-float arithmetic with no ambient state.
     """
     if not (math.isfinite(t_end) and t_end > 0):
-        raise GridMismatchError(f"t_end must be positive, got {t_end}")
+        raise ModelDomainError(f"t_end must be positive, got {t_end}")
     if not (math.isfinite(step) and step > 0):
-        raise GridMismatchError(f"step must be positive, got {step}")
+        raise ModelDomainError(f"step must be positive, got {step}")
     if not (math.isfinite(init_x) and init_x > 0):
         raise ModelDomainError(f"init_x must be positive and finite, got {init_x}")
     k_tau = _delay_steps(params.tau, step, "tau")
@@ -208,7 +203,7 @@ def integrate(
 
     n_steps = round(t_end / step)
     if n_steps < 1:
-        raise GridMismatchError(f"t_end = {t_end} shorter than one step {step}")
+        raise ModelDomainError(f"t_end = {t_end} shorter than one step {step}")
 
     # Append-only records over [-max delay, t_end]; index i0 of xs is t = 0.
     # The junction at t = 0 carries two one-sided derivatives: the

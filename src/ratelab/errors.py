@@ -3,6 +3,8 @@
 Each type carries the ``tag`` and ``exit_code`` with which ``ratelab``
 reports it: ``cli.main`` prints ``error[<tag>]: <message>`` and exits
 ``exit_code``, and a sweep exits with the largest code among its failed values.
+A condition gets a type of its own only when code catches it apart, it has
+its own tag or code, or it reaches a report or a sweep row as itself.
 """
 
 
@@ -13,7 +15,9 @@ class RatelabError(Exception):
 
 
 class ModelDomainError(RatelabError, ValueError):
-    """An argument left the domain of the model (nonpositive rate, capacity, ...)."""
+    """An argument outside the domain of the function it was passed to: a
+    nonpositive rate or capacity, a step that the delays are not whole
+    multiples of, or a time outside the recorded run."""
 
 
 class CapacityExhaustedError(ModelDomainError):
@@ -24,14 +28,6 @@ class MarginOverflowError(ModelDomainError):
     """A margin term at a rate of the configured range exceeds the float range."""
 
     tag, exit_code = "config", 65
-
-
-class HistoryRangeError(RatelabError, ValueError):
-    """A time query fell outside the recorded span."""
-
-
-class GridMismatchError(RatelabError, ValueError):
-    """Step/delay/span values are not commensurable with the sample grid."""
 
 
 class IntegrationDivergedError(RatelabError, RuntimeError):
@@ -48,10 +44,6 @@ class EquilibriumBracketError(RatelabError, ValueError):
     """The equilibrium residual does not change sign on the search bracket."""
 
     tag, exit_code = "config", 65
-
-
-class HorizonError(RatelabError, ValueError):
-    """A trajectory is too short for the requested analysis window."""
 
 
 class ConfigError(RatelabError, ValueError):

@@ -10,6 +10,7 @@ from typing import NamedTuple
 from .analysis import (
     CERTIFIED,
     CONVERGED,
+    HORIZON_SLACK,
     NOT_CERTIFIED,
     OSCILLATING,
     SATURATED,
@@ -50,8 +51,9 @@ class RunResult(NamedTuple):
         Computed on each access: sweeps report no V and never pay for it.
         """
         p, traj = self.config.params, self.trajectory
-        t_first = math.ceil(p.max_delay - 1e-9)
-        ts = [float(s) for s in range(t_first, int(math.floor(traj.t_end + 1e-9)) + 1)]
+        slack = HORIZON_SLACK * traj.step  # lyapunov_values' own, so it accepts every sample
+        ts = [float(s) for s in range(math.ceil(p.max_delay - slack),
+                                      math.floor(traj.t_end + slack) + 1)]
         values = lyapunov_values(traj, ts, p, self.report.equilibrium)
         return tuple(zip(ts, values.tolist()))
 
@@ -289,8 +291,11 @@ def sweep(
     out = out_dir or os.path.join("out", f"sweep-{param_name}")
     write_outputs(out, {})  # an unusable out_dir fails here, before any value runs
     jobs = [(cfg, param_name, v) for v in values]
-    # fork starts every worker at the first submit: no more than there are values or CPUs
-    n_workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
+    # fork starts every worker at the first submit: no more than there are values
+    # or CPUs this process may run on (the machine's, where the platform cannot say)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    n_workers = min(n_jobs, len(jobs), cpus)
     if n_workers > 1:
         # imported here: a pool loads multiprocessing, which no serial path needs
         from concurrent.futures import ProcessPoolExecutor

@@ -18,7 +18,6 @@ from ratelab import (
     CapacityExhaustedError,
     CapacityLaw,
     EquilibriumBracketError,
-    HorizonError,
     ModelDomainError,
     ModelParams,
     check_stability,
@@ -595,9 +594,9 @@ class TestLyapunovValues:
     def test_horizon_error_names_first_bad_sample(self, fig2_result):
         traj, p = fig2_result.trajectory, fig2_result.config.params
         eq = fig2_result.report.equilibrium
-        with pytest.raises(HorizonError, match="t = 2.5"):
+        with pytest.raises(ModelDomainError, match="t = 2.5"):
             lyapunov_values(traj, [10.0, 2.5, 250.0], p, eq)
-        with pytest.raises(HorizonError, match="t = 250.0 beyond"):
+        with pytest.raises(ModelDomainError, match="t = 250.0 beyond"):
             lyapunov_values(traj, [10.0, 250.0, 2.5], p, eq)
 
     def test_empty_batch(self, fig2_result):
@@ -642,9 +641,9 @@ class TestLyapunovValue:
         traj = fig2_result.trajectory
         eq = fig2_result.report.equilibrium
         p = fig2_result.config.params
-        with pytest.raises(HorizonError):
+        with pytest.raises(ModelDomainError, match=r"need max\(tau, T\) = 3.0 of recorded history"):
             lyapunov_values(traj, [2.0], p, eq)
-        with pytest.raises(HorizonError):
+        with pytest.raises(ModelDomainError, match="t = 201.0 beyond trajectory end 200.0"):
             lyapunov_values(traj, [201.0], p, eq)
 
 

@@ -196,6 +196,25 @@ def test_check_overflowing_h_factor_exits_65(fig2_path, tmp_path):
     assert "h**(1/b) exceeds the float range (h = 10000.0, b = 0.01)" in proc.stderr
 
 
+
+@pytest.mark.parametrize("tau, t_end, code, first, last", [
+    ("3.0000000001", "40", 0, 4.0, 40.0),  # the longest delay just above a whole second
+    ("2.9999999997", "5", 12, 3.0, 4.0),  # the run's end, 500 steps, just below one
+])
+def test_lyapunov_rows_lie_in_the_recorded_run(fig2_path, tmp_path, tau, t_end, code,
+                                               first, last):
+    # V is sampled at the whole seconds that lyapunov_values accepts, with its
+    # slack of a fraction of the step, so a valid scenario never exits 70 on them
+    path = tmp_path / "tau.scenario"
+    path.write_text(fig2_path.read_text().replace("\ntau = 3.0\n", f"\ntau = {tau}\n"),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--t-end", t_end, "--out", str(out)]) == code
+    with open(out / "lyapunov.csv", newline="", encoding="utf-8") as f:
+        ts = [float(row["t"]) for row in csv.DictReader(f)]
+    assert (ts[0], ts[-1]) == (first, last)
+    assert all(float(tau) <= t <= float(t_end) for t in ts)
+
 CAPACITY_ROOT_MODEL = """\
 [model]
 kappa = 1.0
@@ -266,11 +285,8 @@ ERROR_TABLE = {
     "ModelDomainError": ("runtime", 70),
     "CapacityExhaustedError": ("runtime", 70),
     "MarginOverflowError": ("config", 65),
-    "HistoryRangeError": ("runtime", 70),
-    "GridMismatchError": ("runtime", 70),
     "IntegrationDivergedError": ("diverged", 70),
     "EquilibriumBracketError": ("config", 65),
-    "HorizonError": ("runtime", 70),
     "ConfigError": ("config", 65),
 }
 
@@ -508,7 +524,6 @@ PUBLIC_NAMES = {
     **dict.fromkeys(["load_scenario", "snap_step"], "config"),
     **dict.fromkeys(["Trajectory", "integrate"], "dde"),
     **dict.fromkeys(["CapacityExhaustedError", "ConfigError", "EquilibriumBracketError",
-                     "GridMismatchError", "HistoryRangeError", "HorizonError",
                      "IntegrationDivergedError", "ModelDomainError", "RatelabError"], "errors"),
     **dict.fromkeys(["CapacityLaw", "ModelParams", "capacity"], "model"),
     **dict.fromkeys(["run_scenario", "sweep"], "scenario"),

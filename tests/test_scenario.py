@@ -537,14 +537,22 @@ class TestSweep:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         cfg = load_scenario(fig2_path)._replace(t_end=30.0)
         rep = sweep(cfg, "b", [0.15, 0.45], out_dir=tmp_path, n_jobs=10_000)
         assert built == [2]
         assert [r.status for r in rep.rows] == ["ok", "ok"]
         sweep(cfg, "b", [0.15], out_dir=tmp_path, n_jobs=10_000)
         assert built == [2]
-        # nor more than there are CPUs; an unknown count means one
+        # nor more than the CPUs the process may run on: pinned to one, no pool,
+        # however many the machine has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        rep = sweep(cfg, "b", [0.15, 0.45], out_dir=tmp_path, n_jobs=10_000)
+        assert built == [2]
+        assert [r.status for r in rep.rows] == ["ok", "ok"]
+        # where the platform cannot say, the machine's CPUs; an unknown count means one
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         rep = sweep(cfg, "b", [0.15, 0.3, 0.45], out_dir=tmp_path, n_jobs=3)
         assert built == [2, 2]
