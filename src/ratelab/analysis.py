@@ -46,7 +46,7 @@ WARNING = "warning"
 # its analytic limit (the difference quotients are 0/0 there).
 EPS_BAND_REL = 1e-6
 
-# Slack of lyapunov_values' horizon checks, as a fraction of the step.
+# Slack of lyapunov_values' and classify's horizon checks, as a fraction of the step.
 HORIZON_SLACK = 1e-9
 
 # Samples per quadrature block in lyapunov_values: bounds the
@@ -63,19 +63,16 @@ class AssumptionViolation(NamedTuple):
 class StabilityReport(NamedTuple):
     """Outcome of the margin check over a rate range, an immutable record.
 
-    ``profile_x``/``profile_margin`` are tuples of floats: the uniform grid
-    plus the analytic limit point at x_star, and the margin at each.  The
-    minimum is the first NaN if any margin is NaN, else the first smallest
-    margin.  The verdict is CertifiedStable iff the minimum margin is
-    positive and no hard assumption violation was found.
+    The minimum is taken over the uniform grid plus the analytic limit point
+    at x_star: the first NaN if any margin is NaN, else the first smallest
+    margin, and the rate where it sits.  The verdict is CertifiedStable iff
+    the minimum margin is positive and no hard assumption violation was found.
     """
 
     equilibrium: Equilibrium
     violations: tuple
     x_range: tuple
     grid_n: int
-    profile_x: tuple
-    profile_margin: tuple
     min_margin: float
     min_margin_x: float
     verdict: str
@@ -253,30 +250,29 @@ def check_stability(
     if not (x_lo >= p.x_min and x_hi <= p.x_max):
         raise ModelDomainError(f"range [{x_lo}, {x_hi}] must lie within the rate bounds "
                                f"[{p.x_min}, {p.x_max}]")
-    profile_x = (*uniform_grid(x_lo, x_hi, grid_n), eq.x_star)
-    profile_margin = tuple(margin_kernel(p, law, eq, profile_x))
+    grid = uniform_grid(x_lo, x_hi, grid_n) + [eq.x_star]
+    margins = margin_kernel(p, law, eq, grid)
     # numpy.argmin's rule: the first NaN, else the first smallest margin
-    if any(map(math.isnan, profile_margin)):
-        i_min = next(i for i, m in enumerate(profile_margin) if math.isnan(m))
+    if any(map(math.isnan, margins)):
+        i_min = next(i for i, m in enumerate(margins) if math.isnan(m))
     else:
-        i_min = profile_margin.index(min(profile_margin))
+        i_min = margins.index(min(margins))
     violations = []
     # g = c0 - slope*x with slope >= 0 and rounding is monotone, so no grid
     # node has less capacity than its last one, x_hi: only when that node
     # fails is the grid searched for the first that does
     hard = law.value(x_hi) <= 1.0
     if hard:
-        x = next(x for x in profile_x if law.value(x) <= 1.0)
+        x = next(x for x in grid if law.value(x) <= 1.0)
         violations.append(AssumptionViolation(
             "A3", f"capacity must exceed 1 on the range: g({x:.6g}) = {law.value(x):.6g}", HARD))
     if law.derivative() >= -1.0:
         violations.append(AssumptionViolation("A3", "capacity slope must satisfy g'(x) < -1, "
                                               f"got g'(x) = {law.derivative():.6g}", WARNING))
-    verdict = CERTIFIED if (profile_margin[i_min] > 0 and not hard) else NOT_CERTIFIED
+    verdict = CERTIFIED if (margins[i_min] > 0 and not hard) else NOT_CERTIFIED
     return StabilityReport(
         equilibrium=eq, violations=tuple(violations), x_range=(float(x_lo), float(x_hi)),
-        grid_n=grid_n, profile_x=profile_x, profile_margin=profile_margin,
-        min_margin=float(profile_margin[i_min]), min_margin_x=float(profile_x[i_min]),
+        grid_n=grid_n, min_margin=float(margins[i_min]), min_margin_x=float(grid[i_min]),
         verdict=verdict,
     )
 
@@ -369,7 +365,7 @@ def classify(
     t = traj.t
     horizon = traj.t_end
     final_error = float(abs(x[-1] - eq.x_star))
-    if horizon < 10.0 * traj.params.tau - 1e-9:
+    if horizon < 10.0 * traj.params.tau - HORIZON_SLACK * traj.step:
         return Classification(UNDETERMINED, final_error, float(x.max() - x.min()), None)
 
     window = tail_fraction * horizon

@@ -28,7 +28,7 @@ from .dde import Trajectory, integrate
 from .errors import ConfigError, RatelabError
 from .svgplot import line_plot_svg
 
-# Rows formatted per write by write_csv: bounds the text held in memory.
+# Rows formatted per write by write_trajectory_csv: bounds the text held in memory.
 CSV_CHUNK_ROWS = 4096
 
 EXIT_CODES = {CONVERGED: 0, OSCILLATING: 10, SATURATED: 11, UNDETERMINED: 12,
@@ -87,7 +87,7 @@ def auto_margin_range(cfg: ScenarioConfig, traj: Trajectory | None, x_star: floa
     """Rate range for the margin check when the config says 'auto'.
 
     With a trajectory: its envelope padded by 20% of the span on each side
-    (10% of the mean when the envelope is degenerate).  Without one (the
+    (10% of its top when the span is at most 1e-9 times it).  Without one (the
     analysis-only path): a factor-of-two band around the equilibrium.  The
     range is clamped to the rate bounds and, for a positive slope, stops at
     95% of the capacity root; when nothing is left, x_star*[0.9, 1.1] is
@@ -98,7 +98,7 @@ def auto_margin_range(cfg: ScenarioConfig, traj: Trajectory | None, x_star: floa
     if traj is not None:
         lo, hi = float(traj.x.min()), float(traj.x.max())
         span = hi - lo
-        pad = 0.2 * span if span > 1e-9 * max(1.0, abs(hi)) else 0.1 * max(hi, 1e-9)
+        pad = 0.2 * span if span > 1e-9 * hi else 0.1 * hi
         lo, hi = lo - pad, hi + pad
     else:
         lo, hi = 0.5 * x_star, 2.0 * x_star
@@ -158,31 +158,20 @@ def write_outputs(out_dir, files) -> dict:
     return {path.stem: str(path) for path in begun}
 
 
-def write_csv(path, header: str, row_format: str, columns) -> None:
-    """Write ``header`` and one ``row_format % row`` line per row of the
-    equal-length columns (numpy arrays or lists), CSV_CHUNK_ROWS rows per
-    write.  An array is told from a list by its ``tolist``, so this module
-    needs no numpy."""
-    n = len(columns[0])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, n, CSV_CHUNK_ROWS):
-            chunk = [
-                c[lo:lo + CSV_CHUNK_ROWS].tolist() if hasattr(c, "tolist")
-                else c[lo:lo + CSV_CHUNK_ROWS]
-                for c in columns
-            ]
-            fh.write("".join(map(row_format.__mod__, zip(*chunk))))
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    write_csv(path, "t,x,c,dxdt", "%.17g,%.17g,%.17g,%.17g\n",
-              [traj.t, traj.x, traj.c, traj.dxdt])
+    """The trajectory's t, x, c and dx/dt columns, CSV_CHUNK_ROWS rows per write."""
+    columns = (traj.t, traj.x, traj.c, traj.dxdt)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,x,c,dxdt\n")
+        for lo in range(0, len(traj.t), CSV_CHUNK_ROWS):
+            chunk = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in columns]
+            fh.write("".join(map("%.17g,%.17g,%.17g,%.17g\n".__mod__, zip(*chunk))))
 
 
 def write_lyapunov_csv(samples, path) -> None:
-    write_csv(path, "t,V", "%.17g,%.17g\n",
-              [[t for t, _ in samples], [v for _, v in samples]])
+    """The (t, V) pairs ``samples``, one row each."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,V\n" + "".join(map("%.17g,%.17g\n".__mod__, samples)))
 
 
 def format_report(cfg: ScenarioConfig, report: StabilityReport, cls=None) -> str:

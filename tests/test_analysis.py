@@ -242,9 +242,13 @@ class TestCheckTheorem2:
             check_stability(base_params(0.2), BASE_LAW, (0.5, 3.0), 8)
 
     def test_profile_includes_equilibrium_point(self):
-        report = check_stability(base_params(0.2), BASE_LAW, (0.95, 1.2), 64)
-        assert len(report.profile_x) == 65
-        assert report.profile_x[-1] == report.equilibrium.x_star
+        # b = 0.8: the margin falls with x, and x_star ~ 1.367 lies above the
+        # range, so only the appended limit point can hold the minimum
+        p = base_params(0.8)
+        report = check_stability(p, BASE_LAW, (0.95, 1.2), 64)
+        eq = report.equilibrium
+        assert report.min_margin_x == eq.x_star
+        assert report.min_margin == margin_kernel(p, BASE_LAW, eq, [eq.x_star])[0]
 
     def test_verdict_is_delay_independent(self):
         law = BASE_LAW
@@ -255,7 +259,8 @@ class TestCheckTheorem2:
             if reference is None:
                 reference = report
             assert report.verdict == reference.verdict
-            assert np.array_equal(report.profile_margin, reference.profile_margin)
+            assert (report.min_margin.hex(), report.min_margin_x.hex()) == (
+                reference.min_margin.hex(), reference.min_margin_x.hex())
 
 
 class TestReadmeNumbers:
@@ -364,20 +369,28 @@ def test_margin_kernel_matches_point_by_point_oracle(inputs):
     p, law, x_range, grid_n, factors = inputs
     solved = _outcome(lambda: [solve_equilibrium(p, law).x_star])
     if isinstance(solved, tuple):  # no equilibrium: the check fails the same way
-        assert _outcome(lambda: check_stability(p, law, x_range, grid_n).profile_margin) \
+        assert _outcome(lambda: [check_stability(p, law, x_range, grid_n).min_margin]) \
             == solved
         return
     eq = solve_equilibrium(p, law)
     grid = np.append(np.linspace(x_range[0], x_range[1], grid_n), eq.x_star)
 
     def reference_profile():
-        reference_assumptions(p, law, x_range, grid_n)
         return [reference_margin(float(x), p, law, eq) for x in grid]
 
-    expected = _outcome(reference_profile)
-    assert _outcome(lambda: check_stability(p, law, x_range, grid_n).profile_margin) == \
-        expected
-    if not isinstance(expected, tuple):
+    # the check's scan: one kernel call over its grid plus x_star
+    check_grid = analysis.uniform_grid(x_range[0], x_range[1], grid_n) + [eq.x_star]
+    assert _outcome(lambda: margin_kernel(p, law, eq, check_grid)) == _outcome(reference_profile)
+
+    def reference_check():
+        reference_assumptions(p, law, x_range, grid_n)
+        return reference_profile()
+
+    expected = _outcome(reference_check)
+    if isinstance(expected, tuple):
+        assert _outcome(lambda: [check_stability(p, law, x_range, grid_n).min_margin]) == \
+            expected
+    else:
         report = check_stability(p, law, x_range, grid_n)
         margins = np.array(reference_profile())
         i = int(np.argmin(margins))

@@ -682,7 +682,7 @@ def test_config_echo_round_trip(values):
 @st.composite
 def rescaled_runs(draw):
     """A drawn model on a coarse grid with a horizon of at most 5000 steps,
-    and a time scale s = 2**k for k in [-2, 2]."""
+    and a time scale s = 2**k for k in [-30, 30]."""
     step = draw(st.sampled_from([0.02, 0.025, 0.05, 0.1]))
     k_t = draw(st.integers(1, 60))
     values = {
@@ -700,7 +700,7 @@ def rescaled_runs(draw):
         "step": step,
         "t_end": draw(st.integers(1000, 5000)) * step,
     }
-    return values, 2.0 ** draw(st.integers(-2, 2))
+    return values, 2.0 ** draw(st.integers(-30, 30))
 
 
 def _outcome(values):
@@ -714,6 +714,9 @@ def _outcome(values):
 @given(case=rescaled_runs())
 @example(case=(dict(kappa=1.0, a=1.5, b=0.8, tau=3.0, T=2.0, kind=AFFINE, intercept=5.0,
                     slope=1.0, init_x=1.0, step=0.05, t_end=200.0), 0.5))  # fig1 at step 0.05
+# fig2 just short of 10*tau: too short to tell a tail at every time scale
+@example(case=(dict(kappa=1.0, a=1.5, b=0.2, tau=3.0, T=2.0, kind=AFFINE, intercept=5.0,
+                    slope=1.0, init_x=1.0, step=0.01, t_end=29.9), 2.0 ** 27))
 def test_time_rescaling_is_exact(case):
     # (kappa, tau, T, step, t_end) -> (s*kappa, tau/s, T/s, step/s, t_end/s)
     # is a symmetry of the model; with s a power of two every product the
@@ -729,7 +732,7 @@ def test_time_rescaling_is_exact(case):
         return
     assert other.config.step == base.config.step / s
     assert np.array_equal(other.trajectory.x, base.trajectory.x)
-    assert other.report.profile_margin == base.report.profile_margin
+    assert other.report.x_range == base.report.x_range
     assert other.report.min_margin == base.report.min_margin
     assert other.report.verdict == base.report.verdict
     assert other.classification.kind == base.classification.kind
@@ -749,7 +752,14 @@ def _rate_scaled(cfg, lam):
     return _execute(build_config(values, "scaled", cfg.name))
 
 
-@pytest.mark.parametrize("result", ["fig1_result", "fig2_result"])
+@pytest.fixture(scope="module")
+def flat_fig2_result(fig2_result):
+    """fig2 started 1e-9 above x_star for 20 s: an envelope about 2e-9 wide."""
+    x_star = fig2_result.report.equilibrium.x_star
+    return _execute(fig2_result.config._replace(init_x=x_star + 1e-9, t_end=20.0))
+
+
+@pytest.mark.parametrize("result", ["fig1_result", "fig2_result", "flat_fig2_result"])
 @pytest.mark.parametrize("lam", [2.0, 0.5, 3.0])
 def test_rate_rescaling_is_a_symmetry(request, result, lam):
     # not bit for bit: the powers of lam round, so the match is to a tolerance
@@ -757,6 +767,7 @@ def test_rate_rescaling_is_a_symmetry(request, result, lam):
     other = _rate_scaled(base.config, lam)
     a1 = base.config.params.a + 1.0
     np.testing.assert_allclose(other.trajectory.x / lam, base.trajectory.x, rtol=1e-13, atol=0)
+    assert [x / lam for x in other.report.x_range] == pytest.approx(base.report.x_range, rel=1e-12)
     assert other.report.min_margin * lam ** a1 == pytest.approx(base.report.min_margin, rel=1e-12)
     assert other.report.verdict == base.report.verdict
     assert other.classification.kind == base.classification.kind
