@@ -12,6 +12,12 @@ convergence regardless of the delays; the converse does not hold (the
 condition is sufficient only).  Every margin comes from one loop,
 :func:`margin_kernel`, over a whole profile; a single margin is a batch of one.
 
+A check splits into two halves.  Its range side (the grid nodes, g(x) and
+x**-a at each node, and the A3 findings on that grid) depends on the range,
+the grid size, a and the law, never on b, h or kappa; the last range side is
+kept, so a b-bisection over one range builds it once.  The equilibrium and
+the b-dependent terms are computed on every check.
+
 The margin check is pure Python: ``check`` never loads numpy.
 :func:`lyapunov_values` and :func:`classify` read trajectory arrays and
 import numpy when called.
@@ -19,7 +25,9 @@ import numpy when called.
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import chain
 from typing import NamedTuple
 
 from .dde import Trajectory
@@ -173,8 +181,11 @@ def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
     return grid
 
 
-def margin_kernel(p: ModelParams, law: CapacityLaw, eq: Equilibrium, points) -> list[float]:
-    """The stability margin at one equilibrium, at every rate in ``points``.
+def margin_kernel(
+    p: ModelParams, law: CapacityLaw, eq: Equilibrium, points, nodes=()
+) -> list[float]:
+    """The stability margin at one equilibrium, at every rate of ``nodes``
+    and then of ``points``.
 
     The margin is LHS - RHS of the certification inequality at rate x, with
     the capacity coupled to the rate, c = g(x).  Within EPS_BAND_REL*x_star
@@ -183,7 +194,10 @@ def margin_kernel(p: ModelParams, law: CapacityLaw, eq: Equilibrium, points) -> 
 
         a*xs**-(a+1) - h*[(b+1)*xs**b*cs**-b - b*xs**(b+1)*cs**-(b+1)*g'(xs)]
 
-    A single margin is ``points = [x]``: one loop serves every caller.  The
+    A single margin is ``points = [x]``: one loop serves every caller.
+    ``nodes`` are a range side's ``(x, g(x), x**-a)`` triples, x**-a None
+    where it overflows: the loop reads those two terms there and computes
+    them in place for ``points``, from the same expressions.  The
     equilibrium-only powers are computed at the first point that reaches
     them outside the band and the band limit at the first point inside it,
     each in the expression and association of a point-by-point evaluation,
@@ -201,7 +215,7 @@ def margin_kernel(p: ModelParams, law: CapacityLaw, eq: Equilibrium, points) -> 
     margins = []
     append = margins.append
     try:
-        for x in points:
+        for x, c, x_neg_a in chain(nodes, ((x, None, None) for x in points)):
             if not x > 0.0:
                 raise ModelDomainError(f"margin requires x > 0, got {x}")
             # the same decision as abs(d) < band: band >= 0 and x is not NaN
@@ -214,19 +228,54 @@ def margin_kernel(p: ModelParams, law: CapacityLaw, eq: Equilibrium, points) -> 
                     )
                 append(limit)
                 continue
-            c = c0 - slope_g * x
+            if c is None:
+                c = c0 - slope_g * x
             if not c > 0.0:
                 capacity(law, x)
             if flow_star is None:
                 # one assignment: an overflow leaves both unset, so every
                 # later point raises as well
                 lhs_star, flow_star = xs ** neg_a, xs ** b_plus_1 * cs ** neg_b
-            append((lhs_star - x ** neg_a) / d - h * (x ** b_plus_1 * c ** neg_b - flow_star) / d)
+            if x_neg_a is None:
+                x_neg_a = x ** neg_a
+            append((lhs_star - x_neg_a) / d - h * (x ** b_plus_1 * c ** neg_b - flow_star) / d)
     except OverflowError as exc:
         raise MarginOverflowError(
             f"margin at x = {x!r} exceeds the float range (a = {a}, b = {b})"
         ) from exc
     return margins
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _range_side(x_lo: float, x_hi: float, grid_n: int, a: float, law: CapacityLaw):
+    """The b-independent half of a check over ``[x_lo, x_hi]``: the
+    ``uniform_grid`` nodes as ``(x, g(x), x**-a)`` triples, x**-a None where
+    it overflows (the kernel then raises at that node, in point order), the
+    A3 findings on that grid, and whether one of them is hard.  Every
+    sequence is a tuple.  One entry is kept: a bisection holds one range at
+    a time, and the key holds nothing it varies."""
+    c0, slope_g = law.c0, law.slope
+    neg_a = -a
+    nodes = []
+    for x in uniform_grid(x_lo, x_hi, grid_n):
+        try:
+            x_neg_a = x ** neg_a
+        except OverflowError:
+            x_neg_a = None
+        nodes.append((x, c0 - slope_g * x, x_neg_a))
+    violations = []
+    # g = c0 - slope*x with slope >= 0 and rounding is monotone, so no node
+    # has less capacity than its last one, x_hi: only when that node fails
+    # is the grid searched for the first that does
+    hard = nodes[-1][1] <= 1.0
+    if hard:
+        x, c = next((x, c) for x, c, _ in nodes if c <= 1.0)
+        violations.append(AssumptionViolation(
+            "A3", f"capacity must exceed 1 on the range: g({x:.6g}) = {c:.6g}", HARD))
+    if law.derivative() >= -1.0:
+        violations.append(AssumptionViolation("A3", "capacity slope must satisfy g'(x) < -1, "
+                                              f"got g'(x) = {law.derivative():.6g}", WARNING))
+    return tuple(nodes), tuple(violations), hard
 
 
 def check_stability(
@@ -240,7 +289,10 @@ def check_stability(
     ``p`` and ``law`` hold the other assumptions by construction; A3 is
     reported on the grid.  g(x) <= 1 is hard, naming the first node;
     g'(x) >= -1 warns (the benchmark law g(x) = 5 - x sits on that
-    boundary, and a slope of 0 is past it)."""
+    boundary, and a slope of 0 is past it).  The grid's nodes, g(x) and
+    x**-a there, and A3 come from the range side of the last check when
+    the range, grid_n, a and the law are the same; the equilibrium and
+    every b-dependent term are computed afresh."""
     if grid_n < 16:
         raise ModelDomainError(f"grid_n must be at least 16, got {grid_n}")
     eq = solve_equilibrium(p, law)
@@ -250,29 +302,18 @@ def check_stability(
     if not (x_lo >= p.x_min and x_hi <= p.x_max):
         raise ModelDomainError(f"range [{x_lo}, {x_hi}] must lie within the rate bounds "
                                f"[{p.x_min}, {p.x_max}]")
-    grid = uniform_grid(x_lo, x_hi, grid_n) + [eq.x_star]
-    margins = margin_kernel(p, law, eq, grid)
+    nodes, violations, hard = _range_side(x_lo, x_hi, grid_n, p.a, law)
+    margins = margin_kernel(p, law, eq, [eq.x_star], nodes)
     # numpy.argmin's rule: the first NaN, else the first smallest margin
     if any(map(math.isnan, margins)):
         i_min = next(i for i, m in enumerate(margins) if math.isnan(m))
     else:
         i_min = margins.index(min(margins))
-    violations = []
-    # g = c0 - slope*x with slope >= 0 and rounding is monotone, so no grid
-    # node has less capacity than its last one, x_hi: only when that node
-    # fails is the grid searched for the first that does
-    hard = law.value(x_hi) <= 1.0
-    if hard:
-        x = next(x for x in grid if law.value(x) <= 1.0)
-        violations.append(AssumptionViolation(
-            "A3", f"capacity must exceed 1 on the range: g({x:.6g}) = {law.value(x):.6g}", HARD))
-    if law.derivative() >= -1.0:
-        violations.append(AssumptionViolation("A3", "capacity slope must satisfy g'(x) < -1, "
-                                              f"got g'(x) = {law.derivative():.6g}", WARNING))
     verdict = CERTIFIED if (margins[i_min] > 0 and not hard) else NOT_CERTIFIED
     return StabilityReport(
-        equilibrium=eq, violations=tuple(violations), x_range=(float(x_lo), float(x_hi)),
-        grid_n=grid_n, min_margin=float(margins[i_min]), min_margin_x=float(grid[i_min]),
+        equilibrium=eq, violations=violations, x_range=(float(x_lo), float(x_hi)),
+        grid_n=grid_n, min_margin=float(margins[i_min]),
+        min_margin_x=float(nodes[i_min][0] if i_min < grid_n else eq.x_star),
         verdict=verdict,
     )
 

@@ -65,12 +65,9 @@ def line_plot_svg(
 
     px_w = _WIDTH - _ML - _MR
     px_h = _HEIGHT - _MT - _MB
-
-    def sx(v: float) -> float:
-        return _ML + (v - x_lo) / (x_hi - x_lo) * px_w
-
-    def sy(v: float) -> float:
-        return _MT + (y_hi - v) / (y_hi - y_lo) * px_h
+    # v sits at _ML + (v - x_lo) / x_span * px_w across, _MT + (y_hi - v) / y_span * px_h
+    # down; every use keeps that association, which fixes plot.svg's digits
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -85,7 +82,7 @@ def line_plot_svg(
         f'font-family="monospace" font-size="15">{_text(title)}</text>'
     )
     for tv in _ticks(x_lo, x_hi):
-        px = sx(tv)
+        px = _ML + (tv - x_lo) / x_span * px_w
         parts.append(
             f'<line x1="{px:.2f}" y1="{_MT + px_h}" x2="{px:.2f}" '
             f'y2="{_MT + px_h + 5}" stroke="#333"/>'
@@ -95,7 +92,7 @@ def line_plot_svg(
             f"{tv:g}</text>"
         )
     for tv in _ticks(y_lo, y_hi):
-        py = sy(tv)
+        py = _MT + (y_hi - tv) / y_span * px_h
         parts.append(
             f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" stroke="#333"/>'
         )
@@ -110,9 +107,11 @@ def line_plot_svg(
         f'<text x="18" y="{_MT + px_h / 2:.1f}" text-anchor="middle" {font} '
         f'transform="rotate(-90 18 {_MT + px_h / 2:.1f})">{_text(ylabel)}</text>'
     )
+    # every polyline shares the x pixels' text
+    x_text = [f"{_ML + (a - x_lo) / x_span * px_w:.2f}," for a in xs]
     for i, (label, v) in enumerate(ys):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xs, v))
+        pts = " ".join([f"{px}{_MT + (y_hi - b) / y_span * px_h:.2f}" for px, b in zip(x_text, v)])
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

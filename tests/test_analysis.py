@@ -365,12 +365,16 @@ HUGE_A = ModelParams(kappa=1.0, a=1e12, b=2.0, tau=3.0, T_delay=2.0, h_gain=1e30
 def test_margin_kernel_matches_point_by_point_oracle(inputs):
     # one kernel per check binds the equilibrium terms once; every value and
     # error must read as if each point were computed afresh, and the minimum
-    # must follow numpy.argmin: the first NaN, else the first smallest margin
+    # must follow numpy.argmin: the first NaN, else the first smallest margin.
+    # Each check runs twice: the first builds the range side, the second
+    # reuses it
     p, law, x_range, grid_n, factors = inputs
+    analysis._range_side.cache_clear()
     solved = _outcome(lambda: [solve_equilibrium(p, law).x_star])
     if isinstance(solved, tuple):  # no equilibrium: the check fails the same way
-        assert _outcome(lambda: [check_stability(p, law, x_range, grid_n).min_margin]) \
-            == solved
+        for _ in range(2):
+            assert _outcome(lambda: [check_stability(p, law, x_range, grid_n).min_margin]) \
+                == solved
         return
     eq = solve_equilibrium(p, law)
     grid = np.append(np.linspace(x_range[0], x_range[1], grid_n), eq.x_star)
@@ -387,10 +391,11 @@ def test_margin_kernel_matches_point_by_point_oracle(inputs):
         return reference_profile()
 
     expected = _outcome(reference_check)
-    if isinstance(expected, tuple):
-        assert _outcome(lambda: [check_stability(p, law, x_range, grid_n).min_margin]) == \
-            expected
-    else:
+    for _ in range(2):
+        if isinstance(expected, tuple):
+            assert _outcome(lambda: [check_stability(p, law, x_range, grid_n).min_margin]) == \
+                expected
+            continue
         report = check_stability(p, law, x_range, grid_n)
         margins = np.array(reference_profile())
         i = int(np.argmin(margins))
@@ -413,6 +418,59 @@ def test_margin_kernel_matches_point_by_point_oracle(inputs):
     assert _outcome(lambda: margin_kernel(p, law, eq, points[:len(values)])) == values
     if first_error is not None:
         assert _outcome(lambda: margin_kernel(p, law, eq, points)) == first_error
+
+
+def _check_outcome(args):
+    """The whole report as its repr (NaN included), or the exception's type and message."""
+    try:
+        return repr(check_stability(*args))
+    except Exception as exc:  # noqa: BLE001 - any exception must match the fresh check's
+        return type(exc), str(exc)
+
+
+@st.composite
+def range_side_variants(draw):
+    """A check and, for each part of the range side's key, checks that
+    differ from it in that part alone: a, the law's c0, its slope (0 and
+    positive), grid_n, x_lo and x_hi."""
+    p, law, (lo, hi), grid_n, _ = draw(margin_inputs())
+    scale = st.floats(0.5, 2.0)
+    inset = draw(st.floats(0.01, 0.4)) * (hi - lo)
+    return (p, law, (lo, hi), grid_n), [
+        (p._replace(a=p.a * draw(scale)), law, (lo, hi), grid_n),
+        (p, law._replace(c0=law.c0 * draw(scale)), (lo, hi), grid_n),
+        (p, law._replace(slope=0.0), (lo, hi), grid_n),
+        (p, law._replace(slope=10.0 ** draw(st.floats(-2.0, 1.0))), (lo, hi), grid_n),
+        (p, law, (lo, hi), grid_n + 1),
+        (p, law, (lo + inset, hi), grid_n),
+        (p, law, (lo, hi - inset), grid_n),
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(checks=range_side_variants())
+@example(checks=(  # A3 fails from x = 1.5: each change moves the minimum or the node A3 names
+    (base_params(0.8), CapacityLaw(2.5, 1.0), (0.5, 2.0), 64), [
+        (base_params(0.8, a=2.5), CapacityLaw(2.5, 1.0), (0.5, 2.0), 64),
+        (base_params(0.8), CapacityLaw(3.0, 1.0), (0.5, 2.0), 64),
+        (base_params(0.8), CapacityLaw(2.5), (0.5, 2.0), 64),
+        (base_params(0.8), CapacityLaw(2.5, 1.2), (0.5, 2.0), 64),
+        (base_params(0.8), CapacityLaw(2.5, 1.0), (0.5, 2.0), 65),
+        (base_params(0.8), CapacityLaw(2.5, 1.0), (0.6, 2.0), 64),
+        (base_params(0.8), CapacityLaw(2.5, 1.0), (0.5, 1.9), 64),
+    ],
+))
+def test_range_side_key_separates_what_it_must(checks):
+    # a check reuses the last range side only at the same range, grid_n, a
+    # and law: checks in alternation, each one part of that key away from
+    # the last, must read as checks on an empty cache
+    base, variants = checks
+    analysis._range_side.cache_clear()
+    _check_outcome(base)
+    for args in [c for v in variants for c in (v, base)]:
+        reused = _check_outcome(args)
+        analysis._range_side.cache_clear()
+        assert reused == _check_outcome(args)
 
 
 @st.composite
@@ -476,7 +534,7 @@ def test_solve_equilibrium_matches_bisection_oracle(inputs):
     assert _outcome(lambda: solve_equilibrium(p, law)) == expected
 
 
-@pytest.mark.parametrize("fn", [dde.integrate, analysis.margin_kernel,
+@pytest.mark.parametrize("fn", [dde.integrate, analysis.margin_kernel, analysis._range_side,
                                 analysis.solve_equilibrium], ids=lambda fn: fn.__name__)
 def test_hot_loop_compares_floats_with_float_literals(fn):
     """CPython 3.11 specialises a float comparison only when both operands
