@@ -9,14 +9,18 @@ price-flow difference quotient at every rate in a configured range:
 
 A positive minimum of LHS - RHS over the range certifies global asymptotic
 convergence regardless of the delays; the converse does not hold (the
-condition is sufficient only).  Every margin comes from one loop,
+condition is sufficient only).  Every margin comes from one kernel,
 :func:`margin_kernel`, over a whole profile; a single margin is a batch of one.
 
 A check splits into two halves.  Its range side (the grid nodes, g(x) and
 x**-a at each node, and the A3 findings on that grid) depends on the range,
 the grid size, a and the law, never on b, h or kappa; the last range side is
 kept, so a b-bisection over one range builds it once.  The equilibrium and
-the b-dependent terms are computed on every check.
+the b-dependent terms are computed on every check.  A range side also
+records whether its nodes are regular, and a regular one's margins come
+from one comprehension that hands the nodes to the kernel's ordered loop on
+an arithmetic error, so every value and error is the loop's
+(:func:`margin_kernel`).
 
 The margin check is pure Python: ``check`` never loads numpy.
 :func:`lyapunov_values` and :func:`classify` read trajectory arrays and
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from itertools import chain
 from typing import NamedTuple
 
@@ -131,10 +136,11 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
             f"(f({lo}) = {f_lo:.3g}, f({hi}) = {f_hi:.3g})"
         )
     else:
-        # f inline, no call per step (change both together); f(lo) keeps f(x_min)'s sign
+        # f inline, no call per step (change both together); f(lo) keeps f(x_min)'s
+        # sign; each midpoint is computed once: the stop test's is the next step's
         lo_positive = f_lo > 0.0
+        mid = 0.5 * (lo + hi)
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
             try:
@@ -148,8 +154,8 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
                 lo = mid
             else:
                 hi = mid
-            m = 0.5 * (lo + hi)
-            if hi - lo < 1e-15 * (m if m > 1.0 else 1.0):
+            mid = 0.5 * (lo + hi)
+            if hi - lo < 1e-15 * (mid if mid > 1.0 else 1.0):
                 break
         x_star = 0.5 * (lo + hi)
     try:
@@ -181,8 +187,15 @@ def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
     return grid
 
 
+def _band_limit(a, b, h, xs, cs, law):
+    """The margin's analytic limit at x_star, the form in :func:`margin_kernel`."""
+    return a * xs ** -(a + 1.0) - h * (
+        (b + 1.0) * xs ** b * cs ** -b - b * xs ** (b + 1.0) * cs ** -(b + 1.0) * law.derivative()
+    )
+
+
 def margin_kernel(
-    p: ModelParams, law: CapacityLaw, eq: Equilibrium, points, nodes=()
+    p: ModelParams, law: CapacityLaw, eq: Equilibrium, points, nodes=(), regular=False
 ) -> list[float]:
     """The stability margin at one equilibrium, at every rate of ``nodes``
     and then of ``points``.
@@ -194,25 +207,51 @@ def margin_kernel(
 
         a*xs**-(a+1) - h*[(b+1)*xs**b*cs**-b - b*xs**(b+1)*cs**-(b+1)*g'(xs)]
 
-    A single margin is ``points = [x]``: one loop serves every caller.
-    ``nodes`` are a range side's ``(x, g(x), x**-a)`` triples, x**-a None
-    where it overflows: the loop reads those two terms there and computes
-    them in place for ``points``, from the same expressions.  The
-    equilibrium-only powers are computed at the first point that reaches
-    them outside the band and the band limit at the first point inside it,
-    each in the expression and association of a point-by-point evaluation,
-    so every value and error is the same.  The checks run in order: x > 0,
-    the band, the capacity (through :func:`capacity` when g(x) is not
-    positive), then the powers.  A power beyond the float range raises
-    MarginOverflowError naming x by ``repr``.
+    A single margin is ``points = [x]``.  ``nodes`` are a range side's
+    ``(x, g(x), x**-a)`` triples, x**-a None where it overflows: the loop
+    reads those two terms there and computes them in place for ``points``,
+    from the same expressions.  The ordered loop defines every value and
+    error: the equilibrium-only powers are computed at the first point that
+    reaches them outside the band and the band limit at the first point
+    inside it, each in the expression and association of a point-by-point
+    evaluation.  The checks run in order: x > 0, the band, the capacity
+    (through :func:`capacity` when g(x) is not positive), then the powers.
+    A power beyond the float range raises MarginOverflowError naming x by
+    ``repr``.
+
+    ``regular`` nodes (x > 0, g(x) > 0 and x**-a not None at each, as
+    :func:`_range_side` records) pass the loop's x and capacity checks, so
+    their margins come from one list comprehension: the band limit and the
+    equilibrium powers are bound before it, and every node outside the band
+    takes the loop's expression in its association.  If any of that raises
+    an ArithmeticError (an overflow, or a division by zero when the band
+    underflows to 0), its result is discarded and the loop takes the nodes
+    instead, so the error is the loop's, at its node.  ``points`` and
+    irregular nodes always take the loop.
     """
     xs, cs = eq.x_star, eq.c_star
     a, b, h = p.a, p.b, p.h_gain
     neg_a, b_plus_1, neg_b = -a, b + 1.0, -b
     c0, slope_g = law.c0, law.slope
     band = EPS_BAND_REL * xs
+    neg_band = -band
     lhs_star = flow_star = limit = None
     margins = []
+    if regular:
+        try:
+            limit = _band_limit(a, b, h, xs, cs, law)
+            lhs_star, flow_star = xs ** neg_a, xs ** b_plus_1 * cs ** neg_b
+            margins = [
+                limit if neg_band < (d := x - xs) < band
+                else (lhs_star - x_neg_a) / d - h * (x ** b_plus_1 * c ** neg_b - flow_star) / d
+                for x, c, x_neg_a in nodes
+            ]
+            nodes = ()  # done: the loop takes the points alone
+        except ArithmeticError:
+            # margins and nodes are untouched: the loop takes the nodes in
+            # order and raises at the node that fails first; what was bound
+            # above holds the values it would compute
+            pass
     append = margins.append
     try:
         for x, c, x_neg_a in chain(nodes, ((x, None, None) for x in points)):
@@ -220,12 +259,9 @@ def margin_kernel(
                 raise ModelDomainError(f"margin requires x > 0, got {x}")
             # the same decision as abs(d) < band: band >= 0 and x is not NaN
             d = x - xs
-            if -band < d < band:
+            if neg_band < d < band:
                 if limit is None:
-                    limit = a * xs ** -(a + 1.0) - h * (
-                        (b + 1.0) * xs ** b * cs ** -b
-                        - b * xs ** (b + 1.0) * cs ** -(b + 1.0) * law.derivative()
-                    )
+                    limit = _band_limit(a, b, h, xs, cs, law)
                 append(limit)
                 continue
             if c is None:
@@ -251,9 +287,13 @@ def _range_side(x_lo: float, x_hi: float, grid_n: int, a: float, law: CapacityLa
     """The b-independent half of a check over ``[x_lo, x_hi]``: the
     ``uniform_grid`` nodes as ``(x, g(x), x**-a)`` triples, x**-a None where
     it overflows (the kernel then raises at that node, in point order), the
-    A3 findings on that grid, and whether one of them is hard.  Every
-    sequence is a tuple.  One entry is kept: a bisection holds one range at
-    a time, and the key holds nothing it varies."""
+    A3 findings on that grid, whether one of them is hard, and whether the
+    nodes are regular: x > 0 (x_lo >= x_min > 0 sees to that), g(x) > 0 and
+    x**-a within the float range at every node, so that
+    :func:`margin_kernel` may take them in one comprehension.  The flag
+    does not depend on b, so it is computed here, once.  Every sequence is
+    a tuple.  One entry is kept: a bisection holds one range at a time, and
+    the key holds nothing it varies."""
     c0, slope_g = law.c0, law.slope
     neg_a = -a
     nodes = []
@@ -275,7 +315,8 @@ def _range_side(x_lo: float, x_hi: float, grid_n: int, a: float, law: CapacityLa
     if law.derivative() >= -1.0:
         violations.append(AssumptionViolation("A3", "capacity slope must satisfy g'(x) < -1, "
                                               f"got g'(x) = {law.derivative():.6g}", WARNING))
-    return tuple(nodes), tuple(violations), hard
+    regular = all(x > 0.0 and c > 0.0 and x_neg_a is not None for x, c, x_neg_a in nodes)
+    return tuple(nodes), tuple(violations), hard, regular
 
 
 def check_stability(
@@ -292,7 +333,12 @@ def check_stability(
     boundary, and a slope of 0 is past it).  The grid's nodes, g(x) and
     x**-a there, and A3 come from the range side of the last check when
     the range, grid_n, a and the law are the same; the equilibrium and
-    every b-dependent term are computed afresh."""
+    every b-dependent term are computed afresh.  ``grid_n`` is any integer
+    type (``operator.index``), numpy's included."""
+    try:
+        grid_n = operator.index(grid_n)
+    except TypeError:
+        raise ModelDomainError(f"grid_n must be an integer, got {grid_n!r}") from None
     if grid_n < 16:
         raise ModelDomainError(f"grid_n must be at least 16, got {grid_n}")
     eq = solve_equilibrium(p, law)
@@ -302,10 +348,12 @@ def check_stability(
     if not (x_lo >= p.x_min and x_hi <= p.x_max):
         raise ModelDomainError(f"range [{x_lo}, {x_hi}] must lie within the rate bounds "
                                f"[{p.x_min}, {p.x_max}]")
-    nodes, violations, hard = _range_side(x_lo, x_hi, grid_n, p.a, law)
-    margins = margin_kernel(p, law, eq, [eq.x_star], nodes)
-    # numpy.argmin's rule: the first NaN, else the first smallest margin
-    if any(map(math.isnan, margins)):
+    nodes, violations, hard, regular = _range_side(x_lo, x_hi, grid_n, p.a, law)
+    margins = margin_kernel(p, law, eq, [eq.x_star], nodes, regular)
+    # numpy.argmin's rule: the first NaN, else the first smallest margin.  A
+    # NaN makes the sum NaN, so a sum that is not NaN (one C pass) rules it
+    # out; a NaN sum from +inf and -inf alone goes on to the scan
+    if math.isnan(sum(margins)) and any(map(math.isnan, margins)):
         i_min = next(i for i, m in enumerate(margins) if math.isnan(m))
     else:
         i_min = margins.index(min(margins))

@@ -241,6 +241,26 @@ class TestCheckTheorem2:
         with pytest.raises(ModelDomainError):
             check_stability(base_params(0.2), BASE_LAW, (0.5, 3.0), 8)
 
+    @pytest.mark.parametrize("grid_n", [64.0, 64.5, "64", np.int64(64)], ids=repr)
+    def test_grid_n_is_an_integer(self, grid_n):
+        # any integer type is a grid size (operator.index); anything else is
+        # refused by name, as ModelDomainError rather than range()'s TypeError
+        args = (base_params(0.2), BASE_LAW, (0.5, 3.0))
+        if isinstance(grid_n, np.integer):
+            assert repr(check_stability(*args, grid_n)) == repr(check_stability(*args, 64))
+        else:
+            with pytest.raises(ModelDomainError, match=r"^grid_n must be an integer, got "):
+                check_stability(*args, grid_n)
+
+    @pytest.mark.parametrize("p, law, x_range, grid_n, regular", [
+        (base_params(0.2), BASE_LAW, (0.95, 1.2), 256, True),  # certified around fig2's x*
+        (base_params(0.2, x_min=1e-300), BASE_LAW, (1e-300, 2.0), 16, False),  # x**-a overflows
+        (base_params(0.2), BASE_LAW, (0.5, 6.0), 64, False),  # g(x) <= 0 from x = 5
+    ])
+    def test_range_side_records_regular(self, p, law, x_range, grid_n, regular):
+        # regular nodes take the kernel's comprehension; the rest its loop
+        assert analysis._range_side(*x_range, grid_n, p.a, law)[3] is regular
+
     def test_profile_includes_equilibrium_point(self):
         # b = 0.8: the margin falls with x, and x_star ~ 1.367 lies above the
         # range, so only the appended limit point can hold the minimum
@@ -361,6 +381,21 @@ HUGE_A = ModelParams(kappa=1.0, a=1e12, b=2.0, tau=3.0, T_delay=2.0, h_gain=1e30
                 x_max=3.4102365131286726e+233),
     CapacityLaw(1.2370128581013361e-274),
     (1.1993496406187543e+233, 3.381569582978877e+233), 16, [],
+))
+@example(inputs=(  # a regular range side; x**(b+1) overflows from node 8 of 16 on, so the
+    # comprehension's OverflowError hands the nodes to the loop, which names node 8
+    base_params(10.0, x_min=1.0, x_max=2e28), CapacityLaw(5.0), (1.0, 2e28), 16, [],
+))
+@example(inputs=(  # both quotients overflow near x_star: +inf at nodes 0-7, NaN at 8-10
+    # (the first NaN is interior), -inf at 11-15, +inf at the limit point
+    ModelParams(kappa=1.0, a=44.1, b=1.26, tau=3.0, T_delay=2.0, h_gain=3.05e307,
+                x_min=1.19e-7, x_max=2.43e-7),
+    CapacityLaw(7.78e-8), (1.19e-7, 2.43e-7), 16, [],
+))
+@example(inputs=(  # +inf and -inf and no NaN: the sum is NaN, the minimum is -inf at node 10
+    ModelParams(kappa=1.0, a=44.0, b=1.25, tau=3.0, T_delay=2.0, h_gain=3e307,
+                x_min=1.2e-7, x_max=2.4e-7),
+    CapacityLaw(7.8e-8), (1.2e-7, 2.4e-7), 16, [],
 ))
 def test_margin_kernel_matches_point_by_point_oracle(inputs):
     # one kernel per check binds the equilibrium terms once; every value and
@@ -543,13 +578,14 @@ def test_hot_loop_compares_floats_with_float_literals(fn):
     cost ``integrate`` about 5% of its time per step on fig2 and
     ``margin_kernel`` about 9% of a certify-b profile (BENCH_25.json), and
     ``0.0`` decides every one of them the same way, NaN included.  So no
-    comparison inside a ``for`` loop of these functions may have an int
-    literal operand.  The rule is read from the source, not from ``dis``,
-    so it holds on every Python version."""
+    comparison inside a ``for`` loop or a comprehension of these functions
+    may have an int literal operand.  The rule is read from the source, not
+    from ``dis``, so it holds on every Python version."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    loops = (ast.For, ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)
     int_compares = {
         (node.lineno, node.col_offset, ast.unparse(node))
-        for loop in ast.walk(tree) if isinstance(loop, ast.For)
+        for loop in ast.walk(tree) if isinstance(loop, loops)
         for node in ast.walk(loop) if isinstance(node, ast.Compare)
         if any(isinstance(operand, ast.Constant) and type(operand.value) is int
                for operand in (node.left, *node.comparators))
