@@ -12,15 +12,14 @@ convergence regardless of the delays; the converse does not hold (the
 condition is sufficient only).  Every margin comes from one kernel,
 :func:`margin_kernel`, over a whole profile; a single margin is a batch of one.
 
-A check splits into two halves.  Its range side (the grid nodes, g(x) and
-x**-a at each node, and the A3 findings on that grid) depends on the range,
-the grid size, a and the law, never on b, h or kappa; the last range side is
-kept, so a b-bisection over one range builds it once.  The equilibrium and
-the b-dependent terms are computed on every check.  A range side also
-records whether its nodes are regular, and a regular one's margins come
-from one comprehension that hands the nodes to the kernel's ordered loop on
-an arithmetic error, so every value and error is the loop's
-(:func:`margin_kernel`).
+A check splits into two halves.  Its range side (the grid nodes, their
+g(x) and x**-a terms when every node is regular, and the A3 findings on
+that grid) depends on the range, the grid size, a and the law, never on b,
+h or kappa; the last range side is kept, so a b-bisection over one range
+builds it once.  The equilibrium and the b-dependent terms are computed on
+every check.  The terms' margins come from one comprehension that hands
+their rates to the kernel's ordered loop on an arithmetic error, so every
+value and error is the loop's (:func:`margin_kernel`).
 
 The margin check is pure Python: ``check`` never loads numpy.
 :func:`lyapunov_values` and :func:`classify` read trajectory arrays and
@@ -103,8 +102,9 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
 
     The root is the unique rate at which the update law vanishes; it also
     satisfies first-order optimality U'(x*) = p(x*, c*).  The bracket is
-    tightened well below the 1e-12*x_star contract so the absolute residual
-    stays tiny even for steep exponents (small b).
+    tightened to 1e-15 of its midpoint, well below the 1e-12*x_star contract
+    at every scale, so the absolute residual stays tiny even for steep
+    exponents (small b).
     """
     exponent = (p.a + p.b + 1.0) / p.b
     c0, slope_g = law.c0, law.slope
@@ -155,7 +155,7 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
             else:
                 hi = mid
             mid = 0.5 * (lo + hi)
-            if hi - lo < 1e-15 * (mid if mid > 1.0 else 1.0):
+            if hi - lo < 1e-15 * mid:
                 break
         x_star = 0.5 * (lo + hi)
     try:
@@ -195,9 +195,9 @@ def _band_limit(a, b, h, xs, cs, law):
 
 
 def margin_kernel(
-    p: ModelParams, law: CapacityLaw, eq: Equilibrium, points, nodes=(), regular=False
+    p: ModelParams, law: CapacityLaw, eq: Equilibrium, points, terms=()
 ) -> list[float]:
-    """The stability margin at one equilibrium, at every rate of ``nodes``
+    """The stability margin at one equilibrium, at every rate of ``terms``
     and then of ``points``.
 
     The margin is LHS - RHS of the certification inequality at rate x, with
@@ -207,27 +207,23 @@ def margin_kernel(
 
         a*xs**-(a+1) - h*[(b+1)*xs**b*cs**-b - b*xs**(b+1)*cs**-(b+1)*g'(xs)]
 
-    A single margin is ``points = [x]``.  ``nodes`` are a range side's
-    ``(x, g(x), x**-a)`` triples, x**-a None where it overflows: the loop
-    reads those two terms there and computes them in place for ``points``,
-    from the same expressions.  The ordered loop defines every value and
-    error: the equilibrium-only powers are computed at the first point that
-    reaches them outside the band and the band limit at the first point
-    inside it, each in the expression and association of a point-by-point
-    evaluation.  The checks run in order: x > 0, the band, the capacity
-    (through :func:`capacity` when g(x) is not positive), then the powers.
-    A power beyond the float range raises MarginOverflowError naming x by
-    ``repr``.
+    A single margin is ``points = [x]``.  The ordered loop takes plain rates
+    and defines every value and error: the equilibrium-only powers are
+    computed at the first point that reaches them outside the band and the
+    band limit at the first point inside it, each in the expression and
+    association of a point-by-point evaluation.  The checks run in order:
+    x > 0, the band, the capacity (through :func:`capacity` when g(x) is not
+    positive), then the powers.  A power beyond the float range raises
+    MarginOverflowError naming x by ``repr``.
 
-    ``regular`` nodes (x > 0, g(x) > 0 and x**-a not None at each, as
-    :func:`_range_side` records) pass the loop's x and capacity checks, so
-    their margins come from one list comprehension: the band limit and the
+    ``terms`` are a regular range side's ``(x, g(x), x**-a)`` triples, from
+    :func:`_range_side`: they pass the loop's x and capacity checks, so
+    their margins come from one list comprehension.  The band limit and the
     equilibrium powers are bound before it, and every node outside the band
     takes the loop's expression in its association.  If any of that raises
     an ArithmeticError (an overflow, or a division by zero when the band
-    underflows to 0), its result is discarded and the loop takes the nodes
-    instead, so the error is the loop's, at its node.  ``points`` and
-    irregular nodes always take the loop.
+    underflows to 0), its result is discarded and the terms' rates go to
+    the loop ahead of ``points``, so the error is the loop's, at its node.
     """
     xs, cs = eq.x_star, eq.c_star
     a, b, h = p.a, p.b, p.h_gain
@@ -237,24 +233,23 @@ def margin_kernel(
     neg_band = -band
     lhs_star = flow_star = limit = None
     margins = []
-    if regular:
+    if terms:
         try:
             limit = _band_limit(a, b, h, xs, cs, law)
             lhs_star, flow_star = xs ** neg_a, xs ** b_plus_1 * cs ** neg_b
             margins = [
                 limit if neg_band < (d := x - xs) < band
                 else (lhs_star - x_neg_a) / d - h * (x ** b_plus_1 * c ** neg_b - flow_star) / d
-                for x, c, x_neg_a in nodes
+                for x, c, x_neg_a in terms
             ]
-            nodes = ()  # done: the loop takes the points alone
         except ArithmeticError:
-            # margins and nodes are untouched: the loop takes the nodes in
-            # order and raises at the node that fails first; what was bound
-            # above holds the values it would compute
-            pass
+            # margins is untouched: the loop takes the rates in order and
+            # raises at the node that fails first; what was bound above
+            # holds the values it would compute
+            points = chain((x for x, _, _ in terms), points)
     append = margins.append
     try:
-        for x, c, x_neg_a in chain(nodes, ((x, None, None) for x in points)):
+        for x in points:
             if not x > 0.0:
                 raise ModelDomainError(f"margin requires x > 0, got {x}")
             # the same decision as abs(d) < band: band >= 0 and x is not NaN
@@ -264,17 +259,14 @@ def margin_kernel(
                     limit = _band_limit(a, b, h, xs, cs, law)
                 append(limit)
                 continue
-            if c is None:
-                c = c0 - slope_g * x
+            c = c0 - slope_g * x
             if not c > 0.0:
                 capacity(law, x)
             if flow_star is None:
                 # one assignment: an overflow leaves both unset, so every
                 # later point raises as well
                 lhs_star, flow_star = xs ** neg_a, xs ** b_plus_1 * cs ** neg_b
-            if x_neg_a is None:
-                x_neg_a = x ** neg_a
-            append((lhs_star - x_neg_a) / d - h * (x ** b_plus_1 * c ** neg_b - flow_star) / d)
+            append((lhs_star - x ** neg_a) / d - h * (x ** b_plus_1 * c ** neg_b - flow_star) / d)
     except OverflowError as exc:
         raise MarginOverflowError(
             f"margin at x = {x!r} exceeds the float range (a = {a}, b = {b})"
@@ -285,38 +277,38 @@ def margin_kernel(
 @functools.lru_cache(maxsize=1, typed=True)
 def _range_side(x_lo: float, x_hi: float, grid_n: int, a: float, law: CapacityLaw):
     """The b-independent half of a check over ``[x_lo, x_hi]``: the
-    ``uniform_grid`` nodes as ``(x, g(x), x**-a)`` triples, x**-a None where
-    it overflows (the kernel then raises at that node, in point order), the
-    A3 findings on that grid, whether one of them is hard, and whether the
-    nodes are regular: x > 0 (x_lo >= x_min > 0 sees to that), g(x) > 0 and
-    x**-a within the float range at every node, so that
-    :func:`margin_kernel` may take them in one comprehension.  The flag
-    does not depend on b, so it is computed here, once.  Every sequence is
-    a tuple.  One entry is kept: a bisection holds one range at a time, and
+    ``uniform_grid`` nodes, their ``(x, g(x), x**-a)`` terms when every node
+    is regular and ``()`` otherwise, the A3 findings on that grid, and
+    whether one of them is hard.  A regular node passes the kernel's x and
+    capacity checks and its x**-a lies in the float range: x > 0 holds at
+    every node of a finite range within the rate bounds, and g is monotone,
+    so g(x) > 0 is tested at the last node alone.  Every sequence is a
+    tuple.  One entry is kept: a bisection holds one range at a time, and
     the key holds nothing it varies."""
     c0, slope_g = law.c0, law.slope
     neg_a = -a
-    nodes = []
-    for x in uniform_grid(x_lo, x_hi, grid_n):
-        try:
-            x_neg_a = x ** neg_a
-        except OverflowError:
-            x_neg_a = None
-        nodes.append((x, c0 - slope_g * x, x_neg_a))
-    violations = []
+    grid = tuple(uniform_grid(x_lo, x_hi, grid_n))
     # g = c0 - slope*x with slope >= 0 and rounding is monotone, so no node
-    # has less capacity than its last one, x_hi: only when that node fails
-    # is the grid searched for the first that does
-    hard = nodes[-1][1] <= 1.0
+    # has less capacity than its last one, x_hi
+    c_last = c0 - slope_g * grid[-1]
+    terms = ()
+    if c_last > 0.0:
+        try:
+            terms = tuple((x, c0 - slope_g * x, x ** neg_a) for x in grid)
+        except OverflowError:
+            pass
+    violations = []
+    # only when the last node fails A3 is the grid searched for the first that does
+    hard = c_last <= 1.0
     if hard:
-        x, c = next((x, c) for x, c, _ in nodes if c <= 1.0)
+        x = next(x for x in grid if c0 - slope_g * x <= 1.0)
         violations.append(AssumptionViolation(
-            "A3", f"capacity must exceed 1 on the range: g({x:.6g}) = {c:.6g}", HARD))
+            "A3", f"capacity must exceed 1 on the range: g({x:.6g}) = {c0 - slope_g * x:.6g}",
+            HARD))
     if law.derivative() >= -1.0:
         violations.append(AssumptionViolation("A3", "capacity slope must satisfy g'(x) < -1, "
                                               f"got g'(x) = {law.derivative():.6g}", WARNING))
-    regular = all(x > 0.0 and c > 0.0 and x_neg_a is not None for x, c, x_neg_a in nodes)
-    return tuple(nodes), tuple(violations), hard, regular
+    return grid, terms, tuple(violations), hard
 
 
 def check_stability(
@@ -330,8 +322,8 @@ def check_stability(
     ``p`` and ``law`` hold the other assumptions by construction; A3 is
     reported on the grid.  g(x) <= 1 is hard, naming the first node;
     g'(x) >= -1 warns (the benchmark law g(x) = 5 - x sits on that
-    boundary, and a slope of 0 is past it).  The grid's nodes, g(x) and
-    x**-a there, and A3 come from the range side of the last check when
+    boundary, and a slope of 0 is past it).  The grid, its terms and A3
+    come from the range side of the last check when
     the range, grid_n, a and the law are the same; the equilibrium and
     every b-dependent term are computed afresh.  ``grid_n`` is any integer
     type (``operator.index``), numpy's included."""
@@ -348,8 +340,8 @@ def check_stability(
     if not (x_lo >= p.x_min and x_hi <= p.x_max):
         raise ModelDomainError(f"range [{x_lo}, {x_hi}] must lie within the rate bounds "
                                f"[{p.x_min}, {p.x_max}]")
-    nodes, violations, hard, regular = _range_side(x_lo, x_hi, grid_n, p.a, law)
-    margins = margin_kernel(p, law, eq, [eq.x_star], nodes, regular)
+    grid, terms, violations, hard = _range_side(x_lo, x_hi, grid_n, p.a, law)
+    margins = margin_kernel(p, law, eq, [eq.x_star] if terms else [*grid, eq.x_star], terms)
     # numpy.argmin's rule: the first NaN, else the first smallest margin.  A
     # NaN makes the sum NaN, so a sum that is not NaN (one C pass) rules it
     # out; a NaN sum from +inf and -inf alone goes on to the scan
@@ -361,7 +353,7 @@ def check_stability(
     return StabilityReport(
         equilibrium=eq, violations=violations, x_range=(float(x_lo), float(x_hi)),
         grid_n=grid_n, min_margin=float(margins[i_min]),
-        min_margin_x=float(nodes[i_min][0] if i_min < grid_n else eq.x_star),
+        min_margin_x=float(grid[i_min] if i_min < grid_n else eq.x_star),
         verdict=verdict,
     )
 

@@ -44,7 +44,7 @@ class ModelParams(_ModelFields):
     ``tau`` is the total round-trip delay acting on the rate feedback and
     ``T_delay`` the (shorter) delay of the capacity information.  The
     checks are the model's assumption A1 (positive finite constants and
-    tau >= T_delay) and the rate bounds 0 < x_min < x_max.
+    tau >= T_delay) and finite rate bounds 0 < x_min < x_max.
     """
 
     __slots__ = ()
@@ -56,9 +56,9 @@ class ModelParams(_ModelFields):
             v = getattr(p, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ModelDomainError(f"{name} must be a positive finite number, got {v!r}")
-        if not (0 < p.x_min < p.x_max):
+        if not (0 < p.x_min < p.x_max < math.inf):
             raise ModelDomainError(
-                f"rate bounds must satisfy 0 < x_min < x_max, got [{p.x_min}, {p.x_max}]"
+                f"rate bounds must satisfy 0 < x_min < x_max < inf, got [{p.x_min}, {p.x_max}]"
             )
         if p.tau < p.T_delay:
             raise ModelDomainError(

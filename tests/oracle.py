@@ -216,7 +216,7 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
                 lo, f_lo = mid, f_mid
             else:
                 hi, f_hi = mid, f_mid
-            if hi - lo < 1e-15 * max(1.0, 0.5 * (lo + hi)):
+            if hi - lo < 1e-15 * (0.5 * (lo + hi)):
                 break
         x_star = 0.5 * (lo + hi)
     try:

@@ -258,8 +258,9 @@ class TestCheckTheorem2:
         (base_params(0.2), BASE_LAW, (0.5, 6.0), 64, False),  # g(x) <= 0 from x = 5
     ])
     def test_range_side_records_regular(self, p, law, x_range, grid_n, regular):
-        # regular nodes take the kernel's comprehension; the rest its loop
-        assert analysis._range_side(*x_range, grid_n, p.a, law)[3] is regular
+        # a regular side keeps its terms for the kernel's comprehension; the
+        # rest keep none, and their nodes take its loop
+        assert bool(analysis._range_side(*x_range, grid_n, p.a, law)[1]) is regular
 
     def test_profile_includes_equilibrium_point(self):
         # b = 0.8: the margin falls with x, and x_star ~ 1.367 lies above the
@@ -368,6 +369,10 @@ HUGE_A = ModelParams(kappa=1.0, a=1e12, b=2.0, tau=3.0, T_delay=2.0, h_gain=1e30
 ))
 @example(inputs=(  # x**-a fits at x = 2 but x_star**-a overflows, and so does the limit
     HUGE_A, CapacityLaw(0.5), (0.6, 2.0), 16, [2.0, 1.0]
+))
+@example(inputs=(  # a regular side whose band limit and x_star**-a overflow: the
+    # comprehension fails before its first node, so the loop names x = 1.0
+    HUGE_A, CapacityLaw(0.5), (1.0, 2.0), 16, [2.0, 1.0]
 ))
 @example(inputs=(  # x**-a overflows at x = 1e-300, the equilibrium terms fit
     base_params(0.2, x_min=1e-300), BASE_LAW, (1e-300, 2.0), 16, [1e-300 / FIG2_X_STAR, 1.5]
@@ -567,6 +572,35 @@ def test_solve_equilibrium_matches_bisection_oracle(inputs):
     expected = _outcome(lambda: reference_equilibrium(p, law))  # x_star, c_star, residual
     event(expected[0].__name__ if isinstance(expected, tuple) else "root")
     assert _outcome(lambda: solve_equilibrium(p, law)) == expected
+
+
+@st.composite
+def scaled_roots(draw):
+    """A root x* = 10**k, k in [-30, 3], and rate bounds x*/10**[0.01, 6]
+    and x* * 10**[0.01, 6]."""
+    x_star = 10.0 ** draw(st.floats(-30.0, 3.0))
+    return (x_star, x_star / 10.0 ** draw(st.floats(0.01, 6.0)),
+            x_star * 10.0 ** draw(st.floats(0.01, 6.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=scaled_roots())
+@example(inputs=(1e-29, 1e-30, 2e-28))  # an absolute stop rule ends at the first midpoint
+def test_solve_equilibrium_is_relative_at_every_scale(inputs):
+    # a = 1.5, b = 0.5, a constant law c0 = 5 and h aimed at x*: the
+    # residual changes sign within 1e-12 of the root, whatever its scale
+    x_star, x_min, x_max = inputs
+    a, b, c0 = 1.5, 0.5, 5.0
+    exponent = (a + b + 1.0) / b
+    h = (c0 / x_star ** exponent) ** b
+    p = ModelParams(kappa=1.0, a=a, b=b, tau=3.0, T_delay=2.0, h_gain=h,
+                    x_min=x_min, x_max=x_max)
+    root = solve_equilibrium(p, CapacityLaw(c0)).x_star
+
+    def f(x):
+        return c0 - h ** (1.0 / b) * x ** exponent
+
+    assert f(root * (1.0 - 1e-12)) > 0.0 > f(root * (1.0 + 1e-12))
 
 
 @pytest.mark.parametrize("fn", [dde.integrate, analysis.margin_kernel, analysis._range_side,

@@ -138,6 +138,13 @@ class TestModelParams:
         with pytest.raises(ModelDomainError):
             base_params(0.2, x_min=2.0, x_max=1.0)
 
+    def test_rate_bounds_must_be_finite(self):
+        # an infinite x_max would make node 0 of a margin grid reaching it NaN
+        with pytest.raises(ModelDomainError, match="^rate bounds must satisfy"):
+            base_params(0.2, x_max=math.inf)
+        with pytest.raises(ModelDomainError, match="^rate bounds must satisfy"):
+            base_params(0.2)._replace(x_max=math.inf)
+
     def test_delay_ordering_is_enforced(self):
         # assumption A1, tau >= T, is checked at construction and by _replace
         with pytest.raises(ModelDomainError, match=r"^assumption A1 requires tau >= T, "
