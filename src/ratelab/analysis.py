@@ -101,10 +101,10 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
     """Bisect g(x) - h**(1/b) * x**((a+b+1)/b) to its root in [x_min, x_max].
 
     The root is the unique rate at which the update law vanishes; it also
-    satisfies first-order optimality U'(x*) = p(x*, c*).  The bracket is
-    tightened to 1e-15 of its midpoint, well below the 1e-12*x_star contract
-    at every scale, so the absolute residual stays tiny even for steep
-    exponents (small b).
+    satisfies first-order optimality U'(x*) = p(x*, c*).  The bracket alone
+    stops the loop, at 1e-15 of its midpoint (well below the 1e-12*x_star
+    contract at every scale, a tiny residual even for steep exponents) or
+    when the midpoint rounds onto an end, which finite bounds make certain.
     """
     exponent = (p.a + p.b + 1.0) / p.b
     c0, slope_g = law.c0, law.slope
@@ -140,17 +140,14 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
         # sign; each midpoint is computed once: the stop test's is the next step's
         lo_positive = f_lo > 0.0
         mid = 0.5 * (lo + hi)
-        for _ in range(200):
-            if mid <= lo or mid >= hi:
-                break
+        while lo < mid < hi:
             try:
                 f_mid = c0 - slope_g * mid - h_factor * mid ** exponent
             except OverflowError:
                 f_mid = -math.inf
             if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if lo_positive == (f_mid > 0.0):
+                lo = hi = mid  # an exact root: the collapsed bracket ends the loop
+            elif lo_positive == (f_mid > 0.0):
                 lo = mid
             else:
                 hi = mid
@@ -274,17 +271,17 @@ def margin_kernel(
     return margins
 
 
-@functools.lru_cache(maxsize=1, typed=True)
+@functools.lru_cache(maxsize=1)
 def _range_side(x_lo: float, x_hi: float, grid_n: int, a: float, law: CapacityLaw):
-    """The b-independent half of a check over ``[x_lo, x_hi]``: the
-    ``uniform_grid`` nodes, their ``(x, g(x), x**-a)`` terms when every node
-    is regular and ``()`` otherwise, the A3 findings on that grid, and
-    whether one of them is hard.  A regular node passes the kernel's x and
-    capacity checks and its x**-a lies in the float range: x > 0 holds at
-    every node of a finite range within the rate bounds, and g is monotone,
-    so g(x) > 0 is tested at the last node alone.  Every sequence is a
-    tuple.  One entry is kept: a bisection holds one range at a time, and
-    the key holds nothing it varies."""
+    """The b-independent half of a check over ``[x_lo, x_hi]``, in tuples:
+    the ``uniform_grid`` nodes, their ``(x, g(x), x**-a)`` terms when every
+    node is regular and ``()`` otherwise, and the A3 findings on that grid;
+    and whether one of them is hard.  A regular node passes the kernel's x
+    and capacity checks and its x**-a lies in the float range: x > 0 holds
+    at every node of a finite range within the rate bounds, and g is
+    monotone, so g(x) > 0 is tested at the last node alone.  One entry is
+    kept, under an untyped key: a bisection holds one range at a time, the
+    key holds nothing it varies, and an equal int and float build one side."""
     c0, slope_g = law.c0, law.slope
     neg_a = -a
     grid = tuple(uniform_grid(x_lo, x_hi, grid_n))

@@ -168,14 +168,14 @@ def build_config(values: dict, where: str, name: str) -> ScenarioConfig:
         step = snap_step(v["step"], params.tau, params.T_delay)
     except ConfigError as exc:
         raise ConfigError(f"{where}: [run] {exc}") from exc
-    n_steps = round(v["t_end"] / step)  # integrate's own count of steps
-    if n_steps < 1:
-        raise ConfigError(f"{where}: [run] t_end = {v['t_end']} shorter than one step {step}")
-    if v["t_end"] / step > MAX_STEPS:
+    if v["t_end"] / step > MAX_STEPS:  # before round(), which refuses an infinite count
         raise ConfigError(
             f"{where}: [run] t_end / step = {v['t_end'] / step:.4g} steps exceeds "
             f"the ceiling of {MAX_STEPS}"
         )
+    n_steps = round(v["t_end"] / step)  # integrate's own count of steps
+    if n_steps < 1:
+        raise ConfigError(f"{where}: [run] t_end = {v['t_end']} shorter than one step {step}")
 
     margin_range = v["margin_range"]
     if margin_range == "auto":

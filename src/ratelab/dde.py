@@ -198,6 +198,8 @@ def integrate(
         raise ModelDomainError(f"step must be positive, got {step}")
     if not (math.isfinite(init_x) and init_x > 0):
         raise ModelDomainError(f"init_x must be positive and finite, got {init_x}")
+    if max(t_end, params.tau) / step == math.inf:  # T_delay <= tau: no other count overflows
+        raise ModelDomainError(f"step = {step} is too small: max(t_end, tau) / step overflows")
     k_tau = _delay_steps(params.tau, step, "tau")
     k_t = _delay_steps(params.T_delay, step, "T_delay")
 
@@ -218,9 +220,9 @@ def integrate(
     # x_hi is the least float with g(x) <= 0, capped at x_max.  g is monotone
     # in floating point, so x < x_hi exactly when x < x_max and g(x) > 0.
     x_hi = min(x_max, c0 / slope_g) if slope_g else x_max
-    while x_hi < x_max and law.value(x_hi) > 0:
+    while x_hi < x_max and law.value(x_hi) > 0.0:
         x_hi = math.nextafter(x_hi, x_max)
-    while law.value(math.nextafter(x_hi, 0.0)) <= 0:
+    while law.value(math.nextafter(x_hi, 0.0)) <= 0.0:
         x_hi = math.nextafter(x_hi, 0.0)
     half = 0.5 * step
     sixth = step / 6.0

@@ -204,10 +204,7 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
             f"(f({lo}) = {f_lo:.3g}, f({hi}) = {f_hi:.3g})"
         )
     else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
             f_mid = f(mid)
             if f_mid == 0.0:
                 lo = hi = mid

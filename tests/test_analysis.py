@@ -460,6 +460,49 @@ def test_margin_kernel_matches_point_by_point_oracle(inputs):
         assert _outcome(lambda: margin_kernel(p, law, eq, points)) == first_error
 
 
+@st.composite
+def contraction_inputs(draw):
+    """A model whose root x* = 10**[-1, 1] keeps g(x*) >= 0.05 * c0, and
+    rates x* * 4**[-1, 1] stopped below the capacity root."""
+    x_star = 10.0 ** draw(st.floats(-1.0, 1.0))
+    a, b = 10.0 ** draw(st.floats(-1.0, 0.5)), 10.0 ** draw(st.floats(-1.0, 0.5))
+    c0 = 10.0 ** draw(st.floats(0.0, 1.0))
+    law = CapacityLaw(c0, draw(st.floats(0.0, 0.95)) * c0 / x_star)
+    h = (law.value(x_star) / x_star ** ((a + b + 1.0) / b)) ** b  # aimed at x*
+    p = base_params(b, kappa=10.0 ** draw(st.floats(-1.0, 1.0)), a=a, h_gain=h)
+    rates = draw(st.lists(st.floats(-1.0, 1.0).map(lambda k: x_star * 4.0 ** k)
+                          .filter(lambda x: law.value(x) > 0.0), min_size=1, max_size=50))
+    return p, law, rates
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=contraction_inputs())
+def test_margin_is_a_contraction_test(inputs):
+    # margin = D - P, the damping secant of phi(x) = x**-a less the feedback
+    # secant of F(x) = h * x**(b+1) * g(x)**-b; both are positive off x*, so
+    # the margin is positive exactly when rho = P/D < 1, and at x* it is
+    # (A - B - C)/kappa with A, B and C the linearisation's coefficients
+    p, law, rates = inputs
+    a, b, h, kappa = p.a, p.b, p.h_gain, p.kappa
+    eq = solve_equilibrium(p, law)
+    xs, cs = eq.x_star, eq.c_star
+
+    def feedback(x):
+        return h * x ** (b + 1.0) * law.value(x) ** -b
+
+    for x in rates:
+        if abs(x - xs) <= analysis.EPS_BAND_REL * xs:  # the 0/0 band: the limit instead
+            continue
+        rho = ((feedback(x) - feedback(xs)) / (x - xs)) / ((xs ** -a - x ** -a) / (x - xs))
+        if abs(rho - 1.0) > 1e-9:
+            assert (margin_kernel(p, law, eq, [x])[0] > 0.0) == (rho < 1.0), (x, rho)
+    A = kappa * a * xs ** (-a - 1.0)
+    B = kappa * h * (b + 1.0) * xs ** b * cs ** -b
+    C = kappa * h * b * law.slope * xs ** (b + 1.0) * cs ** (-b - 1.0)
+    limit = kappa * margin_kernel(p, law, eq, [xs])[0]
+    assert abs(limit - (A - B - C)) <= 1e-12 * max(A, B + C)
+
+
 def _check_outcome(args):
     """The whole report as its repr (NaN included), or the exception's type and message."""
     try:
@@ -485,6 +528,17 @@ def range_side_variants(draw):
         (p, law, (lo + inset, hi), grid_n),
         (p, law, (lo, hi - inset), grid_n),
     ]
+
+
+def test_range_side_is_shared_by_equal_int_and_float_keys():
+    # an int range, a and law reuse the float key's range side, which they build bit for bit
+    ints = (base_params(0.2, a=2), CapacityLaw(5, 1), (1, 2), 64)
+    analysis._range_side.cache_clear()
+    fresh = _check_outcome(ints)
+    analysis._range_side.cache_clear()
+    _check_outcome((base_params(0.2, a=2.0), CapacityLaw(5.0, 1.0), (1.0, 2.0), 64))
+    assert _check_outcome(ints) == fresh
+    assert analysis._range_side.cache_info().hits == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -561,6 +615,8 @@ def equilibrium_inputs(draw):
     CapacityLaw(1.0, 1.0),
 ))
 @example(inputs=(base_params(0.01, h_gain=1e4), BASE_LAW))  # h**(1/b) overflows
+# g == 1: the second midpoint, x = 1, is the root exactly and collapses the bracket
+@example(inputs=(base_params(0.2, x_min=0.5, x_max=2.5), CapacityLaw(1.0)))
 @example(inputs=(  # x_star near 1e4: the stopping width scales with the midpoint
     base_params(0.2, h_gain=1e-10, x_max=1e6), CapacityLaw(12345.678)
 ))
@@ -576,16 +632,19 @@ def test_solve_equilibrium_matches_bisection_oracle(inputs):
 
 @st.composite
 def scaled_roots(draw):
-    """A root x* = 10**k, k in [-30, 3], and rate bounds x*/10**[0.01, 6]
-    and x* * 10**[0.01, 6]."""
-    x_star = 10.0 ** draw(st.floats(-30.0, 3.0))
-    return (x_star, x_star / 10.0 ** draw(st.floats(0.01, 6.0)),
-            x_star * 10.0 ** draw(st.floats(0.01, 6.0)))
+    """A root x* = 10**k, k in [-50, 3], and rate bounds x*/10**[0.01, 200]
+    and x* * 10**[0.01, 200]: brackets up to 1e215 times the stop width."""
+    x_star = 10.0 ** draw(st.floats(-50.0, 3.0))
+    return (x_star, x_star / 10.0 ** draw(st.floats(0.01, 200.0)),
+            x_star * 10.0 ** draw(st.floats(0.01, 200.0)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(inputs=scaled_roots())
 @example(inputs=(1e-29, 1e-30, 2e-28))  # an absolute stop rule ends at the first midpoint
+# a 200-step cap ends these 1e139 times the root off
+@example(inputs=(1.5766647650673936e-06, 6.428708692681696e-47, 1.3004556771032432e+194))
+@example(inputs=(1.4181223537117532e-50, 3.652777694360225e-197, 6.636152946073652e+149))
 def test_solve_equilibrium_is_relative_at_every_scale(inputs):
     # a = 1.5, b = 0.5, a constant law c0 = 5 and h aimed at x*: the
     # residual changes sign within 1e-12 of the root, whatever its scale
@@ -612,11 +671,11 @@ def test_hot_loop_compares_floats_with_float_literals(fn):
     cost ``integrate`` about 5% of its time per step on fig2 and
     ``margin_kernel`` about 9% of a certify-b profile (BENCH_25.json), and
     ``0.0`` decides every one of them the same way, NaN included.  So no
-    comparison inside a ``for`` loop or a comprehension of these functions
-    may have an int literal operand.  The rule is read from the source, not
-    from ``dis``, so it holds on every Python version."""
+    comparison inside a ``for`` or ``while`` loop or a comprehension of these
+    functions may have an int literal operand.  The rule is read from the
+    source, not from ``dis``, so it holds on every Python version."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
-    loops = (ast.For, ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)
+    loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)
     int_compares = {
         (node.lineno, node.col_offset, ast.unparse(node))
         for loop in ast.walk(tree) if isinstance(loop, loops)

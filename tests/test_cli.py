@@ -106,6 +106,9 @@ CHECK_EDITS = {
     # configparser copies [DEFAULT] keys into every section: refused whole
     "default-section": ({"[model]": "[DEFAULT]\nt_end = 30\n\n[model]"}, 65,
                         ["unknown section [DEFAULT]"]),
+    # a bracket wider than 2**200 stop widths: the bisection still ends at fig2's root
+    "x-max-1e60": ({"T = 2.0": "T = 2.0\nx_max = 1e60"}, 13,
+                   ["equilibrium: x_star=1.105944895 c_star=3.894055105 residual=6.843e-16"]),
 }
 
 
@@ -123,6 +126,18 @@ def test_check_of_an_edited_fig2(fig2_path, tmp_path, capsys, case):
         assert err == f"error[config]: {path}: {lines[0]}\n"
     else:
         assert set(lines) <= set(out.splitlines())
+
+
+def test_run_of_fig2_with_x_max_1e60_converges(fig2_path, tmp_path, capsys):
+    # check's x-max-1e60 edit: the run converges on fig2's trajectory
+    path = tmp_path / "edited.scenario"
+    path.write_text(fig2_path.read_text().replace("\nT = 2.0\n", "\nT = 2.0\nx_max = 1e60\n"),
+                    encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "wide")]) == 0
+    assert "\nclassification: Converged\n" in capsys.readouterr().out
+    assert main(["run", str(fig2_path), "--out", str(tmp_path / "fig2")]) == 0
+    assert ((tmp_path / "wide" / "trajectory.csv").read_bytes()
+            == (tmp_path / "fig2" / "trajectory.csv").read_bytes())
 
 
 def test_check_not_certified(fig1_path, capsys):
@@ -346,9 +361,16 @@ def test_non_finite_t_end_is_config_error(fig2_path, tmp_path):
 
 def test_step_ceiling_exits_65(fig2_path, tmp_path):
     out = tmp_path / "o"
-    assert main(["run", str(fig2_path), "--t-end", "1e9", "--out", str(out)]) == 65
-    assert main(["sweep", str(fig2_path), "--param", "b", "--values", "0.2",
-                 "--t-end", "1e9", "--out", str(out)]) == 65
+    # 1.75e308 / step overflows to inf, which the ceiling refuses before rounding
+    for t_end in ("1e9", "1.75e308"):
+        assert main(["run", str(fig2_path), "--t-end", t_end, "--out", str(out)]) == 65
+        assert main(["sweep", str(fig2_path), "--param", "b", "--values", "0.2",
+                     "--t-end", t_end, "--out", str(out)]) == 65
+        path = tmp_path / "long.scenario"
+        path.write_text(fig2_path.read_text().replace("t_end = 200.0", f"t_end = {t_end}"),
+                        encoding="utf-8")
+        assert main(["check", str(path), "--out", str(out)]) == 65
+        assert main(["run", str(path), "--out", str(out)]) == 65
     assert not out.exists()
 
 
@@ -880,6 +902,7 @@ def scenario_texts(draw):
 @example(text="\ufeff" + "\n".join(FIG2_LINES))
 @example(text=fig2_near_float_max("1.75e308"))  # the padded y axis ends at inf
 @example(text=fig2_near_float_max("1.6e308"))  # the last tick's stop overflows
+@example(text="\n".join(FIG2_LINES).replace("t_end = 200.0", "t_end = 1.75e308"))  # inf steps
 def test_fuzzed_scenario_text_exits_with_documented_code(text):
     # run reaches the classifier, the energy monitor, the CSV writers and the
     # plot; a 20 s horizon keeps each run well under 0.2 s

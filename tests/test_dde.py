@@ -394,6 +394,15 @@ class TestIntegrate:
         with pytest.raises(ModelDomainError, match="t_end must be positive, got 0.0"):
             integrate(p, BASE_LAW, 1.0, 0.0, 0.01)
 
+    @pytest.mark.parametrize("overrides, t_end, step", [
+        ({}, 1.75e308, 0.01),  # t_end / step
+        ({"tau": 1e308}, 1.0, 1e-300),  # tau / step, while t_end / step fits
+    ], ids=["t_end", "tau"])
+    def test_step_count_past_the_float_range(self, overrides, t_end, step):
+        p = base_params(0.2, **overrides)
+        with pytest.raises(ModelDomainError, match=r"max\(t_end, tau\) / step overflows"):
+            integrate(p, BASE_LAW, 1.0, t_end, step)
+
     def test_divergence_reports_failure_time(self):
         p = base_params(0.8, kappa=1e9)
         with pytest.raises(IntegrationDivergedError) as exc_info:
