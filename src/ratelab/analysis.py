@@ -428,11 +428,12 @@ def classify(
     Converged: the endpoint and the tail peak-to-peak are both inside
     tol_conv.  Oscillating: tail peak-to-peak above tol_osc with no decay
     trend (tail amplitude at least 0.9x the mid-run amplitude over a window
-    of the same length).  Saturated: the tail sits at a rate bound.
-    Anything else (e.g. still-decaying transients) is Undetermined.  A
-    horizon shorter than 10*tau is too short to tell a tail from a
-    transient: it is Undetermined, with the peak-to-peak of the whole run
-    and no settling time.
+    of the same length).  Saturated: every tail sample is exactly x_min or
+    exactly x_max (integrate records a projected rate as the bound itself).
+    Anything else (e.g. still-decaying transients, or a slow drift near a
+    bound) is Undetermined.  A horizon shorter than 10*tau is too short to
+    tell a tail from a transient: it is Undetermined, with the peak-to-peak
+    of the whole run and no settling time.
     """
     import numpy as np
 
@@ -468,17 +469,11 @@ def classify(
         idx_last_outside = len(x) - 1 - int(np.argmax(outside[::-1]))
         settling = float(t[idx_last_outside + 1])
 
-    p = traj.params
-    at_bound = (
-        float(np.abs(tail - p.x_min).max()) < tol_conv
-        or float(np.abs(tail - p.x_max).max()) < tol_conv
-    )
-
     if final_error < tol_conv and tail_pp < tol_conv:
         kind = CONVERGED
     elif tail_pp > tol_osc and tail_pp >= 0.9 * mid_pp:
         kind = OSCILLATING
-    elif tail_pp < tol_conv and at_bound:
+    elif tail_pp == 0.0 and tail[-1] in (traj.params.x_min, traj.params.x_max):
         kind = SATURATED
     else:
         kind = UNDETERMINED

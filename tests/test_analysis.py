@@ -140,6 +140,9 @@ class TestValidateAssumptions:
     def test_range_guard(self):
         with pytest.raises(ModelDomainError, match="x_lo < x_hi"):
             self.violations(base_params(0.8), BASE_LAW, (3.0, 0.5))
+        with pytest.raises(ModelDomainError, match=r"range \[0.0001, 3.0\] must lie within "
+                                                   r"the rate bounds \[0.001, 1000.0\]"):
+            self.violations(base_params(0.8), BASE_LAW, (1e-4, 3.0))
 
 
 class TestTheorem2Margin:
@@ -845,6 +848,9 @@ class TestLyapunovValue:
             lyapunov_values(traj, [2.0], p, eq)
         with pytest.raises(ModelDomainError, match="t = 201.0 beyond trajectory end 200.0"):
             lyapunov_values(traj, [201.0], p, eq)
+        # and at least three theta nodes for the trapezoid over the delays
+        with pytest.raises(ModelDomainError, match="theta_nodes must be at least 3, got 2"):
+            lyapunov_values(traj, [30.0], p, eq, theta_nodes=2)
 
 
 class TestClassify:
@@ -875,12 +881,20 @@ class TestClassify:
         cls = classify(synthetic_trajectory(t, x, p), eq)
         assert cls.kind == UNDETERMINED
 
-    def test_saturated_at_ceiling(self):
-        p = base_params(0.8, x_max=2.0)
+    @pytest.mark.parametrize("x_tail, kind", [
+        (2.0, SATURATED),
+        (0.5, SATURATED),
+        (2.0 - 1e-3, UNDETERMINED),
+    ], ids=["x_max", "x_min", "near-x_max"])
+    def test_saturated_means_on_a_bound(self, x_tail, kind):
+        # integrate records a held rate as the bound itself, so only a tail
+        # exactly on a bound is Saturated; one within tol_conv of it is not
+        p = base_params(0.8, x_min=0.5, x_max=2.0)
         eq = solve_equilibrium(p, BASE_LAW)
         t = np.arange(0.0, 60.0 + 1e-9, 0.01)
-        cls = classify(synthetic_trajectory(t, np.full_like(t, 2.0), p), eq)
-        assert cls.kind == SATURATED
+        cls = classify(synthetic_trajectory(t, np.full_like(t, x_tail), p), eq)
+        assert cls.kind == kind
+        assert cls.tail_peak_to_peak == 0.0
 
     def test_short_horizon_is_undetermined(self, fig2_result):
         # 5 s < 10*tau: no tail to judge, so the whole run stands in for it
@@ -906,6 +920,9 @@ class TestClassify:
                            match=r"tail_fraction = 0.002 leaves a window of 0.202 with no sample"):
             classify(traj, eq, tail_fraction=0.002)
         assert classify(traj, eq, tail_fraction=1 / 101).kind == CONVERGED
+        # a window wider than half the run is refused before it is cut
+        with pytest.raises(ModelDomainError, match=r"tail_fraction must be in \(0, 0.5\], got 0.6"):
+            classify(traj, eq, tail_fraction=0.6)
 
     def test_real_converged_run(self, fig2_result):
         cls = fig2_result.classification

@@ -63,6 +63,25 @@ def test_run_exit_code_tracks_classification(fig2_path, tmp_path):
     assert code == 12
 
 
+@pytest.mark.parametrize("kappa, code, lines", [
+    ("1e-5", 12, ["classification: Undetermined"]),
+    ("1e-18", 11, ["classification: Saturated", "tail_peak_to_peak: 0"]),
+], ids=["drifts-off", "held"])
+def test_run_from_the_ceiling(fig2_path, tmp_path, capsys, kappa, code, lines):
+    # fig2 started on x_max = 2.  At kappa = 1e-5 the rate leaves the bound at
+    # once and drifts toward x* = 1.106, staying within tol_conv of 2 over the
+    # tail: Undetermined.  At kappa = 1e-18 no step moves it off 2.0 in
+    # floating point, the one way a run of the model ends Saturated.
+    text = (fig2_path.read_text().replace("kappa = 1.0", f"kappa = {kappa}")
+            .replace("T = 2.0", "T = 2.0\nx_max = 2").replace("init_x = 1.0", "init_x = 2"))
+    path = tmp_path / "ceiling.scenario"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+    out = capsys.readouterr().out
+    for line in lines:
+        assert f"\n{line}\n" in out
+
+
 def test_check_with_auto_range_uses_wide_band(fig2_path, capsys):
     # without a trajectory the auto range is a factor-of-two band around the
     # equilibrium, which reaches outside the certified zone even for b = 0.2

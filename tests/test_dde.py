@@ -393,6 +393,9 @@ class TestIntegrate:
         p = base_params(0.2)
         with pytest.raises(ModelDomainError, match="t_end must be positive, got 0.0"):
             integrate(p, BASE_LAW, 1.0, 0.0, 0.01)
+        # positive, but it rounds to no whole step
+        with pytest.raises(ModelDomainError, match="t_end = 0.004 shorter than one step 0.01"):
+            integrate(p, BASE_LAW, 1.0, 0.004, 0.01)
 
     @pytest.mark.parametrize("overrides, t_end, step", [
         ({}, 1.75e308, 0.01),  # t_end / step
