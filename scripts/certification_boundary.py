@@ -62,10 +62,8 @@ def main() -> int:
     if hi is None:
         print("no certified/uncertified bracket in the swept range")
         return 1
-    while hi - lo > args.tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # lo and hi are adjacent floats: a finer --tol cannot be met
+    # the bracket alone stops it: at --tol, or when lo and hi are adjacent floats
+    while hi - lo > args.tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if margin_check(cfg, mid, x_range).verdict == CERTIFIED:
             lo = mid
         else:

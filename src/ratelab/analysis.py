@@ -34,7 +34,6 @@ import operator
 from itertools import chain
 from typing import NamedTuple
 
-from .dde import Trajectory
 from .errors import (
     CapacityExhaustedError,
     EquilibriumBracketError,
@@ -205,13 +204,10 @@ def margin_kernel(
         a*xs**-(a+1) - h*[(b+1)*xs**b*cs**-b - b*xs**(b+1)*cs**-(b+1)*g'(xs)]
 
     A single margin is ``points = [x]``.  The ordered loop takes plain rates
-    and defines every value and error: the equilibrium-only powers are
-    computed at the first point that reaches them outside the band and the
-    band limit at the first point inside it, each in the expression and
-    association of a point-by-point evaluation.  The checks run in order:
-    x > 0, the band, the capacity (through :func:`capacity` when g(x) is not
-    positive), then the powers.  A power beyond the float range raises
-    MarginOverflowError naming x by ``repr``.
+    and defines every value and error: each rate is evaluated on its own,
+    as ``tests/oracle.py``'s ``stability_margin`` does.  The checks run in
+    order: x > 0, the band, :func:`capacity`, then the powers.  A power
+    beyond the float range raises MarginOverflowError naming x by ``repr``.
 
     ``terms`` are a regular range side's ``(x, g(x), x**-a)`` triples, from
     :func:`_range_side`: they pass the loop's x and capacity checks, so
@@ -225,10 +221,9 @@ def margin_kernel(
     xs, cs = eq.x_star, eq.c_star
     a, b, h = p.a, p.b, p.h_gain
     neg_a, b_plus_1, neg_b = -a, b + 1.0, -b
-    c0, slope_g = law.c0, law.slope
     band = EPS_BAND_REL * xs
     neg_band = -band
-    lhs_star = flow_star = limit = None
+    limit = None
     margins = []
     if terms:
         try:
@@ -241,10 +236,8 @@ def margin_kernel(
             ]
         except ArithmeticError:
             # margins is untouched: the loop takes the rates in order and
-            # raises at the node that fails first; what was bound above
-            # holds the values it would compute
+            # raises at the node that fails first
             points = chain((x for x, _, _ in terms), points)
-    append = margins.append
     try:
         for x in points:
             if not x > 0.0:
@@ -252,18 +245,11 @@ def margin_kernel(
             # the same decision as abs(d) < band: band >= 0 and x is not NaN
             d = x - xs
             if neg_band < d < band:
-                if limit is None:
-                    limit = _band_limit(a, b, h, xs, cs, law)
-                append(limit)
+                margins.append(_band_limit(a, b, h, xs, cs, law) if limit is None else limit)
                 continue
-            c = c0 - slope_g * x
-            if not c > 0.0:
-                capacity(law, x)
-            if flow_star is None:
-                # one assignment: an overflow leaves both unset, so every
-                # later point raises as well
-                lhs_star, flow_star = xs ** neg_a, xs ** b_plus_1 * cs ** neg_b
-            append((lhs_star - x ** neg_a) / d - h * (x ** b_plus_1 * c ** neg_b - flow_star) / d)
+            c = capacity(law, x)
+            margins.append((xs ** neg_a - x ** neg_a) / d
+                           - h * (x ** b_plus_1 * c ** neg_b - xs ** b_plus_1 * cs ** neg_b) / d)
     except OverflowError as exc:
         raise MarginOverflowError(
             f"margin at x = {x!r} exceeds the float range (a = {a}, b = {b})"

@@ -92,25 +92,29 @@ def _delay_steps(delay: float, step: float, name: str) -> int:
 
 
 def _diverged(cause, t_fail: float, p: ModelParams, step: float, *rates: float):
-    """The loop's failure at ``t_fail`` as IntegrationDivergedError: the
-    domain error ``cause``, or a non-finite state when it is None.
+    """The loop's failure at ``t_fail`` as IntegrationDivergedError: the domain
+    error ``cause``, an arithmetic one, or a non-finite state when it is None.
 
     RK4 is stable on the instantaneous term's Jacobian -kappa*a*x**-(a+1)
     only above the rate (kappa*a*step/2.785)**(1/(a+1)).  ``rates`` are the
     least recorded rate and the failing step's first-stage rate x + step/2*k1,
     where its later stages evaluate the Jacobian.  When the least positive is
-    below the bound, the message names it and the largest step stable at that
-    rate, 2.785*x**(a+1)/(kappa*a), in a form that cannot overflow.
+    below the bound, the message names it and the largest step stable there,
+    2.785*x**(a+1)/(kappa*a) in a form that cannot overflow, or none if 0.
     """
     message = (f"state became non-finite at t = {t_fail:.6g}" if cause is None
-               else f"integration left the model domain at t = {t_fail:.6g}: {cause}")
+               else f"integration left the model domain at t = {t_fail:.6g}: {cause}"
+               if isinstance(cause, ModelDomainError)
+               else f"the step's arithmetic exceeds the float range at t = {t_fail:.6g}")
     x_low = min(x for x in rates if x > 0)
     x_bound = (p.kappa * p.a * step / RK4_REAL_STABILITY) ** (1.0 / (p.a + 1.0))
     if x_low < x_bound:
+        h_max = step * (x_low / x_bound) ** (p.a + 1.0)
         message += (
             f"; rate {x_low:.6g} is below the RK4 stiffness bound "
-            f"(kappa*a*step/{RK4_REAL_STABILITY})**(1/(a+1)) = {x_bound:.6g}, and the largest "
-            f"step stable at that rate is {step * (x_low / x_bound) ** (p.a + 1.0):.6g}"
+            f"(kappa*a*step/{RK4_REAL_STABILITY})**(1/(a+1)) = {x_bound:.6g}, and "
+            + (f"the largest step stable at that rate is {h_max:.6g}" if h_max > 0.0
+               else "no positive float step is stable at that rate")
         )
     return IntegrationDivergedError(message, t_fail)
 

@@ -556,6 +556,21 @@ def test_import_and_load_leave_the_pipeline_and_dataclasses_unloaded(fig2_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_check_stability_leaves_the_integrator_unloaded():
+    # analysis names Trajectory only in annotations, so the margin check
+    # loads neither the integrator nor the pipeline
+    unloaded = {"ratelab.dde", "ratelab.scenario", "ratelab.svgplot"}
+    probe = (
+        "import sys\nbefore = set(sys.modules)\nfrom ratelab import check_stability\n"
+        f"print(sorted({unloaded!r} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 # The package's public names, each with the module that defines it, pinned
 # so that the lazily resolved namespace cannot drift from them.
 PUBLIC_NAMES = {
@@ -739,6 +754,21 @@ def test_rk4_stiffness_failure_names_the_step_bound(fig2_path, tmp_path, case):
     # the named step runs the same scenario to its classification
     rerun = run_cli("run", path, "--step", named, "--t-end", 40, "--out", tmp_path / "o")
     assert rerun.returncode in (0, 10, 11, 12), rerun.stderr
+
+
+def test_overflow_is_named_as_an_overflow(fig2_path, tmp_path):
+    # init_x**-a overflows at t = 0, and the stable step 2.785*x**(a+1)/(kappa*a)
+    # underflows: neither CPython's errno text nor a step of 0 reaches the user
+    path = tmp_path / "a300.scenario"
+    path.write_text(fig2_path.read_text().replace("\na = 1.5\n", "\na = 300\n")
+                    .replace("\ninit_x = 1.0\n", "\ninit_x = 0.05\n"), encoding="utf-8")
+    proc = run_cli("run", path, "--out", tmp_path / "o")
+    assert proc.returncode == 70
+    assert proc.stderr.startswith(
+        "error[diverged]: the step's arithmetic exceeds the float range at t = 0; rate 0.05 "
+    )
+    assert proc.stderr.rstrip().endswith("no positive float step is stable at that rate")
+    assert "(34," not in proc.stderr and "is 0" not in proc.stderr
 
 
 def test_t_end_below_one_step_is_config_error(fig2_path, tmp_path):

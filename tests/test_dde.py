@@ -26,16 +26,19 @@ def with_stiffness_hint(err, rates, params, step):
     term's Jacobian -kappa*a*x**-(a+1) below x = (kappa*a*step/2.785)**(1/(a+1)).
     When the least positive of ``rates`` (the recorded rates and the failing
     step's first-stage rate) is below that bound, the message names it and the
-    largest step stable at that rate, 2.785*x**(a+1)/(kappa*a)."""
+    largest step stable at that rate, 2.785*x**(a+1)/(kappa*a), or says that
+    no positive float step is when that step underflows to 0."""
     kappa, a = params.kappa, params.a
     x_low = min(x for x in rates if x > 0)
     x_bound = (kappa * a * step / 2.785) ** (1.0 / (a + 1.0))
     if not x_low < x_bound:
         return err
+    h_max = 2.785 * x_low ** (a + 1.0) / (kappa * a)
     return IntegrationDivergedError(
         f"{err}; rate {x_low:.6g} is below the RK4 stiffness bound "
-        f"(kappa*a*step/2.785)**(1/(a+1)) = {x_bound:.6g}, and the largest step "
-        f"stable at that rate is {2.785 * x_low ** (a + 1.0) / (kappa * a):.6g}",
+        f"(kappa*a*step/2.785)**(1/(a+1)) = {x_bound:.6g}, and "
+        + (f"the largest step stable at that rate is {h_max:.6g}" if h_max > 0
+           else "no positive float step is stable at that rate"),
         err.t_fail,
     )
 
@@ -63,9 +66,13 @@ def reference_integrate(params, law, init_x, t_end, step):
             if recorded:  # a recorded rate must have positive capacity
                 capacity(law, x_now)
             d = rhs(x_now, xd_tau, capacity(law, xd_t), params)
-        except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
+        except ModelDomainError as exc:
             raise IntegrationDivergedError(
                 f"integration left the model domain at t = {t_now:.6g}: {exc}", t_now
+            ) from exc
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise IntegrationDivergedError(
+                f"the step's arithmetic exceeds the float range at t = {t_now:.6g}", t_now
             ) from exc
         return clamp(x_now, d, params)
 
@@ -220,6 +227,10 @@ class TestFusedStepMatchesReference:
             pytest.param(dict(kappa=10.0, init_x=0.5, b=0.8), id="negative-rate"),
             # fails on a negative rate at t = 0.005, before any state is non-finite
             pytest.param(dict(kappa=1e9), id="negative-rate-stiff"),
+            # x0**-a overflows at t = 0, where no positive float step is stable
+            pytest.param(dict(a=300.0, init_x=0.05), id="overflow-at-start"),
+            # the delayed rate leaves init_x = 1 after tau, and its power b + 1 overflows
+            pytest.param(dict(b=1e300), id="overflow-in-step"),
         ],
     )
     def test_same_failure(self, overrides):
