@@ -60,6 +60,9 @@ EPS_BAND_REL = 1e-6
 # Slack of lyapunov_values' and classify's horizon checks, as a fraction of the step.
 HORIZON_SLACK = 1e-9
 
+# The largest grid_n whose range side, about 150 bytes a node, is kept for the next check.
+KEEP_GRID_N = 4096
+
 # Samples per quadrature block in lyapunov_values: bounds the
 # (samples x theta_nodes) temporaries.
 LYAPUNOV_BLOCK = 16
@@ -265,9 +268,9 @@ def _range_side(x_lo: float, x_hi: float, grid_n: int, a: float, law: CapacityLa
     and whether one of them is hard.  A regular node passes the kernel's x
     and capacity checks and its x**-a lies in the float range: x > 0 holds
     at every node of a finite range within the rate bounds, and g is
-    monotone, so g(x) > 0 is tested at the last node alone.  One entry is
-    kept, under an untyped key: a bisection holds one range at a time, the
-    key holds nothing it varies, and an equal int and float build one side."""
+    monotone, so g(x) > 0 is tested at the last node alone.  One side of at
+    most KEEP_GRID_N nodes is kept, under an untyped key that a bisection does
+    not vary, and an equal int and float build one side."""
     c0, slope_g = law.c0, law.slope
     neg_a = -a
     grid = tuple(uniform_grid(x_lo, x_hi, grid_n))
@@ -306,10 +309,10 @@ def check_stability(
     reported on the grid.  g(x) <= 1 is hard, naming the first node;
     g'(x) >= -1 warns (the benchmark law g(x) = 5 - x sits on that
     boundary, and a slope of 0 is past it).  The grid, its terms and A3
-    come from the range side of the last check when
-    the range, grid_n, a and the law are the same; the equilibrium and
-    every b-dependent term are computed afresh.  ``grid_n`` is any integer
-    type (``operator.index``), numpy's included."""
+    come from the range side of the last check when the range, grid_n (at
+    most KEEP_GRID_N), a and the law are the same; the equilibrium and every
+    b-dependent term are computed afresh.  ``grid_n`` is any integer type
+    (``operator.index``), numpy's included."""
     try:
         grid_n = operator.index(grid_n)
     except TypeError:
@@ -323,7 +326,8 @@ def check_stability(
     if not (x_lo >= p.x_min and x_hi <= p.x_max):
         raise ModelDomainError(f"range [{x_lo}, {x_hi}] must lie within the rate bounds "
                                f"[{p.x_min}, {p.x_max}]")
-    grid, terms, violations, hard = _range_side(x_lo, x_hi, grid_n, p.a, law)
+    side = _range_side if grid_n <= KEEP_GRID_N else _range_side.__wrapped__
+    grid, terms, violations, hard = side(x_lo, x_hi, grid_n, p.a, law)
     margins = margin_kernel(p, law, eq, [eq.x_star] if terms else [*grid, eq.x_star], terms)
     # numpy.argmin's rule: the first NaN, else the first smallest margin.  A
     # NaN makes the sum NaN, so a sum that is not NaN (one C pass) rules it

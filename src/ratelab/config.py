@@ -76,7 +76,11 @@ FIELDS = (
     Field("analysis", "tol_osc", float, 0.1),
     Field("analysis", "tail_fraction", float, 0.2),
 )
-_FIELD_BY_KEY = {f.key: f for f in FIELDS}
+_FIELD_INDEX = {f.key: i for i, f in enumerate(FIELDS)}
+# The record field each model and capacity key sets; level is the constant law's c0
+_MODEL_KEYS = tuple(f.key for f in FIELDS if f.section == "model")
+_RECORD_FIELD = {**dict(zip(_MODEL_KEYS, ModelParams._fields)),
+                 "intercept": "c0", "slope": "slope", "level": "c0"}
 # section -> {key as configparser reports it, in lower case: Field}
 _SECTIONS = {sec: {f.key.lower(): f for f in FIELDS if f.section == sec}
              for sec in dict.fromkeys(f.section for f in FIELDS)}
@@ -131,31 +135,39 @@ def snap_step(step: float, tau: float, t_delay: float) -> float:
     )
 
 
+def _finite(section: str, key: str, value, where: str):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}: [{section}] key '{key}' must be finite, got {value!r}")
+    return value
+
+
 def build_config(values: dict, where: str, name: str) -> ScenarioConfig:
     """Check one scenario's key values (FIELDS names) and assemble its config.
 
-    Missing keys take their FIELDS defaults.  Scenario files, CLI overrides
-    and sweep values all come through here, so they share every check;
-    ``where`` prefixes the error messages.
+    Missing keys take their FIELDS defaults.  Scenario files come through
+    here, and CLI overrides and sweep values share its checks through
+    :func:`_assemble`; ``where`` prefixes the error messages.
     """
     kind = values.get("kind")
     v = {}
     for section, key, _, default, needed_by in FIELDS:
         value = v[key] = values.get(key, default)
-        if value is REQUIRED:
-            if needed_by is None or needed_by == kind:
-                raise ConfigError(f"{where}: missing required key '{key}' in [{section}]")
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{where}: [{section}] key '{key}' must be finite, got {value!r}")
+        if value is REQUIRED and (needed_by is None or needed_by == kind):
+            raise ConfigError(f"{where}: missing required key '{key}' in [{section}]")
+        _finite(section, key, value, where)
     try:
-        params = ModelParams(v["kappa"], v["a"], v["b"], v["tau"], v["T"],
-                             v["h"], v["x_min"], v["x_max"])
+        params = ModelParams(*(v[key] for key in _MODEL_KEYS))
         if kind not in (AFFINE, CONSTANT):
             raise ConfigError(f"unknown capacity law kind {kind!r}")
         law = CapacityLaw(v["intercept"], v["slope"]) if kind == AFFINE else CapacityLaw(v["level"])
     except RatelabError as exc:
         raise ConfigError(f"{where}: invalid: {exc}") from exc
+    return _assemble(params, law, v, where, name)
 
+
+def _assemble(params, law, v: dict, where: str, name: str, step=None) -> ScenarioConfig:
+    """The checks across records and keys, then the config: ``v`` holds the run
+    and analysis keys' values, and a given ``step`` is their snapped step."""
     # x_min > 0, so the bounds also keep init_x positive
     if not params.x_min <= v["init_x"] <= params.x_max:
         raise ConfigError(
@@ -165,7 +177,7 @@ def build_config(values: dict, where: str, name: str) -> ScenarioConfig:
     if not v["t_end"] > 0:
         raise ConfigError(f"{where}: [run] t_end must be positive, got {v['t_end']}")
     try:
-        step = snap_step(v["step"], params.tau, params.T_delay)
+        step = step or snap_step(v["step"], params.tau, params.T_delay)
     except ConfigError as exc:
         raise ConfigError(f"{where}: [run] {exc}") from exc
     if v["t_end"] / step > MAX_STEPS:  # before round(), which refuses an infinite count
@@ -209,26 +221,21 @@ def build_config(values: dict, where: str, name: str) -> ScenarioConfig:
             f"{window:.6g} over the {step * n_steps:g} horizon, shorter than one step {step}"
         )
 
-    fields = {key: v[key] for key in _CONFIG_KEYS}
-    fields.update(step=step, margin_range=margin_range, grid_n=grid_n)
-    return ScenarioConfig(params, law, step_requested=v["step"], name=name, **fields)
+    return ScenarioConfig(params, law, v["init_x"], v["t_end"], step, v["step"], margin_range,
+                          grid_n, v["tol_conv"], v["tol_osc"], v["tail_fraction"], name)
 
 
 def config_values(cfg: ScenarioConfig) -> dict:
     """The key values of ``cfg``, named as in FIELDS: the inverse of
     :func:`build_config`.  ``step`` is the snapped step; a law of slope 0
     takes the constant form, ``level``, and any other the affine form."""
-    p, law = cfg.params, cfg.law
-    values = {"kappa": p.kappa, "a": p.a, "b": p.b, "tau": p.tau, "T": p.T_delay,
-              "h": p.h_gain, "x_min": p.x_min, "x_max": p.x_max}
-    if law.slope:
-        values.update(kind=AFFINE, intercept=law.c0, slope=law.slope)
+    values = dict(zip(_MODEL_KEYS, cfg.params))
+    if cfg.law.slope:
+        values.update(kind=AFFINE, intercept=cfg.law.c0, slope=cfg.law.slope)
     else:
-        values.update(kind=CONSTANT, level=law.c0)
-    for key in _CONFIG_KEYS:
-        values[key] = getattr(cfg, key)
-    if cfg.margin_range is None:
-        values["margin_range"] = "auto"
+        values.update(kind=CONSTANT, level=cfg.law.c0)
+    values.update({key: getattr(cfg, key) for key in _CONFIG_KEYS},
+                  margin_range=cfg.margin_range or "auto")
     return values
 
 
@@ -270,28 +277,38 @@ def load_scenario(path) -> ScenarioConfig:
 
 def apply_param(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
     """Return ``cfg`` with one key of FIELDS other than ``kind`` replaced, checked
-    and re-snapped from the requested step by :func:`build_config`.  The capacity
-    keys apply to any law: ``intercept`` and ``level`` both set c0."""
+    and re-snapped from the requested step as :func:`build_config` does.  The
+    capacity keys apply to any law: ``intercept`` and ``level`` both set c0."""
     return apply_params(cfg, {key: value})
 
 
 def apply_params(cfg: ScenarioConfig, changes: dict) -> ScenarioConfig:
-    """:func:`apply_param` for several keys at once, checked together, so
-    that each is checked against the others' new values."""
+    """:func:`apply_param` for several keys at once, checked together; only the
+    records the keys set are rebuilt, and the errors are :func:`build_config`'s."""
     if "kind" in changes:
         raise ConfigError(f"kind = {changes['kind']}: a law's kind is set only in a scenario "
                           "file; apply slope = 0 for a constant law")
-    values = config_values(cfg)
-    # the affine form holds every law
-    values.update(kind=AFFINE, intercept=cfg.law.c0, slope=cfg.law.slope,
-                  step=cfg.step_requested)
-    where = []
-    for key, value in changes.items():
-        if key not in _FIELD_BY_KEY:
+    for key in changes:
+        if key not in _FIELD_INDEX:
             raise ConfigError(f"unknown scenario key {key!r}")
-        values["intercept" if key == "level" else key] = value
-        where.append(f"{key} = {value}")
-    return build_config(values, ", ".join(where), cfg.name)
+    where = ", ".join(f"{key} = {value}" for key, value in changes.items())
+    # the affine form holds every law: level is checked and reported as intercept
+    new = {"intercept" if key == "level" else key: value for key, value in changes.items()}
+    v = {"init_x": cfg.init_x, "t_end": cfg.t_end, "step": cfg.step_requested,
+         "margin_range": cfg.margin_range or "auto", "grid_n": cfg.grid_n,
+         "tol_conv": cfg.tol_conv, "tol_osc": cfg.tol_osc, "tail_fraction": cfg.tail_fraction}
+    model, capacity = {}, {}
+    edits = {"model": model, "capacity": capacity, "run": v, "analysis": v}
+    for i in sorted(map(_FIELD_INDEX.get, new)):  # in FIELDS order
+        section, key = FIELDS[i].section, FIELDS[i].key
+        edits[section][_RECORD_FIELD.get(key, key)] = _finite(section, key, new[key], where)
+    try:
+        params = cfg.params._replace(**model) if model else cfg.params
+        law = cfg.law._replace(**capacity) if capacity else cfg.law
+    except RatelabError as exc:
+        raise ConfigError(f"{where}: invalid: {exc}") from exc
+    step = cfg.step if new.keys().isdisjoint(("step", "tau", "T")) else None  # inputs unchanged
+    return _assemble(params, law, v, where, cfg.name, step)
 
 
 def _fmt(v: float) -> str:

@@ -52,8 +52,7 @@ class ModelParams(_ModelFields):
 
     def __new__(cls, *args, **kwargs):
         p = super().__new__(cls, *args, **kwargs)
-        for name in ("kappa", "a", "b", "tau", "T_delay", "h_gain"):
-            v = getattr(p, name)
+        for name, v in zip(("kappa", "a", "b", "tau", "T_delay", "h_gain"), p):
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ModelDomainError(f"{name} must be a positive finite number, got {v!r}")
         if not (0 < p.x_min < p.x_max < math.inf):

@@ -4,8 +4,10 @@
 ``analysis.check_stability`` must match bit for bit, in values and in error
 messages; the sweep summary rules that ``scenario.format_sweep_summary``
 must match line for line; the numpy tick rule that ``svgplot._ticks``
-must match bit for bit; and the bisection, with the residual as a nested
-function, that ``analysis.solve_equilibrium`` must match bit for bit."""
+must match bit for bit; the bisection, with the residual as a nested
+function, that ``analysis.solve_equilibrium`` must match bit for bit; and
+the edit that turns a config back into a file's key values, which
+``config.apply_params`` must match in its configs, error types and messages."""
 
 import math
 
@@ -19,9 +21,11 @@ from ratelab.analysis import (
     WARNING,
     AssumptionViolation,
 )
+from ratelab.config import AFFINE, FIELDS, ScenarioConfig, build_config, config_values
 from ratelab.dde import _require_positive
 from ratelab.errors import (
     CapacityExhaustedError,
+    ConfigError,
     EquilibriumBracketError,
     MarginOverflowError,
     ModelDomainError,
@@ -227,3 +231,22 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
         ) from None
     residual = abs(f(x_star)) / c_star
     return Equilibrium(x_star=x_star, c_star=c_star, residual=residual)
+
+
+def apply_params(cfg: ScenarioConfig, changes: dict) -> ScenarioConfig:
+    """``changes`` applied to the file's key values of ``cfg``, in the affine
+    form with the requested step, and the whole config built again by
+    ``build_config``."""
+    if "kind" in changes:
+        raise ConfigError(f"kind = {changes['kind']}: a law's kind is set only in a scenario "
+                          "file; apply slope = 0 for a constant law")
+    values = config_values(cfg)
+    values.update(kind=AFFINE, intercept=cfg.law.c0, slope=cfg.law.slope,
+                  step=cfg.step_requested)
+    where = []
+    for key, value in changes.items():
+        if key not in {f.key for f in FIELDS}:
+            raise ConfigError(f"unknown scenario key {key!r}")
+        values["intercept" if key == "level" else key] = value
+        where.append(f"{key} = {value}")
+    return build_config(values, ", ".join(where), cfg.name)

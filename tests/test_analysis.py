@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -542,6 +543,26 @@ def test_range_side_is_shared_by_equal_int_and_float_keys():
     _check_outcome((base_params(0.2, a=2.0), CapacityLaw(5.0, 1.0), (1.0, 2.0), 64))
     assert _check_outcome(ints) == fresh
     assert analysis._range_side.cache_info().hits == 1
+
+
+def test_a_large_check_keeps_no_range_side():
+    # a side of KEEP_GRID_N nodes is kept for the next check; one of 10**5
+    # nodes, about 15 MB, is built for its own check and dropped after it
+    args = (base_params(0.2), BASE_LAW, (0.5, 2.0))
+    analysis._range_side.cache_clear()
+    check_stability(*args, analysis.KEEP_GRID_N)
+    assert analysis._range_side.cache_info().currsize == 1
+    analysis._range_side.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        large = check_stability(*args, 10**5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert analysis._range_side.cache_info().currsize == 0
+    assert held < 10**6
+    assert check_stability(*args, 10**5) == large
 
 
 @settings(max_examples=30, deadline=None)

@@ -33,7 +33,8 @@ from ratelab.config import (AFFINE, CONSTANT, FIELDS, ScenarioConfig, apply_para
                             write_config_echo)
 from ratelab.scenario import EXIT_CODES, RunResult, auto_margin_range, format_report, _execute
 from ratelab.svgplot import _ticks, line_plot_svg
-from conftest import BASE_LAW, base_params, run_cli, synthetic_trajectory
+from conftest import BASE_LAW, SCENARIOS, base_params, run_cli, synthetic_trajectory
+from oracle import apply_params as reference_apply_params
 from oracle import sweep_summary as reference_sweep_summary
 from oracle import ticks as reference_ticks
 
@@ -611,6 +612,57 @@ class TestSweep:
         write_config_echo(cfg, tmp_path / "echo.scenario")
         assert "\n[capacity]\nkind = constant\nlevel = 5\n\n" in (
             tmp_path / "echo.scenario").read_text()
+
+
+@pytest.mark.parametrize("result, lines", [
+    ("fig2_result", ["margin_range: [0.9617792965, 1.229324221] grid_n=256",
+                     "min_margin: 0.02818652221 at x=1.229324221", "final_error: 7.046141448e-12",
+                     "tail_peak_to_peak: 2.767742702e-09", "settling_time: 21.67"]),
+    ("fig1_result", ["margin_range: [0.852853361, 1.882879834] grid_n=256",
+                     "min_margin: -0.7637916735 at x=1.882879834", "final_error: 6.216928404e-05",
+                     "tail_peak_to_peak: 0.002485260035", "settling_time: 102.87"]),
+])
+def test_run_report_lines(request, result, lines):
+    # the figures' report lines, as report.txt and `ratelab run` print them
+    res = request.getfixturevalue(result)
+    report = format_report(res.config, res.report, res.classification)
+    for line in lines:
+        assert f"\n{line}\n" in report
+
+
+# Edits drawn for the parity test below: every key but kind, and one that is
+# not a key; values that each check refuses, and values that pass.
+_EDIT_KEYS = [f.key for f in FIELDS if f.key != "kind"] + ["T_delay"]
+_EDIT_VALUES = [0, 0.0, -1, -0.5, math.nan, math.inf, -math.inf, 1, 2, 3, 16, 256, 0.007, 0.01,
+                0.2, 0.5, 1.0, 1.5, 2.0, 2.015, 2.5, 3.0, 4.5, 200.0, 1e9, (0.9, 1.2), "auto"]
+_EDIT_BASES = {
+    "fig2": load_scenario(SCENARIOS / "fig2.scenario"),
+    "constant": build_config({"kappa": 1.0, "a": 1.5, "b": 0.2, "tau": 3.0, "T": 2.0,
+                              "kind": CONSTANT, "level": 4.0, "init_x": 1.0,
+                              "margin_range": (0.5, 2.0)}, "constant", "constant"),
+}
+
+
+def _edit_outcome(apply, cfg, changes):
+    try:
+        return repr(apply(cfg, changes))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("base", _EDIT_BASES)
+@settings(deadline=None, max_examples=300)
+@given(changes=st.lists(st.sampled_from(_EDIT_KEYS), min_size=1, max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: st.sampled_from(_EDIT_VALUES) for k in keys})))
+# an unknown key is refused before a value is tested; non-finite values are
+# reported in FIELDS order; a non-finite level is reported as the intercept
+@example(changes={"b": math.nan, "T_delay": 1.0})
+@example(changes={"t_end": math.nan, "b": -math.inf})
+@example(changes={"level": math.inf})
+def test_apply_params_matches_the_file_route(base, changes):
+    cfg = _EDIT_BASES[base]
+    assert (_edit_outcome(config.apply_params, cfg, changes)
+            == _edit_outcome(reference_apply_params, cfg, changes))
 
 
 # Drawn values for the keys whose default is not a number to scale (below).
