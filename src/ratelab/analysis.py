@@ -103,7 +103,10 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
     """Bisect g(x) - h**(1/b) * x**((a+b+1)/b) to its root in [x_min, x_max].
 
     The root is the unique rate at which the update law vanishes; it also
-    satisfies first-order optimality U'(x*) = p(x*, c*).  The bracket alone
+    satisfies first-order optimality U'(x*) = p(x*, c*).  The residual
+    falls in x, so past the exact-zero exits only f(x_min) > 0 > f(x_max)
+    is bisected and any other pair raises EquilibriumBracketError (by sign:
+    the ends' product underflows to 0 for tiny ends).  The bracket alone
     stops the loop, at 1e-15 of its midpoint (well below the 1e-12*x_star
     contract at every scale, a tiny residual even for steep exponents) or
     when the midpoint rounds onto an end, which finite bounds make certain.
@@ -132,25 +135,24 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
         x_star = lo
     elif f_hi == 0.0:
         x_star = hi
-    elif f_lo * f_hi > 0.0:
+    elif not f_lo > 0.0 > f_hi:
         raise EquilibriumBracketError(
             f"no sign change of the equilibrium residual on [{lo}, {hi}] "
             f"(f({lo}) = {f_lo:.3g}, f({hi}) = {f_hi:.3g})"
         )
     else:
-        # f inline, no call per step (change both together); f(lo) keeps f(x_min)'s
-        # sign; each midpoint is computed once: the stop test's is the next step's
-        lo_positive = f_lo > 0.0
+        # f inline, no call per step (change both together); f(lo) > 0 > f(hi)
+        # holds throughout; each midpoint is computed once: the stop test's is the next step's
         mid = 0.5 * (lo + hi)
         while lo < mid < hi:
             try:
                 f_mid = c0 - slope_g * mid - h_factor * mid ** exponent
             except OverflowError:
                 f_mid = -math.inf
-            if f_mid == 0.0:
-                lo = hi = mid  # an exact root: the collapsed bracket ends the loop
-            elif lo_positive == (f_mid > 0.0):
+            if f_mid > 0.0:
                 lo = mid
+            elif f_mid == 0.0:
+                lo = hi = mid  # an exact root: the collapsed bracket ends the loop
             else:
                 hi = mid
             mid = 0.5 * (lo + hi)

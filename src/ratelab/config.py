@@ -9,11 +9,12 @@ are integer multiples of it.
 
 import configparser
 import math
+import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, RatelabError
-from .model import DELAY_MULTIPLE_RTOL, CapacityLaw, ModelParams
+from .model import DELAY_MULTIPLE_RTOL, CapacityLaw, ModelParams, is_number
 
 # The two spellings of a capacity law in a scenario file: [capacity] kind.
 # A constant law, g(x) = level, is the affine law with slope 0.
@@ -27,6 +28,8 @@ MAX_STEPS = 10_000_000
 SWEEPABLE = ("a", "b", "kappa", "tau", "T", "intercept", "slope")
 
 REQUIRED = object()  # Field.default of a key without a default
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def _parse_range(text: str):
@@ -135,9 +138,23 @@ def snap_step(step: float, tau: float, t_delay: float) -> float:
     )
 
 
-def _finite(section: str, key: str, value, where: str):
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where}: [{section}] key '{key}' must be finite, got {value!r}")
+def _check_value(f: Field, value, where: str):
+    """``value`` for the key ``f``, refused unless a number key's value is an
+    int or a float (never a bool) within the float range and margin_range's
+    is 'auto' or a tuple of two numbers; ``kind`` and a key left out
+    (REQUIRED) pass."""
+    if f.parse is _parse_range:
+        if not ((isinstance(value, str) and value == "auto")
+                or (type(value) is tuple and len(value) == 2 and all(map(is_number, value)))):
+            raise ConfigError(f"{where}: [{f.section}] key '{f.key}' must be 'auto' or a pair "
+                              f"of numbers, got {value!r}")
+    elif f.parse is float and value is not REQUIRED:
+        if not is_number(value):
+            raise ConfigError(f"{where}: [{f.section}] key '{f.key}' must be a number, "
+                              f"got {value!r}")
+        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # NaN, inf or an int past the float range
+            raise ConfigError(f"{where}: [{f.section}] key '{f.key}' must be finite, "
+                              f"got {value!r}")
     return value
 
 
@@ -150,11 +167,11 @@ def build_config(values: dict, where: str, name: str) -> ScenarioConfig:
     """
     kind = values.get("kind")
     v = {}
-    for section, key, _, default, needed_by in FIELDS:
-        value = v[key] = values.get(key, default)
-        if value is REQUIRED and (needed_by is None or needed_by == kind):
-            raise ConfigError(f"{where}: missing required key '{key}' in [{section}]")
-        _finite(section, key, value, where)
+    for f in FIELDS:
+        value = v[f.key] = values.get(f.key, f.default)
+        if value is REQUIRED and (f.kind is None or f.kind == kind):
+            raise ConfigError(f"{where}: missing required key '{f.key}' in [{f.section}]")
+        _check_value(f, value, where)
     try:
         params = ModelParams(*(v[key] for key in _MODEL_KEYS))
         if kind not in (AFFINE, CONSTANT):
@@ -300,8 +317,8 @@ def apply_params(cfg: ScenarioConfig, changes: dict) -> ScenarioConfig:
     model, capacity = {}, {}
     edits = {"model": model, "capacity": capacity, "run": v, "analysis": v}
     for i in sorted(map(_FIELD_INDEX.get, new)):  # in FIELDS order
-        section, key = FIELDS[i].section, FIELDS[i].key
-        edits[section][_RECORD_FIELD.get(key, key)] = _finite(section, key, new[key], where)
+        f = FIELDS[i]
+        edits[f.section][_RECORD_FIELD.get(f.key, f.key)] = _check_value(f, new[f.key], where)
     try:
         params = cfg.params._replace(**model) if model else cfg.params
         law = cfg.law._replace(**capacity) if capacity else cfg.law

@@ -189,9 +189,11 @@ def integrate(
     from iterators that trail the append-only record by k_tau and k_t >= 1
     entries, and the midpoint ring's write and read slots from one cycle at
     three offsets.  The grid reads feed k4 and the recorded derivative
-    without the x_delayed > 0 test of the midpoint reads: every recorded
-    rate is init_x > 0 or projected into [x_min, x_max], and x_min > 0;
-    :func:`flow` still checks it on the fallback path.
+    without the midpoint reads' capacity and x_delayed > 0 tests: every
+    recorded rate is init_x or lies in [x_min, x_max], with x_min > 0, and
+    has g(x) > 0 (the slope at t = 0 checks g(init_x), an interior record
+    lies below x_hi, a projected one passes :func:`capacity`).  :func:`flow`
+    still checks both on the fallback path.
 
     Two runs with identical inputs produce bit-identical trajectories: the
     loop is sequential pure-float arithmetic with no ambient state.
@@ -280,12 +282,11 @@ def integrate(
                 k3 = slope(params, x_stage, f)
         except (ModelDomainError, OverflowError, ZeroDivisionError) as exc:
             raise _diverged(exc, j * step + half, params, step, min(xs), x_half) from exc
-        # recorded rates are positive, so the grid read needs no x_delayed test
+        # recorded rates are positive with g(x) > 0, so the grid read tests neither
         try:
             x_stage = x + step * k3
-            c_d = c0 - slope_g * xd_t4
-            if c_d > 0.0 and x_min < x_stage < x_max:
-                f = h * xd_tau4 ** b_plus_1 * c_d ** neg_b
+            if x_min < x_stage < x_max:
+                f = h * xd_tau4 ** b_plus_1 * (c0 - slope_g * xd_t4) ** neg_b
                 k4 = kappa * (x_stage ** neg_a - f)
             else:
                 f = flow(params, law, x_stage, xd_tau4, xd_t4)

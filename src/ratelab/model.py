@@ -22,6 +22,11 @@ from .errors import CapacityExhaustedError, ModelDomainError
 DELAY_MULTIPLE_RTOL = 1e-9
 
 
+def is_number(v) -> bool:
+    """An int or a float (numpy's float64 included), never a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 class _ModelFields(NamedTuple):
     kappa: float
     a: float
@@ -44,7 +49,8 @@ class ModelParams(_ModelFields):
     ``tau`` is the total round-trip delay acting on the rate feedback and
     ``T_delay`` the (shorter) delay of the capacity information.  The
     checks are the model's assumption A1 (positive finite constants and
-    tau >= T_delay) and finite rate bounds 0 < x_min < x_max.
+    tau >= T_delay) and finite rate bounds 0 < x_min < x_max; every field is
+    a number (:func:`is_number`).
     """
 
     __slots__ = ()
@@ -53,9 +59,10 @@ class ModelParams(_ModelFields):
     def __new__(cls, *args, **kwargs):
         p = super().__new__(cls, *args, **kwargs)
         for name, v in zip(("kappa", "a", "b", "tau", "T_delay", "h_gain"), p):
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            # is_number inline, as a bool is an int: False fails v > 0
+            if not (isinstance(v, (int, float)) and v is not True and math.isfinite(v) and v > 0):
                 raise ModelDomainError(f"{name} must be a positive finite number, got {v!r}")
-        if not (0 < p.x_min < p.x_max < math.inf):
+        if not (is_number(p.x_min) and is_number(p.x_max) and 0 < p.x_min < p.x_max < math.inf):
             raise ModelDomainError(
                 f"rate bounds must satisfy 0 < x_min < x_max < inf, got [{p.x_min}, {p.x_max}]"
             )
@@ -86,9 +93,9 @@ class CapacityLaw(_LawFields):
     """Link capacity as a function of the instantaneous source rate, c = g(x),
     an immutable NamedTuple checked at construction like :class:`ModelParams`.
 
-    The law is g(x) = c0 - slope*x with c0 > 0 and slope >= 0, both finite:
-    the adaptive-virtual-queue controller, or a constant capacity c0 when
-    slope is 0.
+    The law is g(x) = c0 - slope*x with c0 > 0 and slope >= 0, both finite
+    numbers (:func:`is_number`): the adaptive-virtual-queue controller, or a
+    constant capacity c0 when slope is 0.
     """
 
     __slots__ = ()
@@ -96,9 +103,9 @@ class CapacityLaw(_LawFields):
 
     def __new__(cls, *args, **kwargs):
         law = super().__new__(cls, *args, **kwargs)
-        if not (math.isfinite(law.c0) and law.c0 > 0):
+        if not (is_number(law.c0) and math.isfinite(law.c0) and law.c0 > 0):
             raise ModelDomainError(f"capacity intercept/level must be positive, got {law.c0}")
-        if not (math.isfinite(law.slope) and law.slope >= 0):
+        if not (is_number(law.slope) and math.isfinite(law.slope) and law.slope >= 0):
             raise ModelDomainError(f"capacity slope must be finite and >= 0, got {law.slope}")
         return law
 

@@ -1,0 +1,139 @@
+"""The mutation ledger: one-token changes to ``src/ratelab`` that tier-1
+must catch, each with the tests that kill it or an argument that it is
+equivalent to the code it replaces.
+
+    python tests/mutants.py          # every row
+    python tests/mutants.py 0 3      # rows 0 and 3
+
+Each row is applied to a fresh copy of ``src/``, ``tests/``, ``scenarios/``,
+``scripts/`` and ``pyproject.toml`` in a temporary directory (its replaced
+text must occur exactly once), and only the row's tests run there.  A
+killing row must fail them; an equivalent row must pass them, so its
+argument is checked by the tests that would show a difference.  Before the
+rows, the unchanged copy must pass every test the rows name.  The exit
+status is 1 if any row does not read as stated.  Standard library only;
+pytest does not collect this file (it is not named ``test_*.py``).
+
+Mend a surviving mutant with a test; never drop a row without a stated
+equivalence argument.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scenarios", "scripts", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    """``old`` replaced by ``new`` in ``file`` (under ``src/ratelab``).  ``tests``
+    are pytest node ids; ``equivalent`` is empty for a mutant they must kill,
+    and otherwise the reason it cannot change a result, which they must pass."""
+
+    file: str
+    old: str
+    new: str
+    tests: tuple
+    equivalent: str = ""
+
+
+CLASSIFY_ORACLE = "tests/test_analysis.py::test_classify_matches_plain_loop_oracle"
+
+LEDGER = (
+    Mutant("analysis.py", "elif not f_lo > 0.0 > f_hi:", "elif f_lo * f_hi > 0.0:",
+           ("tests/test_analysis.py::TestSolveEquilibrium::test_tiny_ends_of_one_sign_are_no_bracket",
+            "tests/test_analysis.py::test_solve_equilibrium_matches_bisection_oracle",
+            "tests/test_cli.py::test_tiny_residual_of_one_sign_exits_65")),
+    Mutant("config.py", "if not is_number(value):", "if False:",
+           ("tests/test_scenario.py::TestSweep::test_a_value_of_the_wrong_type_is_a_config_error",)),
+    Mutant("analysis.py", "tail_pp >= 0.9 * mid_pp", "tail_pp > 0.9 * mid_pp",
+           (CLASSIFY_ORACLE,)),
+    Mutant("analysis.py", "final_error < tol_conv and", "final_error <= tol_conv and",
+           (CLASSIFY_ORACLE,)),
+    Mutant("analysis.py", "tail = x[t >= traj.t_end - window]",
+           "tail = x[t > traj.t_end - window]", (CLASSIFY_ORACLE,)),
+    Mutant("analysis.py", "t[idx_last_outside + 1]", "t[idx_last_outside]",
+           (CLASSIFY_ORACLE, "tests/test_scenario.py::test_run_report_lines")),
+    Mutant("dde.py", "if x_min < x_stage < x_max:\n                f = h * xd_tau4",
+           "if c0 - slope_g * xd_t4 > 0.0 and x_min < x_stage < x_max:\n"
+           "                f = h * xd_tau4",
+           ("tests/test_dde.py::TestFusedStepMatchesReference",
+            "tests/test_dde.py::test_loop_matches_reference_on_random_inputs"),
+           equivalent="the grid read's capacity is g at a recorded rate, and every recorded "
+                      "rate has g(x) > 0: the slope at t = 0 checks g(init_x), an interior "
+                      "record lies below x_hi, the least float with g <= 0, and a projected "
+                      "record passes capacity(); so the test is always true"),
+)
+
+
+def _copy() -> Path:
+    root = Path(tempfile.mkdtemp(prefix="ratelab-mutant-"))
+    for name in COPIED:
+        src = REPO / name
+        if src.is_dir():
+            shutil.copytree(src, root / name,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis"))
+        else:
+            shutil.copy2(src, root / name)
+    return root
+
+
+def _pytest(root: Path, tests) -> int:
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=False,
+    ).returncode
+
+
+def run(rows) -> list[str]:
+    """Run the ledger's ``rows`` (indices); return one line per problem."""
+    problems = []
+    root = _copy()
+    try:
+        named = sorted({t for i in rows for t in LEDGER[i].tests})
+        if _pytest(root, named) != 0:
+            return ["the unchanged copy fails the named tests: " + " ".join(named)]
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    for i in rows:
+        m = LEDGER[i]
+        start = time.perf_counter()
+        root = _copy()
+        try:
+            path = root / "src" / "ratelab" / m.file
+            text = path.read_text(encoding="utf-8")
+            if text.count(m.old) != 1:
+                problems.append(f"row {i}: {m.old!r} occurs {text.count(m.old)} times in {m.file}")
+                continue
+            path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            code = _pytest(root, m.tests)
+        finally:
+            shutil.rmtree(root, ignore_errors=True)
+        expected = 0 if m.equivalent else 1
+        outcome = {0: "survived", 1: "killed"}.get(code, f"pytest exit {code}")
+        print(f"row {i}: {m.file}: {m.old.splitlines()[0]!r} -> {m.new.splitlines()[0]!r}: "
+              f"{outcome} ({time.perf_counter() - start:.1f} s)"
+              + (" [equivalent]" if m.equivalent else ""), flush=True)
+        if code != expected:
+            problems.append(f"row {i}: {outcome}, expected "
+                            + ("to survive (equivalent)" if m.equivalent else "to be killed"))
+    return problems
+
+
+def main(argv) -> int:
+    rows = [int(a) for a in argv] or range(len(LEDGER))
+    problems = run(rows)
+    for line in problems:
+        print(line, file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

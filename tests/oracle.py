@@ -5,9 +5,13 @@
 messages; the sweep summary rules that ``scenario.format_sweep_summary``
 must match line for line; the numpy tick rule that ``svgplot._ticks``
 must match bit for bit; the bisection, with the residual as a nested
-function, that ``analysis.solve_equilibrium`` must match bit for bit; and
-the edit that turns a config back into a file's key values, which
-``config.apply_params`` must match in its configs, error types and messages."""
+function, that ``analysis.solve_equilibrium`` must match bit for bit; the
+edit that turns a config back into a file's key values, which
+``config.apply_params`` must match in its configs, error types and
+messages; the run labels, in plain loops over the samples, that
+``analysis.classify`` must match bit for bit; and the rate map of the
+delay equation's large-delay limit with its 2-cycles, which have no
+counterpart in ``src/`` yet."""
 
 import math
 
@@ -15,11 +19,15 @@ import numpy as np
 
 from ratelab.analysis import (
     CERTIFIED,
+    CONVERGED,
     EPS_BAND_REL,
     HARD,
     OSCILLATING,
+    SATURATED,
+    UNDETERMINED,
     WARNING,
     AssumptionViolation,
+    Classification,
 )
 from ratelab.config import AFFINE, FIELDS, ScenarioConfig, build_config, config_values
 from ratelab.dde import _require_positive
@@ -202,7 +210,7 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
         x_star = lo
     elif f_hi == 0.0:
         x_star = hi
-    elif f_lo * f_hi > 0:
+    elif not f_lo > 0 > f_hi:  # f falls in x: the only bracket is f(x_min) > 0 > f(x_max)
         raise EquilibriumBracketError(
             f"no sign change of the equilibrium residual on [{lo}, {hi}] "
             f"(f({lo}) = {f_lo:.3g}, f({hi}) = {f_hi:.3g})"
@@ -213,10 +221,10 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
             if f_mid == 0.0:
                 lo = hi = mid
                 break
-            if (f_lo > 0) == (f_mid > 0):
-                lo, f_lo = mid, f_mid
+            if f_mid > 0:
+                lo = mid
             else:
-                hi, f_hi = mid, f_mid
+                hi = mid
             if hi - lo < 1e-15 * (0.5 * (lo + hi)):
                 break
         x_star = 0.5 * (lo + hi)
@@ -250,3 +258,93 @@ def apply_params(cfg: ScenarioConfig, changes: dict) -> ScenarioConfig:
         values["intercept" if key == "level" else key] = value
         where.append(f"{key} = {value}")
     return build_config(values, ", ".join(where), cfg.name)
+
+
+def classify(traj, eq: Equilibrium, tol_conv: float = 1e-2, tol_osc: float = 0.1,
+             tail_fraction: float = 0.2) -> Classification:
+    """The run's label from plain loops over the samples.
+
+    A run shorter than 10*tau (less a slack of 1e-9 of a step) is
+    Undetermined.  Otherwise the tail is every sample at or after
+    t_end - tail_fraction*t_end, and the mid-run window every sample in
+    [mid_lo, mid_lo + window] with mid_lo = (t_end - window)/2.  Converged:
+    the final error and the tail's peak-to-peak both below tol_conv.
+    Oscillating: the tail's peak-to-peak above tol_osc and at least 0.9 times
+    the mid-run one.  Saturated: a flat tail on x_min or x_max.  The settling
+    time is that of the sample after the last one at least tol_conv from x*:
+    None if that is the last sample, 0.0 if there is none."""
+    if not (0 < tail_fraction <= 0.5):
+        raise ModelDomainError(f"tail_fraction must be in (0, 0.5], got {tail_fraction}")
+    ts, xs = [float(v) for v in traj.t], [float(v) for v in traj.x]
+    horizon = traj.t_end
+    final_error = abs(xs[-1] - eq.x_star)
+    if horizon < 10.0 * traj.params.tau - 1e-9 * traj.step:
+        return Classification(UNDETERMINED, final_error, max(xs) - min(xs), None)
+    window = tail_fraction * horizon
+    mid_lo = 0.5 * (horizon - window)
+    tail, mid = [], []
+    for t, x in zip(ts, xs):
+        if t >= horizon - window:
+            tail.append(x)
+        if mid_lo <= t <= mid_lo + window:
+            mid.append(x)
+    if not (tail and mid):
+        raise ModelDomainError(
+            f"tail_fraction = {tail_fraction} leaves a window of {window:.6g} with no "
+            f"sample on the step {traj.step:.6g} grid"
+        )
+    tail_pp = max(tail) - min(tail)
+    mid_pp = max(mid) - min(mid)
+    last_outside = None
+    for i, x in enumerate(xs):
+        if abs(x - eq.x_star) >= tol_conv:
+            last_outside = i
+    if last_outside is None:
+        settling = 0.0
+    elif last_outside == len(xs) - 1:
+        settling = None
+    else:
+        settling = ts[last_outside + 1]
+    if final_error < tol_conv and tail_pp < tol_conv:
+        kind = CONVERGED
+    elif tail_pp > tol_osc and tail_pp >= 0.9 * mid_pp:
+        kind = OSCILLATING
+    elif tail_pp == 0.0 and tail[-1] in (traj.params.x_min, traj.params.x_max):
+        kind = SATURATED
+    else:
+        kind = UNDETERMINED
+    return Classification(kind, final_error, tail_pp, settling)
+
+
+def rate_map(y: float, p: ModelParams, law: CapacityLaw) -> float:
+    """m(y) = F(y, y)**(-1/a) with F(u, v) = h*u**(b+1)*g(v)**-b: the rate at
+    which x**-a balances a price flow held at the constant history y, so the
+    rate one delay later when kappa*tau is large.  NaN where g(y) <= 0."""
+    c = law.value(y)
+    if not c > 0:
+        return math.nan
+    return (p.h_gain * y ** (p.b + 1.0) * c ** -p.b) ** (-1.0 / p.a)
+
+
+def two_cycle(p: ModelParams, law: CapacityLaw, x_star: float, nodes: int = 4000):
+    """The 2-cycle {y, m(y)} of :func:`rate_map` with the least y in
+    [x_min, x_star), or None: m(m(y)) - y is scanned at the nodes
+    x_star - (x_star - x_min)*0.99**i, which crowd toward x_star, and its
+    first sign change between defined values is bisected to adjacent floats."""
+    def gap(y):
+        return rate_map(rate_map(y, p, law), p, law) - y
+
+    prev_y, prev_g = None, math.nan
+    for i in range(nodes):
+        y = x_star - (x_star - p.x_min) * 0.99 ** i
+        g = gap(y)
+        if not math.isnan(prev_g) and not math.isnan(g) and (prev_g > 0) != (g > 0):
+            lo, hi, g_lo = prev_y, y, prev_g
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if (gap(mid) > 0) == (g_lo > 0):
+                    lo = mid
+                else:
+                    hi = mid
+            return lo, rate_map(lo, p, law)
+        prev_y, prev_g = y, g
+    return None

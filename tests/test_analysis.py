@@ -23,14 +23,18 @@ from ratelab import (
     ModelParams,
     check_stability,
     classify,
+    integrate,
     lyapunov_values,
     solve_equilibrium,
 )
 from ratelab import analysis, dde
 from ratelab.analysis import margin_kernel
 from ratelab.config import apply_param, load_scenario
+from ratelab.model import Equilibrium
 from ratelab.scenario import _execute
 from conftest import BASE_LAW, base_params, synthetic_trajectory
+from oracle import classify as reference_classify
+from oracle import rate_map, two_cycle
 from oracle import solve_equilibrium as reference_equilibrium
 from oracle import stability_margin as reference_margin
 from oracle import validate_assumptions as reference_assumptions
@@ -79,6 +83,16 @@ class TestSolveEquilibrium:
         p = base_params(0.8, x_min=1.0)
         with pytest.raises(EquilibriumBracketError, match="sign change"):
             solve_equilibrium(p, CapacityLaw(0.5))
+
+    def test_tiny_ends_of_one_sign_are_no_bracket(self):
+        # f(x_min) = f(x_max) = 1e-200, whose product underflows to 0.0: no
+        # sign change, though a product test would bisect it to x_max
+        p = ModelParams(kappa=1.0, a=1.0, b=1.0, tau=1.0, T_delay=1.0, h_gain=1.0,
+                        x_min=1e-120, x_max=2e-120)
+        message = (r"^no sign change of the equilibrium residual on \[1e-120, 2e-120\] "
+                   r"\(f\(1e-120\) = 1e-200, f\(2e-120\) = 1e-200\)$")
+        with pytest.raises(EquilibriumBracketError, match=message):
+            solve_equilibrium(p, CapacityLaw(1e-200))
 
     def test_deterministic(self):
         p = base_params(0.37)
@@ -633,6 +647,11 @@ def equilibrium_inputs(draw):
     BASE_LAW,
 ))
 @example(inputs=(base_params(0.8, x_min=1.0), CapacityLaw(0.5)))  # no sign change
+@example(inputs=(  # ends of one sign whose product underflows to 0.0
+    ModelParams(kappa=1.0, a=1.0, b=1.0, tau=1.0, T_delay=1.0, h_gain=1.0,
+                x_min=1e-120, x_max=2e-120),
+    CapacityLaw(1e-200),
+))
 @example(inputs=(  # the root rounds onto g's root, x_star = 1
     ModelParams(kappa=1.0, a=1.0, b=0.1, tau=3.0, T_delay=2.0, h_gain=0.01,
                 x_min=0.1, x_max=10.0),
@@ -968,3 +987,141 @@ class TestClassify:
             tol_osc=0.03 * scale,
         )
         assert scaled.kind == base.kind
+
+
+@st.composite
+def classify_inputs(draw):
+    """A synthetic run on a dyadic grid (exact sample times), an equilibrium
+    and classify's tolerances, with exact ties drawn often: a final error
+    equal to tol_conv, a tail peak-to-peak equal to 0.9 times the mid-run
+    one, and a tail window that starts on a sample (a dyadic tail fraction
+    of a horizon of 8k steps) whose first sample is the tail's extreme."""
+    p = base_params(0.2, x_min=0.5, x_max=2.0)
+    step = draw(st.sampled_from([1.0, 0.5, 0.25]))
+    n = 8 * draw(st.integers(1, 30))  # horizons from 2 to 240, some under 10*tau
+    t = step * np.arange(n + 1)
+    tail_fraction = draw(st.one_of(st.sampled_from([0.125, 0.25, 0.5]), st.floats(0.05, 0.5)))
+    pool = draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=4)) + [p.x_min, p.x_max]
+    x = np.array([pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
+                                                  min_size=n + 1, max_size=n + 1))])
+    window = tail_fraction * t[-1]
+    tail = t >= t[-1] - window
+    mid_lo = 0.5 * (t[-1] - window)
+    mid = (t >= mid_lo) & (t <= mid_lo + window)
+    x_star = draw(st.sampled_from(pool))
+    tol_osc = draw(st.floats(0.01, 1.0))
+    if draw(st.booleans()):  # a flat tail
+        x[tail] = draw(st.sampled_from(pool))
+    if tail_fraction <= 0.25 and draw(st.booleans()):
+        # tail peak-to-peak 0.9 * mid-run peak-to-peak exactly: 2v - v is v
+        mid_pp = draw(st.floats(0.05, 0.5))
+        x[mid] = np.where(np.arange(mid.sum()) % 2, 2.0 * mid_pp, mid_pp)
+        tail_pp = 0.9 * mid_pp
+        x[tail] = np.where(np.arange(tail.sum()) % 2, 2.0 * tail_pp, tail_pp)
+        tol_osc = draw(st.floats(0.0, tail_pp, exclude_max=True))
+    if draw(st.booleans()):  # the tail's first sample is its extreme
+        x[np.argmax(tail)] = draw(st.sampled_from([0.25, 4.0]))
+    final_error = abs(x[-1] - x_star)
+    if final_error > 0.0 and draw(st.booleans()):
+        tol_conv = float(final_error)
+    else:
+        tol_conv = draw(st.floats(1e-3, 1.0))
+    traj = synthetic_trajectory(t, x, p)
+    eq = Equilibrium(x_star, BASE_LAW.value(x_star), 0.0)
+    return traj, eq, tol_conv, tol_osc, tail_fraction
+
+
+def _classify_outcome(fn, inputs):
+    try:
+        return fn(*inputs)
+    except ModelDomainError as exc:
+        return type(exc), str(exc)
+
+
+def _classify_example(x_of_t, tol_conv=1e-2):
+    """A 64 s run on a 1 s grid around x* = 1 with tol_osc 0.1 and a tail
+    fraction of 0.25: the tail is t >= 48 and the mid-run window [24, 40]."""
+    t = np.arange(0.0, 64.5, 1.0)
+    traj = synthetic_trajectory(t, np.array([x_of_t(v) for v in t]),
+                                base_params(0.2, x_min=0.5, x_max=2.0))
+    return traj, Equilibrium(1.0, BASE_LAW.value(1.0), 0.0), tol_conv, 0.1, 0.25
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=classify_inputs())
+# tail peak-to-peak 0.9 * 0.2 (Oscillating on the tie), a final error of
+# 0.25 with tol_conv 0.25 (not Converged), and a tail whose first sample,
+# at t = 48, alone sets its peak-to-peak
+@example(inputs=_classify_example(lambda t: (1.0 + t % 2) * (0.9 * 0.2 if t >= 48 else 0.2)))
+@example(inputs=_classify_example(lambda t: 1.25 if t >= 48 else 1.0, tol_conv=0.25))
+@example(inputs=_classify_example(lambda t: 1.5 if t == 48 else 1.0))
+def test_classify_matches_plain_loop_oracle(inputs):
+    # every label, figure and settling time reads as the loops over the
+    # samples, exact ties at each of the rules' boundaries included
+    expected = _classify_outcome(reference_classify, inputs)
+    event(getattr(expected, "kind", "error"))
+    assert _classify_outcome(classify, inputs) == expected
+
+
+class TestRateMapTwoCycle:
+    """The rate map m(y) = F(y, y)**(-1/a) on fig2's law with a = 1.5 and
+    h = 1: its unstable 2-cycle, and the delay equation following it at
+    large kappa*tau."""
+
+    @staticmethod
+    def cycle(b):
+        p = base_params(b)
+        x_star = solve_equilibrium(p, BASE_LAW).x_star
+        return two_cycle(p, BASE_LAW, x_star), x_star
+
+    @pytest.mark.parametrize("b, lower, upper", [
+        (0.3795, 0.97089, 1.46190),
+        (0.379813, 1.00000, 1.42052),  # the invariant box's boundary from init_x = 1
+        (0.38, 1.02049, 1.39268),
+        (0.3806, 1.13166, 1.25786),
+    ])
+    def test_pinned_cycles(self, b, lower, upper):
+        (y, m_y), _ = self.cycle(b)
+        assert (round(y, 5), round(m_y, 5)) == (lower, upper)
+        assert rate_map(m_y, base_params(b), BASE_LAW) == pytest.approx(y, rel=1e-12)
+
+    def test_cycle_closes_onto_x_star_where_a_equals_b_plus_c(self):
+        # A = B + C is where the margin's limit at x* vanishes (|m'(x*)| = 1);
+        # below it the cycle's width falls like sqrt(b_c - b), a subcritical flip
+        def local_gap(b):  # A - B - C with h = 1 and g' = -1
+            a, xs, cs = 1.5, *solve_equilibrium(base_params(b), BASE_LAW)[:2]
+            return (a * xs ** -(a + 1.0) - (b + 1.0) * xs ** b * cs ** -b
+                    - b * xs ** (b + 1.0) * cs ** -(b + 1.0))
+
+        lo, hi = 0.38, 0.382
+        assert local_gap(lo) > 0.0 > local_gap(hi)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if local_gap(mid) > 0.0 else (lo, mid)
+        assert round(lo, 4) == 0.3807
+        widths = []
+        for gap in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+            (y, m_y), x_star = self.cycle(lo - gap)
+            assert y < x_star < m_y
+            widths.append(m_y - y)
+        ratios = [w0 / w1 for w0, w1 in zip(widths, widths[1:])]
+        assert all(3.0 < r < 3.3 for r in ratios)  # sqrt(10) per decade
+        assert widths[-1] < 5e-3
+
+    def test_histories_either_side_of_the_cycle_part_at_large_kappa_tau(self):
+        # b = 0.37, tau = T = 40 and kappa = 10: kappa*tau = 400.  A constant
+        # history just below the cycle's lower point drifts away from x*, one
+        # just above drifts toward it; read the extremes of each 2*tau window
+        (y, _), x_star = self.cycle(0.37)
+        assert round(y, 4) == 0.6456
+        p = base_params(0.37, kappa=10.0, tau=40.0, T_delay=40.0)
+        k = 2000  # samples per window of 2*tau at step 0.04
+        for factor, away in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
+            x = integrate(p, BASE_LAW, y * factor, 10 * 80.0, 0.04).x
+            lows = [x[i * k:(i + 1) * k].min() for i in range(10)]
+            highs = [x[i * k:(i + 1) * k].max() for i in range(10)]
+            assert all(h > x_star > lw for lw, h in zip(lows, highs))
+            steps_low, steps_high = np.diff(lows), np.diff(highs)
+            if away:
+                assert np.all(steps_low < 0.0) and np.all(steps_high > 0.0)
+            else:
+                assert np.all(steps_low > 0.0) and np.all(steps_high < 0.0)

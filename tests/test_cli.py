@@ -378,6 +378,21 @@ def test_non_finite_t_end_is_config_error(fig2_path, tmp_path):
     assert main(["run", str(fig2_path), "--t-end", "inf", "--out", str(tmp_path / "o")]) == 65
 
 
+def test_tiny_residual_of_one_sign_exits_65(tmp_path):
+    # the equilibrium residual is 1e-200 at both rate bounds: no bracket,
+    # where a product of the two (0.0) bisected it and run and check failed later
+    path = tmp_path / "tiny.scenario"
+    path.write_text("[model]\nkappa = 1\na = 1\nb = 1\ntau = 1\nT = 1\nx_min = 1e-120\n"
+                    "x_max = 2e-120\n[capacity]\nkind = constant\nlevel = 1e-200\n"
+                    "[run]\ninit_x = 1.5e-120\nt_end = 20\nstep = 0.01\n", encoding="utf-8")
+    message = ("error[config]: no sign change of the equilibrium residual on [1e-120, 2e-120] "
+               "(f(1e-120) = 1e-200, f(2e-120) = 1e-200)\n")
+    for argv in (["run", path, "--out", tmp_path / "o"], ["check", path]):
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stderr) == (65, message)
+    assert not (tmp_path / "o").exists()
+
+
 def test_step_ceiling_exits_65(fig2_path, tmp_path):
     out = tmp_path / "o"
     # 1.75e308 / step overflows to inf, which the ceiling refuses before rounding

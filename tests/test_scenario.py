@@ -20,6 +20,7 @@ from ratelab import (
     UNDETERMINED,
     ConfigError,
     IntegrationDivergedError,
+    ModelDomainError,
     RatelabError,
     check_stability,
     load_scenario,
@@ -584,6 +585,39 @@ class TestSweep:
         row = sweep(long_cfg, "tau", [2.015], out_dir=tmp_path).rows[0]
         assert row.status == "error" and "ceiling" in row.message
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("t_end", "auto", "[run] key 't_end' must be a number, got 'auto'"),
+        ("grid_n", "auto", "[analysis] key 'grid_n' must be a number, got 'auto'"),
+        ("init_x", (0.9, 1.2), "[run] key 'init_x' must be a number, got (0.9, 1.2)"),
+        ("margin_range", 1.0,
+         "[analysis] key 'margin_range' must be 'auto' or a pair of numbers, got 1.0"),
+        ("intercept", "5", "[capacity] key 'intercept' must be a number, got '5'"),
+        ("tol_conv", None, "[analysis] key 'tol_conv' must be a number, got None"),
+        ("b", True, "[model] key 'b' must be a number, got True"),
+        ("t_end", 2 ** 1024, f"[run] key 't_end' must be finite, got {2 ** 1024}"),
+    ], ids=["t_end", "grid_n", "init_x", "margin_range", "intercept", "tol_conv", "b", "t_end-int"])
+    def test_a_value_of_the_wrong_type_is_a_config_error(self, fig2_path, key, value, message):
+        # both routes refuse it in one check, naming the key and the value's repr
+        cfg = load_scenario(fig2_path)
+        with pytest.raises(ConfigError) as edit:
+            apply_param(cfg, key, value)
+        assert str(edit.value) == f"{key} = {value}: {message}"
+        values = {**config.config_values(cfg), key: value}
+        with pytest.raises(ConfigError) as built:
+            build_config(values, "here", "fig2")
+        assert str(built.value) == f"here: {message}"
+
+    @pytest.mark.parametrize("record, kwargs", [
+        (CapacityLaw, {"c0": "5"}), (CapacityLaw, {"c0": True}),
+        (CapacityLaw, {"c0": 5.0, "slope": False}),
+        (ModelParams, {"kappa": 1.0, "a": 1.5, "b": True, "tau": 3.0, "T_delay": 2.0}),
+        (ModelParams, {"kappa": 1.0, "a": 1.5, "b": 0.2, "tau": 3.0, "T_delay": 2.0,
+                       "x_min": True}),
+    ], ids=["c0-str", "c0-bool", "slope-bool", "b-bool", "x_min-bool"])
+    def test_records_refuse_a_bool_or_a_string(self, record, kwargs):
+        with pytest.raises(ModelDomainError):
+            record(**kwargs)
+
     def test_apply_param_constant_law(self, tmp_path):
         text = MINIMAL.replace(
             "kind = affine\nintercept = 5.0\nslope = 1.0", "kind = constant\nlevel = 4.0"
@@ -634,7 +668,8 @@ def test_run_report_lines(request, result, lines):
 # not a key; values that each check refuses, and values that pass.
 _EDIT_KEYS = [f.key for f in FIELDS if f.key != "kind"] + ["T_delay"]
 _EDIT_VALUES = [0, 0.0, -1, -0.5, math.nan, math.inf, -math.inf, 1, 2, 3, 16, 256, 0.007, 0.01,
-                0.2, 0.5, 1.0, 1.5, 2.0, 2.015, 2.5, 3.0, 4.5, 200.0, 1e9, (0.9, 1.2), "auto"]
+                0.2, 0.5, 1.0, 1.5, 2.0, 2.015, 2.5, 3.0, 4.5, 200.0, 1e9, (0.9, 1.2), "auto",
+                True, None, "5", 2 ** 1024]
 _EDIT_BASES = {
     "fig2": load_scenario(SCENARIOS / "fig2.scenario"),
     "constant": build_config({"kappa": 1.0, "a": 1.5, "b": 0.2, "tau": 3.0, "T": 2.0,
