@@ -14,14 +14,14 @@ where a package error's ``error[<tag>]`` line and code are set by its type.
 import argparse
 import sys
 
-from .analysis import check_stability, solve_equilibrium
+from .analysis import solve_equilibrium
 from .config import SWEEPABLE, apply_params, load_scenario
 from .errors import RatelabError
 from .scenario import (
     EXIT_CODES,
-    auto_margin_range,
     format_report,
     format_sweep_summary,
+    margin_report,
     run_scenario,
     sweep,
     write_outputs,
@@ -112,9 +112,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = load_scenario(args.scenario)
-    eq = solve_equilibrium(cfg.params, cfg.law)
-    x_range = cfg.margin_range or auto_margin_range(cfg, None, eq.x_star)
-    report = check_stability(cfg.params, cfg.law, x_range, cfg.grid_n)
+    report = margin_report(cfg, solve_equilibrium(cfg.params, cfg.law))
     text = format_report(cfg, report)
     sys.stdout.write(text)
     if args.out is not None:

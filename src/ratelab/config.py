@@ -9,12 +9,11 @@ are integer multiples of it.
 
 import configparser
 import math
-import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, RatelabError
-from .model import DELAY_MULTIPLE_RTOL, CapacityLaw, ModelParams, is_number
+from .model import DELAY_MULTIPLE_RTOL, FLOAT_MAX, CapacityLaw, ModelParams, is_number
 
 # The two spellings of a capacity law in a scenario file: [capacity] kind.
 # A constant law, g(x) = level, is the affine law with slope 0.
@@ -28,8 +27,6 @@ MAX_STEPS = 10_000_000
 SWEEPABLE = ("a", "b", "kappa", "tau", "T", "intercept", "slope")
 
 REQUIRED = object()  # Field.default of a key without a default
-
-_FLOAT_MAX = sys.float_info.max
 
 
 def _parse_range(text: str):
@@ -117,7 +114,7 @@ def snap_step(step: float, tau: float, t_delay: float) -> float:
     delays are treated as incommensurable rather than silently exploding the
     grid or the search.
     """
-    if not (math.isfinite(step) and step > 0):
+    if not 0 < step <= FLOAT_MAX:
         raise ConfigError(f"step must be positive, got {step}")
     if tau / step > MAX_STEPS:
         raise ConfigError(
@@ -138,7 +135,7 @@ def snap_step(step: float, tau: float, t_delay: float) -> float:
     )
 
 
-def _check_value(f: Field, value, where: str):
+def _check_value(f: Field, value):
     """``value`` for the key ``f``, refused unless a number key's value is an
     int or a float (never a bool) within the float range and margin_range's
     is 'auto' or a tuple of two numbers; ``kind`` and a key left out
@@ -146,16 +143,21 @@ def _check_value(f: Field, value, where: str):
     if f.parse is _parse_range:
         if not ((isinstance(value, str) and value == "auto")
                 or (type(value) is tuple and len(value) == 2 and all(map(is_number, value)))):
-            raise ConfigError(f"{where}: [{f.section}] key '{f.key}' must be 'auto' or a pair "
+            raise ConfigError(f"[{f.section}] key '{f.key}' must be 'auto' or a pair "
                               f"of numbers, got {value!r}")
     elif f.parse is float and value is not REQUIRED:
         if not is_number(value):
-            raise ConfigError(f"{where}: [{f.section}] key '{f.key}' must be a number, "
-                              f"got {value!r}")
-        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # NaN, inf or an int past the float range
-            raise ConfigError(f"{where}: [{f.section}] key '{f.key}' must be finite, "
-                              f"got {value!r}")
+            raise ConfigError(f"[{f.section}] key '{f.key}' must be a number, got {value!r}")
+        if not -FLOAT_MAX <= value <= FLOAT_MAX:  # NaN, inf or an int past the float range
+            raise ConfigError(f"[{f.section}] key '{f.key}' must be finite, got {value!r}")
     return value
+
+
+def _located(exc: RatelabError, where: str) -> ConfigError:
+    """``exc`` as a config error at ``where``; a record's refusal (any error but
+    a ConfigError) reads as an invalid value."""
+    invalid = "" if isinstance(exc, ConfigError) else "invalid: "
+    return ConfigError(f"{where}: {invalid}{exc}")
 
 
 def build_config(values: dict, where: str, name: str) -> ScenarioConfig:
@@ -163,80 +165,70 @@ def build_config(values: dict, where: str, name: str) -> ScenarioConfig:
 
     Missing keys take their FIELDS defaults.  Scenario files come through
     here, and CLI overrides and sweep values share its checks through
-    :func:`_assemble`; ``where`` prefixes the error messages.
+    :func:`_assemble`; ``where`` locates the errors (:func:`_located`).
     """
     kind = values.get("kind")
     v = {}
-    for f in FIELDS:
-        value = v[f.key] = values.get(f.key, f.default)
-        if value is REQUIRED and (f.kind is None or f.kind == kind):
-            raise ConfigError(f"{where}: missing required key '{f.key}' in [{f.section}]")
-        _check_value(f, value, where)
     try:
+        for f in FIELDS:
+            value = v[f.key] = values.get(f.key, f.default)
+            if value is REQUIRED and (f.kind is None or f.kind == kind):
+                raise ConfigError(f"missing required key '{f.key}' in [{f.section}]")
+            _check_value(f, value)
         params = ModelParams(*(v[key] for key in _MODEL_KEYS))
         if kind not in (AFFINE, CONSTANT):
-            raise ConfigError(f"unknown capacity law kind {kind!r}")
+            raise ConfigError(f"invalid: unknown capacity law kind {kind!r}")
         law = CapacityLaw(v["intercept"], v["slope"]) if kind == AFFINE else CapacityLaw(v["level"])
+        return _assemble(params, law, v, name)
     except RatelabError as exc:
-        raise ConfigError(f"{where}: invalid: {exc}") from exc
-    return _assemble(params, law, v, where, name)
+        raise _located(exc, where) from exc
 
 
-def _assemble(params, law, v: dict, where: str, name: str, step=None) -> ScenarioConfig:
+def _assemble(params, law, v: dict, name: str, step=None) -> ScenarioConfig:
     """The checks across records and keys, then the config: ``v`` holds the run
     and analysis keys' values, and a given ``step`` is their snapped step."""
     # x_min > 0, so the bounds also keep init_x positive
     if not params.x_min <= v["init_x"] <= params.x_max:
-        raise ConfigError(
-            f"{where}: [run] init_x = {v['init_x']} outside rate bounds "
-            f"[{params.x_min}, {params.x_max}]"
-        )
+        raise ConfigError(f"[run] init_x = {v['init_x']} outside rate bounds "
+                          f"[{params.x_min}, {params.x_max}]")
     if not v["t_end"] > 0:
-        raise ConfigError(f"{where}: [run] t_end must be positive, got {v['t_end']}")
+        raise ConfigError(f"[run] t_end must be positive, got {v['t_end']}")
     try:
         step = step or snap_step(v["step"], params.tau, params.T_delay)
     except ConfigError as exc:
-        raise ConfigError(f"{where}: [run] {exc}") from exc
+        raise ConfigError(f"[run] {exc}") from exc
     if v["t_end"] / step > MAX_STEPS:  # before round(), which refuses an infinite count
-        raise ConfigError(
-            f"{where}: [run] t_end / step = {v['t_end'] / step:.4g} steps exceeds "
-            f"the ceiling of {MAX_STEPS}"
-        )
+        raise ConfigError(f"[run] t_end / step = {v['t_end'] / step:.4g} steps exceeds "
+                          f"the ceiling of {MAX_STEPS}")
     n_steps = round(v["t_end"] / step)  # integrate's own count of steps
     if n_steps < 1:
-        raise ConfigError(f"{where}: [run] t_end = {v['t_end']} shorter than one step {step}")
+        raise ConfigError(f"[run] t_end = {v['t_end']} shorter than one step {step}")
 
     margin_range = v["margin_range"]
     if margin_range == "auto":
         margin_range = None
     elif not params.x_min <= margin_range[0] < margin_range[1] <= params.x_max:
-        raise ConfigError(
-            f"{where}: [analysis] margin_range [{margin_range[0]}, {margin_range[1]}] "
-            f"must be increasing and inside the rate bounds"
-        )
+        raise ConfigError(f"[analysis] margin_range [{margin_range[0]}, {margin_range[1]}] "
+                          "must be increasing and inside the rate bounds")
     elif not law.value(margin_range[1]) > 0:  # g decreases: the upper end is lowest
-        raise ConfigError(
-            f"{where}: [analysis] margin_range [{margin_range[0]}, {margin_range[1]}] "
-            f"reaches the capacity root: g({margin_range[1]}) = {law.value(margin_range[1])} <= 0"
-        )
+        raise ConfigError(f"[analysis] margin_range [{margin_range[0]}, {margin_range[1]}] "
+                          f"reaches the capacity root: g({margin_range[1]}) = "
+                          f"{law.value(margin_range[1])} <= 0")
     grid_n = int(v["grid_n"])
     if not (grid_n == v["grid_n"] and 16 <= grid_n <= MAX_STEPS):
-        raise ConfigError(f"{where}: [analysis] grid_n must be a whole number in "
-                          f"[16, {MAX_STEPS}], got {v['grid_n']!r}")
+        raise ConfigError(f"[analysis] grid_n must be a whole number in [16, {MAX_STEPS}], "
+                          f"got {v['grid_n']!r}")
     if not (v["tol_conv"] > 0 and v["tol_osc"] > 0):
-        raise ConfigError(f"{where}: [analysis] tolerances must be positive")
+        raise ConfigError("[analysis] tolerances must be positive")
     if not 0 < v["tail_fraction"] <= 0.5:
-        raise ConfigError(
-            f"{where}: [analysis] tail_fraction must be in (0, 0.5], got {v['tail_fraction']}"
-        )
+        raise ConfigError(f"[analysis] tail_fraction must be in (0, 0.5], got {v['tail_fraction']}")
     # classify's tail and mid-run windows span tail_fraction of the horizon
     # integrate covers; one narrower than a step can fall between two samples
     window = v["tail_fraction"] * (step * n_steps)
     if window < step:
-        raise ConfigError(
-            f"{where}: [analysis] tail_fraction = {v['tail_fraction']} leaves a window of "
-            f"{window:.6g} over the {step * n_steps:g} horizon, shorter than one step {step}"
-        )
+        raise ConfigError(f"[analysis] tail_fraction = {v['tail_fraction']} leaves a window of "
+                          f"{window:.6g} over the {step * n_steps:g} horizon, shorter than one "
+                          f"step {step}")
 
     return ScenarioConfig(params, law, v["init_x"], v["t_end"], step, v["step"], margin_range,
                           grid_n, v["tol_conv"], v["tol_osc"], v["tail_fraction"], name)
@@ -308,7 +300,6 @@ def apply_params(cfg: ScenarioConfig, changes: dict) -> ScenarioConfig:
     for key in changes:
         if key not in _FIELD_INDEX:
             raise ConfigError(f"unknown scenario key {key!r}")
-    where = ", ".join(f"{key} = {value}" for key, value in changes.items())
     # the affine form holds every law: level is checked and reported as intercept
     new = {"intercept" if key == "level" else key: value for key, value in changes.items()}
     v = {"init_x": cfg.init_x, "t_end": cfg.t_end, "step": cfg.step_requested,
@@ -316,16 +307,17 @@ def apply_params(cfg: ScenarioConfig, changes: dict) -> ScenarioConfig:
          "tol_conv": cfg.tol_conv, "tol_osc": cfg.tol_osc, "tail_fraction": cfg.tail_fraction}
     model, capacity = {}, {}
     edits = {"model": model, "capacity": capacity, "run": v, "analysis": v}
-    for i in sorted(map(_FIELD_INDEX.get, new)):  # in FIELDS order
-        f = FIELDS[i]
-        edits[f.section][_RECORD_FIELD.get(f.key, f.key)] = _check_value(f, new[f.key], where)
     try:
+        for i in sorted(map(_FIELD_INDEX.get, new)):  # in FIELDS order
+            f = FIELDS[i]
+            edits[f.section][_RECORD_FIELD.get(f.key, f.key)] = _check_value(f, new[f.key])
         params = cfg.params._replace(**model) if model else cfg.params
         law = cfg.law._replace(**capacity) if capacity else cfg.law
+        step = cfg.step if new.keys().isdisjoint(("step", "tau", "T")) else None  # same snap
+        return _assemble(params, law, v, cfg.name, step)
     except RatelabError as exc:
-        raise ConfigError(f"{where}: invalid: {exc}") from exc
-    step = cfg.step if new.keys().isdisjoint(("step", "tau", "T")) else None  # inputs unchanged
-    return _assemble(params, law, v, where, cfg.name, step)
+        where = ", ".join(f"{key} = {value}" for key, value in changes.items())
+        raise _located(exc, where) from exc
 
 
 def _fmt(v: float) -> str:

@@ -17,7 +17,7 @@ from itertools import cycle, islice
 from typing import NamedTuple
 
 from .errors import IntegrationDivergedError, ModelDomainError
-from .model import DELAY_MULTIPLE_RTOL, CapacityLaw, ModelParams, capacity
+from .model import DELAY_MULTIPLE_RTOL, FLOAT_MAX, CapacityLaw, ModelParams, capacity
 
 # Exact-hit snap tolerance for time queries, as a fraction of the step.
 GRID_SNAP = 1e-12
@@ -198,13 +198,13 @@ def integrate(
     Two runs with identical inputs produce bit-identical trajectories: the
     loop is sequential pure-float arithmetic with no ambient state.
     """
-    if not (math.isfinite(t_end) and t_end > 0):
+    if not 0 < t_end <= FLOAT_MAX:
         raise ModelDomainError(f"t_end must be positive, got {t_end}")
-    if not (math.isfinite(step) and step > 0):
+    if not 0 < step <= FLOAT_MAX:
         raise ModelDomainError(f"step must be positive, got {step}")
-    if not (math.isfinite(init_x) and init_x > 0):
+    if not 0 < init_x <= FLOAT_MAX:
         raise ModelDomainError(f"init_x must be positive and finite, got {init_x}")
-    if max(t_end, params.tau) / step == math.inf:  # T_delay <= tau: no other count overflows
+    if max(t_end, params.tau) / step > FLOAT_MAX:  # T_delay <= tau: no other count overflows
         raise ModelDomainError(f"step = {step} is too small: max(t_end, tau) / step overflows")
     k_tau = _delay_steps(params.tau, step, "tau")
     k_t = _delay_steps(params.T_delay, step, "T_delay")

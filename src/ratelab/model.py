@@ -13,13 +13,17 @@ loop that evaluates them.  :func:`capacity` raises CapacityExhaustedError
 for a nonpositive capacity rather than letting a power propagate NaN.
 """
 
-import math
+import sys
 from typing import NamedTuple
 
 from .errors import CapacityExhaustedError, ModelDomainError
 
 # Relative tolerance for "delay is an integer multiple of the step".
 DELAY_MULTIPLE_RTOL = 1e-9
+
+# The largest finite float: every number argument lies within it (NaN and an
+# int past the float range fail the same comparison as an infinite value).
+FLOAT_MAX = sys.float_info.max
 
 
 def is_number(v) -> bool:
@@ -59,10 +63,10 @@ class ModelParams(_ModelFields):
     def __new__(cls, *args, **kwargs):
         p = super().__new__(cls, *args, **kwargs)
         for name, v in zip(("kappa", "a", "b", "tau", "T_delay", "h_gain"), p):
-            # is_number inline, as a bool is an int: False fails v > 0
-            if not (isinstance(v, (int, float)) and v is not True and math.isfinite(v) and v > 0):
+            # is_number inline, as a bool is an int: False fails 0 < v
+            if not (isinstance(v, (int, float)) and v is not True and 0 < v <= FLOAT_MAX):
                 raise ModelDomainError(f"{name} must be a positive finite number, got {v!r}")
-        if not (is_number(p.x_min) and is_number(p.x_max) and 0 < p.x_min < p.x_max < math.inf):
+        if not (is_number(p.x_min) and is_number(p.x_max) and 0 < p.x_min < p.x_max <= FLOAT_MAX):
             raise ModelDomainError(
                 f"rate bounds must satisfy 0 < x_min < x_max < inf, got [{p.x_min}, {p.x_max}]"
             )
@@ -103,9 +107,9 @@ class CapacityLaw(_LawFields):
 
     def __new__(cls, *args, **kwargs):
         law = super().__new__(cls, *args, **kwargs)
-        if not (is_number(law.c0) and math.isfinite(law.c0) and law.c0 > 0):
+        if not (is_number(law.c0) and 0 < law.c0 <= FLOAT_MAX):
             raise ModelDomainError(f"capacity intercept/level must be positive, got {law.c0}")
-        if not (is_number(law.slope) and math.isfinite(law.slope) and law.slope >= 0):
+        if not (is_number(law.slope) and 0 <= law.slope <= FLOAT_MAX):
             raise ModelDomainError(f"capacity slope must be finite and >= 0, got {law.slope}")
         return law
 

@@ -26,6 +26,7 @@ from .config import SWEEPABLE, ScenarioConfig, _fmt, apply_param, write_config_e
 from .config import load_scenario  # noqa: F401  re-exported: bench/ reads it from here
 from .dde import Trajectory, integrate
 from .errors import ConfigError, RatelabError
+from .model import Equilibrium
 from .svgplot import line_plot_svg
 
 # Rows formatted per write by write_trajectory_csv: bounds the text held in memory.
@@ -111,13 +112,20 @@ def auto_margin_range(cfg: ScenarioConfig, traj: Trajectory | None, x_star: floa
                       f"the rate bounds and 95% of the capacity root is [{lo}, {hi}]")
 
 
+def margin_report(cfg: ScenarioConfig, eq: Equilibrium,
+                  traj: Trajectory | None = None) -> StabilityReport:
+    """The margin check over the config's range, or over :func:`auto_margin_range`'s
+    when it says 'auto': the run's (``traj``) or, without one, the analysis-only one."""
+    x_range = cfg.margin_range or auto_margin_range(cfg, traj, eq.x_star)
+    return check_stability(cfg.params, cfg.law, x_range, cfg.grid_n)
+
+
 def _execute(cfg: ScenarioConfig) -> RunResult:
     """Full in-memory pipeline: equilibrium, integration, margin check,
     classification.  No files are written here."""
     eq = solve_equilibrium(cfg.params, cfg.law)
     traj = integrate(cfg.params, cfg.law, cfg.init_x, cfg.t_end, cfg.step)
-    x_range = cfg.margin_range or auto_margin_range(cfg, traj, eq.x_star)
-    report = check_stability(cfg.params, cfg.law, x_range, cfg.grid_n)
+    report = margin_report(cfg, eq, traj)
     cls = classify(traj, eq, cfg.tol_conv, cfg.tol_osc, cfg.tail_fraction)
     return RunResult(cfg, traj, report, cls)
 

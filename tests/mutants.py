@@ -44,6 +44,9 @@ class Mutant(NamedTuple):
 
 
 CLASSIFY_ORACLE = "tests/test_analysis.py::test_classify_matches_plain_loop_oracle"
+BAND_EDGES = "tests/test_analysis.py::TestTheorem2Margin::test_band_edges_match_the_oracle"
+FLOAT_RANGE = "tests/test_model.py::test_an_int_past_the_float_range_is_refused_as_inf_is"
+WRONG_TYPE = "tests/test_scenario.py::TestSweep::test_a_value_of_the_wrong_type_is_a_config_error"
 
 LEDGER = (
     Mutant("analysis.py", "elif not f_lo > 0.0 > f_hi:", "elif f_lo * f_hi > 0.0:",
@@ -51,7 +54,7 @@ LEDGER = (
             "tests/test_analysis.py::test_solve_equilibrium_matches_bisection_oracle",
             "tests/test_cli.py::test_tiny_residual_of_one_sign_exits_65")),
     Mutant("config.py", "if not is_number(value):", "if False:",
-           ("tests/test_scenario.py::TestSweep::test_a_value_of_the_wrong_type_is_a_config_error",)),
+           (WRONG_TYPE,)),
     Mutant("analysis.py", "tail_pp >= 0.9 * mid_pp", "tail_pp > 0.9 * mid_pp",
            (CLASSIFY_ORACLE,)),
     Mutant("analysis.py", "final_error < tol_conv and", "final_error <= tol_conv and",
@@ -69,6 +72,57 @@ LEDGER = (
                       "rate has g(x) > 0: the slope at t = 0 checks g(init_x), an interior "
                       "record lies below x_hi, the least float with g <= 0, and a projected "
                       "record passes capacity(); so the test is always true"),
+    # the margin's band: a rate on its edge takes the quotient, and the
+    # oracle states its own EPS_BAND_REL
+    Mutant("analysis.py", "neg_band < (d := x - xs) < band", "neg_band < (d := x - xs) <= band",
+           (BAND_EDGES,)),
+    Mutant("analysis.py", "if neg_band < d < band:", "if neg_band < d <= band:", (BAND_EDGES,)),
+    Mutant("analysis.py", "EPS_BAND_REL = 1e-6", "EPS_BAND_REL = 2e-6", (BAND_EDGES,)),
+    Mutant("analysis.py", "margins[i_min] > 0 and", "margins[i_min] >= 0 and",
+           ("tests/test_analysis.py::TestCheckTheorem2::"
+            "test_a_zero_minimum_margin_is_not_certified",)),
+    Mutant("dde.py", "GRID_SNAP = 1e-12", "GRID_SNAP = 1e-11",
+           ("tests/test_dde.py::TestInterpX::test_snap_width_is_grid_snap_per_node",)),
+    Mutant("config.py", "if h < step / 1000.0:", "if h <= step / 1000.0:",
+           ("tests/test_scenario.py::TestSnapStep::"
+            "test_refinement_reaches_a_thousandth_of_the_step",)),
+    Mutant("scenario.py", "span > 1e-9 * hi", "span >= 1e-9 * hi",
+           ("tests/test_scenario.py::TestAutoMarginRange::"
+            "test_span_at_the_degenerate_threshold_pads_by_the_top",)),
+    # the float range, one row per site that tests it against model.FLOAT_MAX
+    Mutant("model.py", "v is not True and 0 < v <= FLOAT_MAX",
+           "v is not True and 0 < v <= 2.0 * FLOAT_MAX",
+           (f"{FLOAT_RANGE}[ModelParams constants-2**1024]",)),
+    Mutant("model.py", "p.x_max <= FLOAT_MAX", "p.x_max <= 2.0 * FLOAT_MAX",
+           (f"{FLOAT_RANGE}[ModelParams x_max-2**1024]",)),
+    Mutant("model.py", "0 < law.c0 <= FLOAT_MAX", "0 < law.c0 <= 2.0 * FLOAT_MAX",
+           (f"{FLOAT_RANGE}[CapacityLaw c0-2**1024]",)),
+    Mutant("model.py", "0 <= law.slope <= FLOAT_MAX", "0 <= law.slope <= 2.0 * FLOAT_MAX",
+           (f"{FLOAT_RANGE}[CapacityLaw slope-2**1024]",)),
+    Mutant("config.py", "if not 0 < step <= FLOAT_MAX:", "if not 0 < step <= 2.0 * FLOAT_MAX:",
+           (f"{FLOAT_RANGE}[snap_step step-2**1024]",)),
+    Mutant("config.py", "-FLOAT_MAX <= value <= FLOAT_MAX",
+           "-FLOAT_MAX <= value <= 2.0 * FLOAT_MAX",
+           (WRONG_TYPE, f"{FLOAT_RANGE}[config number key-2**1024]")),
+    Mutant("dde.py", "0 < t_end <= FLOAT_MAX", "0 < t_end <= 2.0 * FLOAT_MAX",
+           (f"{FLOAT_RANGE}[integrate t_end-2**1024]",)),
+    Mutant("dde.py", "0 < step <= FLOAT_MAX", "0 < step <= 2.0 * FLOAT_MAX",
+           (f"{FLOAT_RANGE}[integrate step-2**1024]",)),
+    Mutant("dde.py", "0 < init_x <= FLOAT_MAX", "0 < init_x <= 2.0 * FLOAT_MAX",
+           (f"{FLOAT_RANGE}[integrate init_x-2**1024]",)),
+    # a config error's location: a record's refusal, and only it, reads invalid
+    Mutant("config.py", '"" if isinstance(exc, ConfigError) else "invalid: "',
+           '"invalid: " if isinstance(exc, ConfigError) else ""',
+           (WRONG_TYPE, "tests/test_scenario.py::TestLoadScenario::"
+                        "test_delay_ordering_rejected_citing_a1")),
+    Mutant("config.py", 'ConfigError(f"invalid: unknown capacity law kind',
+           'ConfigError(f"unknown capacity law kind',
+           ("tests/test_scenario.py::TestLoadScenario::test_percent_sign_read_literally",)),
+    # the margin range: the config's when it gives one, else the run's auto range
+    Mutant("scenario.py", "cfg.margin_range or auto_margin_range(", "auto_margin_range(",
+           ("tests/test_cli.py::test_check_certified_with_explicit_range",)),
+    Mutant("scenario.py", "margin_report(cfg, eq, traj)", "margin_report(cfg, eq)",
+           ("tests/test_scenario.py::test_run_report_lines",)),
 )
 
 

@@ -220,6 +220,21 @@ class TestTheorem2Margin:
             near = margin_kernel(p, BASE_LAW, eq, [eq.x_star + side * 2 * eps])[0]
             assert near == pytest.approx(limit, rel=1e-3)
 
+    @pytest.mark.parametrize("d", [1.0, -1.0, 1.5, -1.5, 0.5])
+    def test_band_edges_match_the_oracle(self, d):
+        # the kernel is handed x_star = 1e6, where the band 1e-6 * x_star is
+        # exactly 1.0 and x_star +- 1.0 is exact: a rate on the band's edge
+        # takes the quotient, as one 1.5e-6 * x_star away does, and only a
+        # rate inside the band takes the limit; in the loop and the comprehension
+        p = ModelParams(kappa=1.0, a=1.0, b=1.0, tau=1.0, T_delay=1.0, x_max=1e7)
+        law = CapacityLaw(4e6, 1.0)
+        eq = Equilibrium(1e6, law.value(1e6), 0.0)
+        x = 1e6 + d
+        expected = reference_margin(x, p, law, eq)
+        assert (expected == margin_kernel(p, law, eq, [1e6])[0]) is (abs(d) < 1.0)
+        assert margin_kernel(p, law, eq, [x]) == [expected]
+        assert margin_kernel(p, law, eq, [], terms=((x, law.value(x), x ** -p.a),)) == [expected]
+
     def test_domain_errors(self):
         p = base_params(0.2)
         eq = solve_equilibrium(p, BASE_LAW)
@@ -254,6 +269,20 @@ class TestCheckTheorem2:
         assert [v.severity for v in report.violations] == ["hard", "warning"]
         assert report.verdict == NOT_CERTIFIED
         assert report.min_margin > 0
+
+    def test_a_zero_minimum_margin_is_not_certified(self):
+        # a = 40 at x* = 8.98e13: every margin underflows to exactly 0.0, and
+        # the constant law's A3 warning is the only finding; a margin that is
+        # not positive certifies nothing
+        p = ModelParams(kappa=1.0, a=40.0, b=2.0, tau=1.0, T_delay=1.0, h_gain=1.0,
+                        x_min=1e13, x_max=1e15)
+        law = CapacityLaw(1e300)
+        xs = solve_equilibrium(p, law).x_star
+        assert xs == pytest.approx(8.984e13, rel=1e-4)
+        report = check_stability(p, law, (xs / 2, 2 * xs), 256)
+        assert [v.severity for v in report.violations] == ["warning"]
+        assert report.min_margin == 0.0
+        assert report.verdict == NOT_CERTIFIED
 
     def test_grid_guard(self):
         with pytest.raises(ModelDomainError):

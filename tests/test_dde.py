@@ -144,6 +144,15 @@ class TestInterpX:
             assert traj.interp_x(t) == pytest.approx(t**3, rel=1e-13)
         np.testing.assert_allclose(traj.interp_x(ts), ts**3, rtol=1e-13)
 
+    def test_snap_width_is_grid_snap_per_node(self):
+        # 5 samples: a query within GRID_SNAP * 4 = 4e-12 steps of node 2 reads
+        # its sample, and one 2e-11 steps away, inside ten snap widths, the
+        # Hermite value, 2.4e-10 above the sample
+        traj = self.cubic_trajectory()
+        assert traj.interp_x(2.0 + 2e-12) == 8.0
+        assert traj.interp_x(2.0 + 2e-11) == pytest.approx((2.0 + 2e-11) ** 3, rel=1e-15)
+        assert traj.interp_x(2.0 + 2e-11) != 8.0
+
     def test_out_of_range_names_span(self):
         traj = self.cubic_trajectory()
         with pytest.raises(ModelDomainError, match=r"\[0.0, 4.0\]"):

@@ -2,18 +2,25 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratelab import (
     CapacityExhaustedError,
     CapacityLaw,
+    ConfigError,
     ModelDomainError,
     ModelParams,
+    RatelabError,
     capacity,
+    integrate,
+    load_scenario,
+    snap_step,
     solve_equilibrium,
 )
-from conftest import BASE_LAW, base_params
+from ratelab.config import apply_param
+from ratelab.model import FLOAT_MAX
+from conftest import BASE_LAW, SCENARIOS, base_params
 from oracle import clamp, rhs
 
 class TestCapacity:
@@ -154,3 +161,74 @@ class TestModelParams:
         assert p.max_delay == 3.0
         with pytest.raises(ModelDomainError, match="A1"):
             p._replace(T_delay=3.5)
+
+
+_UNIT = ModelParams(kappa=1.0, a=1.0, b=1.0, tau=1.0, T_delay=1.0)
+_FIG2 = load_scenario(SCENARIOS / "fig2.scenario")
+
+
+def _positive(v):
+    return 0 < v <= FLOAT_MAX
+
+
+# The nine places that test a number against the float range, each as
+# (call, whether the site accepts v, the error and message of its refusal).
+# An accepted value may still fail a later check: integrate's t_end and step
+# calls stop at the delay and step-count checks, before any history is made.
+FLOAT_RANGE_SITES = {
+    "ModelParams constants": (lambda v: ModelParams(*[v] * 6), _positive, ModelDomainError,
+                              lambda v: f"kappa must be a positive finite number, got {v!r}"),
+    "ModelParams x_max": (lambda v: ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, x_max=v),
+                          lambda v: 1e-3 < v <= FLOAT_MAX, ModelDomainError,
+                          lambda v: f"rate bounds must satisfy 0 < x_min < x_max < inf, "
+                                    f"got [0.001, {v}]"),
+    "CapacityLaw c0": (CapacityLaw, _positive, ModelDomainError,
+                       lambda v: f"capacity intercept/level must be positive, got {v}"),
+    "CapacityLaw slope": (lambda v: CapacityLaw(5.0, v), lambda v: 0 <= v <= FLOAT_MAX,
+                          ModelDomainError,
+                          lambda v: f"capacity slope must be finite and >= 0, got {v}"),
+    "snap_step step": (lambda v: snap_step(v, 1.0, 1.0), _positive, ConfigError,
+                       lambda v: f"step must be positive, got {v}"),
+    "integrate t_end": (lambda v: integrate(_UNIT, BASE_LAW, 1.0, v, 2.0), _positive,
+                        ModelDomainError, lambda v: f"t_end must be positive, got {v}"),
+    "integrate step": (lambda v: integrate(_UNIT, BASE_LAW, 1.0, 5e-324, v), _positive,
+                       ModelDomainError, lambda v: f"step must be positive, got {v}"),
+    "integrate init_x": (lambda v: integrate(_UNIT, CapacityLaw(5.0), v, 1.0, 1.0), _positive,
+                         ModelDomainError,
+                         lambda v: f"init_x must be positive and finite, got {v}"),
+    "config number key": (lambda v: apply_param(_FIG2, "t_end", v),
+                          lambda v: -FLOAT_MAX <= v <= FLOAT_MAX, ConfigError,
+                          lambda v: f"t_end = {v}: [run] key 't_end' must be finite, got {v!r}"),
+}
+
+
+@pytest.mark.parametrize("value", [2 ** 1024, math.inf], ids=["2**1024", "inf"])
+@pytest.mark.parametrize("site", FLOAT_RANGE_SITES)
+def test_an_int_past_the_float_range_is_refused_as_inf_is(site, value):
+    # an int past the float range raised a bare OverflowError from
+    # math.isfinite, or passed x_max < math.inf
+    call, _, error, message = FLOAT_RANGE_SITES[site]
+    with pytest.raises(error) as refused:
+        call(value)
+    assert type(refused.value) is error
+    assert str(refused.value) == message(value)
+
+
+@settings(deadline=None, max_examples=300)
+@given(site=st.sampled_from(list(FLOAT_RANGE_SITES)),
+       value=st.one_of(st.integers(-2 ** 1100, 2 ** 1100), st.floats(),
+                       st.sampled_from([math.inf, -math.inf, math.nan])))
+@example(site="ModelParams constants", value=int(FLOAT_MAX) + 1)
+@example(site="ModelParams x_max", value=-2 ** 1024)
+@example(site="integrate step", value=FLOAT_MAX)
+def test_float_range_sites_refuse_what_an_infinite_value_is_refused_for(site, value):
+    # each site returns, or raises a RatelabError: for a value it refuses, its
+    # own error with the message an infinite value gets; never an OverflowError
+    call, accepts, error, message = FLOAT_RANGE_SITES[site]
+    try:
+        call(value)
+    except RatelabError as exc:
+        refused = (type(exc), str(exc)) == (error, message(value))
+        assert refused is not accepts(value), (site, value, exc)
+    else:
+        assert accepts(value)

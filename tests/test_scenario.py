@@ -181,7 +181,8 @@ class TestLoadScenario:
     def test_percent_sign_read_literally(self, tmp_path):
         # values are plain text: configparser interpolation is off
         text = MINIMAL.replace("kind = affine", "kind = 100%")
-        with pytest.raises(ConfigError, match="unknown capacity law kind '100%'"):
+        with pytest.raises(ConfigError, match=r"\.scenario: invalid: unknown capacity law kind "
+                           r"'100%'$"):
             load_scenario(write_scenario(tmp_path, text))
 
     def test_step_ceiling_checked_at_load(self, tmp_path):
@@ -225,6 +226,11 @@ class TestSnapStep:
     def test_irrational_ratio_rejected(self):
         with pytest.raises(ConfigError):
             snap_step(0.01, 1.0, 1.0 / math.pi)
+
+    def test_refinement_reaches_a_thousandth_of_the_step(self):
+        # T / tau = 1/1000: the step that divides both is step / 1000 exactly,
+        # the finest step the search tries
+        assert snap_step(1.0, 1.0, 0.001) == 0.001
 
 
 class TestRunScenario:
@@ -372,6 +378,15 @@ class TestAutoMarginRange:
         traj = synthetic_trajectory(t, np.full_like(t, 1.1), cfg.params)
         lo, hi = auto_margin_range(cfg, traj, 1.1)
         assert lo < 1.1 < hi
+
+    def test_span_at_the_degenerate_threshold_pads_by_the_top(self, fig2_result):
+        # an envelope [999999999, 1e9] spans 1.0, exactly 1e-9 of its top: it
+        # is degenerate and padded by 0.1 * its top, not 0.2 * its span
+        cfg = fig2_result.config._replace(
+            params=fig2_result.config.params._replace(x_max=2e9), law=CapacityLaw(5.0))
+        t = np.arange(0.0, 40.0, 0.01)
+        traj = synthetic_trajectory(t, np.linspace(1e9, 999999999.0, len(t)), cfg.params)
+        assert auto_margin_range(cfg, traj, 1e9) == (999999999.0 - 1e8, 1e9 + 1e8)
 
     def test_without_trajectory_stays_inside_capacity(self, fig2_result):
         cfg = fig2_result.config
