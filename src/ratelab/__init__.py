@@ -10,7 +10,6 @@ import importlib
 
 from .config import load_scenario, snap_step
 from .errors import (
-    CapacityExhaustedError,
     ConfigError,
     EquilibriumBracketError,
     IntegrationDivergedError,
@@ -27,9 +26,9 @@ _LAZY = {name: module for module, names in (
     ("analysis", "CERTIFIED CONVERGED NOT_CERTIFIED OSCILLATING SATURATED UNDETERMINED "
                  "check_stability classify lyapunov_values solve_equilibrium"),
     ("dde", "Trajectory integrate"), ("scenario", "run_scenario sweep")) for name in names.split()}
-__all__ = ["CapacityExhaustedError", "ConfigError", "EquilibriumBracketError",
-           "IntegrationDivergedError", "ModelDomainError", "RatelabError", "CapacityLaw",
-           "ModelParams", "capacity", "load_scenario", "snap_step", *_LAZY]
+__all__ = ["ConfigError", "EquilibriumBracketError", "IntegrationDivergedError",
+           "ModelDomainError", "RatelabError", "CapacityLaw", "ModelParams", "capacity",
+           "load_scenario", "snap_step", *_LAZY]
 
 
 def __getattr__(name):

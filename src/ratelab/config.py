@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, RatelabError
-from .model import DELAY_MULTIPLE_RTOL, FLOAT_MAX, CapacityLaw, ModelParams, is_number
+from .model import DELAY_MULTIPLE_RTOL, FLOAT_MAX, CapacityLaw, ModelParams, is_number, whole_steps
 
 # The two spellings of a capacity law in a scenario file: [capacity] kind.
 # A constant law, g(x) = level, is the affine law with slope 0.
@@ -106,8 +106,8 @@ class ScenarioConfig(NamedTuple):
 
 
 def snap_step(step: float, tau: float, t_delay: float) -> float:
-    """Largest h <= step with tau/h and T/h both integral, to within the
-    relative DELAY_MULTIPLE_RTOL that :func:`dde.integrate` allows.
+    """Largest h <= step in which tau and T are both whole numbers of steps by
+    :func:`model.whole_steps`, the test that :func:`dde.integrate` applies.
 
     Refinement is capped at 1000x below the requested step and at MAX_STEPS
     steps per tau, the pre-history that integrate allocates: past that the
@@ -125,9 +125,7 @@ def snap_step(step: float, tau: float, t_delay: float) -> float:
         h = tau / n
         if h < step / 1000.0:
             break
-        r = t_delay / h
-        r_int = round(r)
-        if r_int >= 1 and abs(r - r_int) <= DELAY_MULTIPLE_RTOL * max(1.0, r):
+        if whole_steps(t_delay, h) > 0:  # a negative T is whole in no step
             return h
     raise ConfigError(
         f"could not find a step in [{max(step / 1000.0, tau / MAX_STEPS):.3g}, "
@@ -191,6 +189,9 @@ def _assemble(params, law, v: dict, name: str, step=None) -> ScenarioConfig:
     if not params.x_min <= v["init_x"] <= params.x_max:
         raise ConfigError(f"[run] init_x = {v['init_x']} outside rate bounds "
                           f"[{params.x_min}, {params.x_max}]")
+    if not law.value(v["init_x"]) > 0:  # A2: the run starts where c = g(x) > 0
+        raise ConfigError(f"[run] init_x = {v['init_x']} reaches the capacity root: "
+                          f"g({v['init_x']}) = {law.value(v['init_x'])} <= 0")
     if not v["t_end"] > 0:
         raise ConfigError(f"[run] t_end must be positive, got {v['t_end']}")
     try:

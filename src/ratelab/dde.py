@@ -17,7 +17,7 @@ from itertools import cycle, islice
 from typing import NamedTuple
 
 from .errors import IntegrationDivergedError, ModelDomainError
-from .model import DELAY_MULTIPLE_RTOL, FLOAT_MAX, CapacityLaw, ModelParams, capacity
+from .model import FLOAT_MAX, CapacityLaw, ModelParams, capacity, whole_steps
 
 # Exact-hit snap tolerance for time queries, as a fraction of the step.
 GRID_SNAP = 1e-12
@@ -82,13 +82,10 @@ class Trajectory(NamedTuple):
 
 
 def _delay_steps(delay: float, step: float, name: str) -> int:
-    k = delay / step
-    k_int = round(k)
-    if k_int < 1 or abs(k - k_int) > DELAY_MULTIPLE_RTOL * max(1.0, k):
-        raise ModelDomainError(
-            f"{name} = {delay} is not an integer multiple of step = {step}"
-        )
-    return k_int
+    k = whole_steps(delay, step)
+    if not k:
+        raise ModelDomainError(f"{name} = {delay} is not an integer multiple of step = {step}")
+    return k
 
 
 def _diverged(cause, t_fail: float, p: ModelParams, step: float, *rates: float):

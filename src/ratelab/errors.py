@@ -20,10 +20,6 @@ class ModelDomainError(RatelabError, ValueError):
     multiples of, or a time outside the recorded run."""
 
 
-class CapacityExhaustedError(ModelDomainError):
-    """The capacity law evaluated to a nonpositive capacity."""
-
-
 class MarginOverflowError(ModelDomainError):
     """A margin term at a rate of the configured range exceeds the float range."""
 

@@ -9,14 +9,15 @@ which is the primal rate update kappa*(x*U'(x) - x_d*p(x_d, c_d)) for the
 utility U(x) = -1/(a*x**a) and the price p(x, c) = h*(x/c)**b.  The module
 holds the parameter records and the capacity law; the right-hand side and
 its projection at the rate bounds live in :mod:`ratelab.dde`, beside the
-loop that evaluates them.  :func:`capacity` raises CapacityExhaustedError
-for a nonpositive capacity rather than letting a power propagate NaN.
+loop that evaluates them.  :func:`capacity` raises ModelDomainError for a
+nonpositive capacity rather than letting a power propagate NaN, and
+:func:`whole_steps` is the one test that a delay is a whole number of steps.
 """
 
 import sys
 from typing import NamedTuple
 
-from .errors import CapacityExhaustedError, ModelDomainError
+from .errors import ModelDomainError
 
 # Relative tolerance for "delay is an integer multiple of the step".
 DELAY_MULTIPLE_RTOL = 1e-9
@@ -127,5 +128,13 @@ def capacity(law: CapacityLaw, x: float) -> float:
     """g(x) with positivity enforced."""
     c = law.value(x)
     if not c > 0:
-        raise CapacityExhaustedError(f"capacity law returned c = {c} <= 0 at x = {x}")
+        raise ModelDomainError(f"capacity law returned c = {c} <= 0 at x = {x}")
     return c
+
+
+def whole_steps(span: float, step: float) -> int:
+    """The number of ``step``s in a positive ``span`` when it is whole to within
+    the relative DELAY_MULTIPLE_RTOL, and 0 (not whole) otherwise."""
+    k = span / step
+    n = round(k)
+    return n if abs(k - n) <= DELAY_MULTIPLE_RTOL * max(1.0, k) else 0

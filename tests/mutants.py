@@ -10,8 +10,9 @@ Each row is applied to a fresh copy of ``src/``, ``tests/``, ``scenarios/``,
 text must occur exactly once), and only the row's tests run there.  A
 killing row must fail them; an equivalent row must pass them, so its
 argument is checked by the tests that would show a difference.  Before the
-rows, the unchanged copy must pass every test the rows name.  The exit
-status is 1 if any row does not read as stated.  Standard library only;
+rows, the unchanged copy must pass every test the rows name.  The last line
+counts the rows run, killed, equivalent and not as stated, with the wall
+time; the exit status is 1 if any row does not read as stated.  Standard library only;
 pytest does not collect this file (it is not named ``test_*.py``).
 
 Mend a surviving mutant with a test; never drop a row without a stated
@@ -47,6 +48,7 @@ CLASSIFY_ORACLE = "tests/test_analysis.py::test_classify_matches_plain_loop_orac
 BAND_EDGES = "tests/test_analysis.py::TestTheorem2Margin::test_band_edges_match_the_oracle"
 FLOAT_RANGE = "tests/test_model.py::test_an_int_past_the_float_range_is_refused_as_inf_is"
 WRONG_TYPE = "tests/test_scenario.py::TestSweep::test_a_value_of_the_wrong_type_is_a_config_error"
+GRID_BOUNDS = "tests/test_scenario.py::TestGridBounds::"
 
 LEDGER = (
     Mutant("analysis.py", "elif not f_lo > 0.0 > f_hi:", "elif f_lo * f_hi > 0.0:",
@@ -123,6 +125,29 @@ LEDGER = (
            ("tests/test_cli.py::test_check_certified_with_explicit_range",)),
     Mutant("scenario.py", "margin_report(cfg, eq, traj)", "margin_report(cfg, eq)",
            ("tests/test_scenario.py::test_run_report_lines",)),
+    # the step grid and the analysis grid: each bound accepts the value on its edge
+    Mutant("config.py", "if window < step:", "if window <= step:",
+           (GRID_BOUNDS + "test_a_tail_window_of_exactly_one_step_is_accepted",)),
+    Mutant("config.py", 'if not 0 < v["tail_fraction"] <= 0.5:',
+           'if not 0 < v["tail_fraction"] < 0.5:',
+           (GRID_BOUNDS + "test_a_tail_fraction_of_one_half_is_accepted",)),
+    Mutant("config.py", "16 <= grid_n", "16 < grid_n",
+           (GRID_BOUNDS + "test_a_grid_of_16_nodes_is_accepted",)),
+    Mutant("config.py", 'if v["t_end"] / step > MAX_STEPS:', 'if v["t_end"] / step >= MAX_STEPS:',
+           (GRID_BOUNDS + "test_exactly_max_steps_of_run_is_accepted",)),
+    Mutant("config.py", "if tau / step > MAX_STEPS:", "if tau / step >= MAX_STEPS:",
+           (GRID_BOUNDS + "test_exactly_max_steps_of_pre_history_is_accepted",)),
+    Mutant("config.py", 'if not v["t_end"] > 0:', 'if not v["t_end"] >= 0:',
+           (GRID_BOUNDS + "test_a_zero_t_end_is_not_positive",)),
+    Mutant("config.py", "if whole_steps(t_delay, h) > 0:", "if whole_steps(t_delay, h) != 0:",
+           ("tests/test_scenario.py::TestSnapStep::test_a_negative_delay_is_whole_in_no_step",)),
+    # a nonpositive capacity: at the start of a run, and at the equilibrium
+    Mutant("config.py", 'if not law.value(v["init_x"]) > 0:',
+           'if not law.value(v["init_x"]) >= 0:',
+           ("tests/test_scenario.py::TestLoadScenario::"
+            "test_init_x_reaching_capacity_root_rejected[5-0.0]",)),
+    Mutant("analysis.py", "if not c_star > 0.0:", "if not c_star >= 0.0:",
+           ("tests/test_cli.py::test_equilibrium_on_capacity_root_is_config_error[check]",)),
 )
 
 
@@ -146,14 +171,15 @@ def _pytest(root: Path, tests) -> int:
     ).returncode
 
 
-def run(rows) -> list[str]:
-    """Run the ledger's ``rows`` (indices); return one line per problem."""
-    problems = []
+def run(rows) -> tuple[list[str], list[str]]:
+    """Run the ledger's ``rows`` (indices); return one line per problem and
+    the outcome of each row that ran."""
+    problems, outcomes = [], []
     root = _copy()
     try:
         named = sorted({t for i in rows for t in LEDGER[i].tests})
         if _pytest(root, named) != 0:
-            return ["the unchanged copy fails the named tests: " + " ".join(named)]
+            return ["the unchanged copy fails the named tests: " + " ".join(named)], []
     finally:
         shutil.rmtree(root, ignore_errors=True)
     for i in rows:
@@ -172,20 +198,25 @@ def run(rows) -> list[str]:
             shutil.rmtree(root, ignore_errors=True)
         expected = 0 if m.equivalent else 1
         outcome = {0: "survived", 1: "killed"}.get(code, f"pytest exit {code}")
+        outcomes.append("equivalent" if code == expected == 0 else outcome)
         print(f"row {i}: {m.file}: {m.old.splitlines()[0]!r} -> {m.new.splitlines()[0]!r}: "
               f"{outcome} ({time.perf_counter() - start:.1f} s)"
               + (" [equivalent]" if m.equivalent else ""), flush=True)
         if code != expected:
             problems.append(f"row {i}: {outcome}, expected "
                             + ("to survive (equivalent)" if m.equivalent else "to be killed"))
-    return problems
+    return problems, outcomes
 
 
 def main(argv) -> int:
     rows = [int(a) for a in argv] or range(len(LEDGER))
-    problems = run(rows)
+    start = time.perf_counter()
+    problems, outcomes = run(rows)
     for line in problems:
         print(line, file=sys.stderr)
+    print(f"ledger: {len(outcomes)} rows run, {outcomes.count('killed')} killed, "
+          f"{outcomes.count('equivalent')} equivalent, {len(problems)} not as stated, "
+          f"{time.perf_counter() - start:.1f} s")
     return 1 if problems else 0
 
 

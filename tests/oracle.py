@@ -31,7 +31,6 @@ from ratelab.analysis import (
 from ratelab.config import AFFINE, FIELDS, ScenarioConfig, build_config, config_values
 from ratelab.dde import _require_positive
 from ratelab.errors import (
-    CapacityExhaustedError,
     ConfigError,
     EquilibriumBracketError,
     MarginOverflowError,
@@ -231,15 +230,14 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
             if hi - lo < 1e-15 * (0.5 * (lo + hi)):
                 break
         x_star = 0.5 * (lo + hi)
-    try:
-        c_star = capacity(law, x_star)
-    except CapacityExhaustedError:
+    c_star = law.value(x_star)
+    if not c_star > 0:
         # a data problem, not a runtime one: the root lies within rounding
         # of the capacity root, so no x_star has c_star > 0 in floating point
         raise EquilibriumBracketError(
             f"the equilibrium rounds onto the capacity root: g(x_star) = "
-            f"{law.value(x_star)} <= 0 at x_star = {x_star}"
-        ) from None
+            f"{c_star} <= 0 at x_star = {x_star}"
+        )
     residual = abs(f(x_star)) / c_star
     return Equilibrium(x_star=x_star, c_star=c_star, residual=residual)
 

@@ -16,7 +16,6 @@ from ratelab import (
     OSCILLATING,
     SATURATED,
     UNDETERMINED,
-    CapacityExhaustedError,
     CapacityLaw,
     EquilibriumBracketError,
     ModelDomainError,
@@ -240,7 +239,7 @@ class TestTheorem2Margin:
         eq = solve_equilibrium(p, BASE_LAW)
         with pytest.raises(ModelDomainError):
             margin_kernel(p, BASE_LAW, eq, [-1.0])[0]
-        with pytest.raises(CapacityExhaustedError):
+        with pytest.raises(ModelDomainError, match="capacity law returned c = 0.0 <= 0 at x = 5"):
             margin_kernel(p, BASE_LAW, eq, [5.0])[0]
         # 0.5 ** -1e12 is beyond the float range
         p_steep = base_params(0.2, a=1e12)

@@ -317,7 +317,6 @@ def test_sweep_isolates_non_ratelab_errors(fig2_path, tmp_path, monkeypatch, cap
 ERROR_TABLE = {
     "RatelabError": ("runtime", 70),
     "ModelDomainError": ("runtime", 70),
-    "CapacityExhaustedError": ("runtime", 70),
     "MarginOverflowError": ("config", 65),
     "IntegrationDivergedError": ("diverged", 70),
     "EquilibriumBracketError": ("config", 65),
@@ -594,8 +593,8 @@ PUBLIC_NAMES = {
                      "solve_equilibrium"], "analysis"),
     **dict.fromkeys(["load_scenario", "snap_step"], "config"),
     **dict.fromkeys(["Trajectory", "integrate"], "dde"),
-    **dict.fromkeys(["CapacityExhaustedError", "ConfigError", "EquilibriumBracketError",
-                     "IntegrationDivergedError", "ModelDomainError", "RatelabError"], "errors"),
+    **dict.fromkeys(["ConfigError", "EquilibriumBracketError", "IntegrationDivergedError",
+                     "ModelDomainError", "RatelabError"], "errors"),
     **dict.fromkeys(["CapacityLaw", "ModelParams", "capacity"], "model"),
     **dict.fromkeys(["run_scenario", "sweep"], "scenario"),
 }
@@ -710,6 +709,33 @@ def test_margin_range_at_capacity_root_is_config_error(fig2_path, tmp_path, comm
     assert "reaches the capacity root" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("init_x, g", [("5.0", "0.0"), ("6.0", "-1.0")])
+def test_init_x_at_capacity_root_is_config_error(fig2_path, tmp_path, command, init_x, g):
+    # g(x) = 5 - x: a run that starts at x = 5 or past it is refused at load
+    path = tmp_path / "root.scenario"
+    path.write_text(fig2_path.read_text().replace("init_x = 1.0", f"init_x = {init_x}"),
+                    encoding="utf-8")
+    proc = run_cli(command, path, "--out", tmp_path / "o")
+    assert proc.returncode == 65
+    assert proc.stderr == (f"error[config]: {path}: [run] init_x = {init_x} reaches the capacity "
+                           f"root: g({init_x}) = {g} <= 0\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_value_that_moves_the_root_below_init_x_is_config_error(fig2_path, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "o"
+    code = main(["sweep", str(fig2_path), "--param", "intercept", "--values", "0.5,5",
+                 "--t-end", "30", "--out", str(out)])
+    assert code == 65
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert rows[0] == ("intercept,0.5,error,,,,,,,intercept = 0.5: [run] init_x = 1.0 reaches "
+                       "the capacity root: g(1.0) = -0.5 <= 0")
+    assert rows[1].startswith("intercept,5,ok,")
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_margin_overflow_is_config_error(fig2_path, tmp_path):

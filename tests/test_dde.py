@@ -120,6 +120,13 @@ class TestMakeHistory:
         with pytest.raises(ModelDomainError, match=f"step must be positive, got {step}"):
             integrate(base_params(0.2), BASE_LAW, 1.0, t_end, step)
 
+    def test_a_delay_within_the_tolerance_of_zero_steps_is_refused(self):
+        # T_delay / step = 1e-10 rounds to 0 steps: no whole number of them
+        p = base_params(0.2, T_delay=1e-12)
+        with pytest.raises(ModelDomainError,
+                           match="^T_delay = 1e-12 is not an integer multiple of step = 0.01$"):
+            integrate(p, BASE_LAW, 1.0, 1.0, 0.01)
+
     def test_span_must_align_with_step(self):
         # the pre-history spans max(tau, T) = 1.0, not a multiple of 0.3
         p = base_params(0.2, tau=1.0, T_delay=0.6)

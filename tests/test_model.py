@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratelab import (
-    CapacityExhaustedError,
     CapacityLaw,
     ConfigError,
     ModelDomainError,
@@ -31,7 +30,7 @@ class TestCapacity:
         assert capacity(CapacityLaw(3.0), 17.0) == 3.0
 
     def test_exhausted(self):
-        with pytest.raises(CapacityExhaustedError, match="x = 5"):
+        with pytest.raises(ModelDomainError, match="capacity law returned c = 0.0 <= 0 at x = 5"):
             capacity(CapacityLaw(5.0, 1.0), 5.0)
 
     def test_constant_law_slope_is_zero(self):

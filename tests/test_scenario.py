@@ -145,6 +145,19 @@ class TestLoadScenario:
         below = MINIMAL + "\n[analysis]\nmargin_range = 1 4.999\n"
         assert load_scenario(write_scenario(tmp_path, below)).margin_range == (1.0, 4.999)
 
+    @pytest.mark.parametrize("init_x, g", [
+        ("5", "0.0"), ("5.0000000001", "-1.000000082740371e-10"), ("6", "-1.0")])
+    def test_init_x_reaching_capacity_root_rejected(self, tmp_path, init_x, g):
+        # g(x) = 5 - x: a run that starts at x = 5 or past it has no capacity at t = 0
+        text = MINIMAL.replace("init_x = 1.0", f"init_x = {init_x}")
+        with pytest.raises(ConfigError) as refused:
+            load_scenario(write_scenario(tmp_path, text))
+        x = float(init_x)
+        assert str(refused.value).endswith(
+            f"case.scenario: [run] init_x = {x} reaches the capacity root: g({x}) = {g} <= 0")
+        below = MINIMAL.replace("init_x = 1.0", "init_x = 4.999")
+        assert load_scenario(write_scenario(tmp_path, below)).init_x == 4.999
+
     def test_grid_n_guard(self, tmp_path):
         text = MINIMAL + "\n[analysis]\ngrid_n = 8\n"
         with pytest.raises(ConfigError, match="grid_n"):
@@ -231,6 +244,62 @@ class TestSnapStep:
         # T / tau = 1/1000: the step that divides both is step / 1000 exactly,
         # the finest step the search tries
         assert snap_step(1.0, 1.0, 0.001) == 0.001
+
+    def test_a_delay_within_the_tolerance_of_zero_steps_is_not_whole(self):
+        # T / h is at most 1e-7 for every h tried: it rounds to 0 steps, and
+        # 0 steps is no whole number of them
+        with pytest.raises(ConfigError, match="could not find a step"):
+            snap_step(0.01, 1.0, 1e-12)
+
+    def test_a_negative_delay_is_whole_in_no_step(self):
+        # T / h = -100 at h = 0.01 is whole, but no count of steps is negative
+        with pytest.raises(ConfigError, match="could not find a step"):
+            snap_step(0.01, 1.0, -1.0)
+
+
+class TestGridBounds:
+    """Each bound on a config's step grid and analysis grid holds at its
+    edge: the value on the edge is accepted and the next one past it is
+    refused.  Configs only: nothing here integrates."""
+
+    fig2 = load_scenario(SCENARIOS / "fig2.scenario")
+
+    def test_a_tail_window_of_exactly_one_step_is_accepted(self):
+        # 0.0625 * 8.0 = 0.5: the tail and mid-run windows span one step
+        cfg = config.apply_params(self.fig2, {"step": 0.5, "t_end": 8.0, "tail_fraction": 0.0625})
+        assert (cfg.step, cfg.tail_fraction * cfg.t_end) == (0.5, 0.5)
+        with pytest.raises(ConfigError, match="shorter than one step 0.5$"):
+            config.apply_params(self.fig2, {"step": 0.5, "t_end": 8.0,
+                                            "tail_fraction": math.nextafter(0.0625, 0.0)})
+
+    def test_a_tail_fraction_of_one_half_is_accepted(self):
+        assert apply_param(self.fig2, "tail_fraction", 0.5).tail_fraction == 0.5
+        with pytest.raises(ConfigError, match=r"tail_fraction must be in \(0, 0\.5\]"):
+            apply_param(self.fig2, "tail_fraction", math.nextafter(0.5, 1.0))
+
+    def test_a_grid_of_16_nodes_is_accepted(self):
+        assert apply_param(self.fig2, "grid_n", 16).grid_n == 16
+        with pytest.raises(ConfigError, match=r"grid_n must be a whole number in \[16, "):
+            apply_param(self.fig2, "grid_n", 15)
+
+    def test_exactly_max_steps_of_run_is_accepted(self):
+        # 5e6 / 0.5 = 1e7 = MAX_STEPS steps
+        cfg = config.apply_params(self.fig2, {"step": 0.5, "t_end": 5e6})
+        assert cfg.t_end / cfg.step == config.MAX_STEPS
+        with pytest.raises(ConfigError, match="steps exceeds the ceiling of 10000000$"):
+            config.apply_params(self.fig2, {"step": 0.5, "t_end": math.nextafter(5e6, math.inf)})
+
+    def test_exactly_max_steps_of_pre_history_is_accepted(self):
+        # tau / step = 5e6 / 0.5 = MAX_STEPS: the search's first step divides T = 2
+        assert snap_step(0.5, 5e6, 2.0) == 0.5
+        with pytest.raises(ConfigError, match="pre-history exceeds the ceiling of 10000000$"):
+            snap_step(0.5, math.nextafter(5e6, math.inf), 2.0)
+
+    def test_a_zero_t_end_is_not_positive(self):
+        # refused as not positive, before it is compared with the step
+        with pytest.raises(ConfigError) as refused:
+            apply_param(self.fig2, "t_end", 0.0)
+        assert str(refused.value) == "t_end = 0.0: [run] t_end must be positive, got 0.0"
 
 
 class TestRunScenario:
@@ -600,6 +669,13 @@ class TestSweep:
         row = sweep(long_cfg, "tau", [2.015], out_dir=tmp_path).rows[0]
         assert row.status == "error" and "ceiling" in row.message
 
+    def test_an_edit_that_puts_init_x_past_the_capacity_root_is_refused(self, fig2_path):
+        # intercept 0.5 moves the capacity root below fig2's init_x = 1
+        with pytest.raises(ConfigError) as refused:
+            apply_param(load_scenario(fig2_path), "intercept", 0.5)
+        assert str(refused.value) == ("intercept = 0.5: [run] init_x = 1.0 reaches the capacity "
+                                      "root: g(1.0) = -0.5 <= 0")
+
     @pytest.mark.parametrize("key, value, message", [
         ("t_end", "auto", "[run] key 't_end' must be a number, got 'auto'"),
         ("grid_n", "auto", "[analysis] key 'grid_n' must be a number, got 'auto'"),
@@ -756,9 +832,11 @@ def scenario_values(draw):
 @given(values=scenario_values())
 def test_config_echo_round_trip(values):
     hi = values["margin_range"][1] if values["margin_range"] != "auto" else 0.0
-    if values["kind"] == AFFINE and values["intercept"] - values["slope"] * hi <= 0:
-        # a margin range that reaches the capacity root is refused at load
-        with pytest.raises(ConfigError, match="reaches the capacity root"):
+    g_init, g_hi = (values["intercept"] - values["slope"] * x for x in (values["init_x"], hi))
+    if values["kind"] == AFFINE and min(g_init, g_hi) <= 0:
+        # an init_x, then a margin range, that reaches the capacity root is refused at load
+        where = r"\[run\] init_x =" if g_init <= 0 else r"\[analysis\] margin_range \["
+        with pytest.raises(ConfigError, match=f"{where}.* reaches the capacity root"):
             build_config(values, "drawn", "drawn")
         return
     cfg = build_config(values, "drawn", "drawn")
