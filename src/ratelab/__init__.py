@@ -9,13 +9,7 @@ trajectories, and classifies run outcomes.
 import importlib
 
 from .config import load_scenario, snap_step
-from .errors import (
-    ConfigError,
-    EquilibriumBracketError,
-    IntegrationDivergedError,
-    ModelDomainError,
-    RatelabError,
-)
+from .errors import ConfigError, IntegrationDivergedError, ModelDomainError, RatelabError
 from .model import CapacityLaw, ModelParams, capacity
 
 __version__ = "0.1.0"
@@ -26,9 +20,8 @@ _LAZY = {name: module for module, names in (
     ("analysis", "CERTIFIED CONVERGED NOT_CERTIFIED OSCILLATING SATURATED UNDETERMINED "
                  "check_stability classify lyapunov_values solve_equilibrium"),
     ("dde", "Trajectory integrate"), ("scenario", "run_scenario sweep")) for name in names.split()}
-__all__ = ["ConfigError", "EquilibriumBracketError", "IntegrationDivergedError",
-           "ModelDomainError", "RatelabError", "CapacityLaw", "ModelParams", "capacity",
-           "load_scenario", "snap_step", *_LAZY]
+__all__ = ["ConfigError", "IntegrationDivergedError", "ModelDomainError", "RatelabError",
+           "CapacityLaw", "ModelParams", "capacity", "load_scenario", "snap_step", *_LAZY]
 
 
 def __getattr__(name):

@@ -34,7 +34,7 @@ import operator
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import EquilibriumBracketError, MarginOverflowError, ModelDomainError
+from .errors import ConfigError, ModelDomainError
 from .model import CapacityLaw, Equilibrium, ModelParams, capacity
 
 CERTIFIED = "CertifiedStable"
@@ -100,9 +100,9 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
     The root is the unique rate at which the update law vanishes; it also
     satisfies first-order optimality U'(x*) = p(x*, c*).  The residual
     falls in x, so past the exact-zero exits only f(x_min) > 0 > f(x_max)
-    is bisected and any other pair raises EquilibriumBracketError (by sign:
-    the ends' product underflows to 0 for tiny ends).  The bracket alone
-    stops the loop, at 1e-15 of its midpoint (well below the 1e-12*x_star
+    is bisected and any other pair raises ConfigError (by sign: the ends'
+    product underflows to 0 for tiny ends).  The bracket alone stops the
+    loop, at 1e-15 of its midpoint (well below the 1e-12*x_star
     contract at every scale, a tiny residual even for steep exponents) or
     when the midpoint rounds onto an end, which finite bounds make certain.
     """
@@ -111,7 +111,7 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
     try:
         h_factor = p.h_gain ** (1.0 / p.b)
     except OverflowError:
-        raise EquilibriumBracketError(
+        raise ConfigError(
             f"h**(1/b) exceeds the float range (h = {p.h_gain}, b = {p.b}), so the "
             f"equilibrium residual cannot be evaluated in floating point"
         ) from None
@@ -131,7 +131,7 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
     elif f_hi == 0.0:
         x_star = hi
     elif not f_lo > 0.0 > f_hi:
-        raise EquilibriumBracketError(
+        raise ConfigError(
             f"no sign change of the equilibrium residual on [{lo}, {hi}] "
             f"(f({lo}) = {f_lo:.3g}, f({hi}) = {f_hi:.3g})"
         )
@@ -158,7 +158,7 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
     if not c_star > 0.0:
         # a data problem, not a runtime one: the root lies within rounding
         # of the capacity root, so no x_star has c_star > 0 in floating point
-        raise EquilibriumBracketError(
+        raise ConfigError(
             f"the equilibrium rounds onto the capacity root: g(x_star) = "
             f"{c_star} <= 0 at x_star = {x_star}"
         )
@@ -206,7 +206,7 @@ def margin_kernel(
     and defines every value and error: each rate is evaluated on its own,
     as ``tests/oracle.py``'s ``stability_margin`` does.  The checks run in
     order: x > 0, the band, :func:`capacity`, then the powers.  A power
-    beyond the float range raises MarginOverflowError naming x by ``repr``.
+    beyond the float range raises ConfigError naming x by ``repr``.
 
     ``terms`` are a regular range side's ``(x, g(x), x**-a)`` triples, from
     :func:`_range_side`: they pass the loop's x and capacity checks, so
@@ -250,7 +250,7 @@ def margin_kernel(
             margins.append((xs ** neg_a - x ** neg_a) / d
                            - h * (x ** b_plus_1 * c ** neg_b - xs ** b_plus_1 * cs ** neg_b) / d)
     except OverflowError as exc:
-        raise MarginOverflowError(
+        raise ConfigError(
             f"margin at x = {x!r} exceeds the float range (a = {a}, b = {b})"
         ) from exc
     return margins
@@ -370,7 +370,7 @@ def lyapunov_values(
     ts = np.asarray(ts, dtype=float).reshape(-1)
     slack = HORIZON_SLACK * traj.step
     early = ts - p.max_delay < -slack
-    late = ts > traj.t_end + slack
+    late = ~(ts <= traj.t_end + slack)  # a NaN time is late
     if np.any(early | late):
         i = int(np.argmax(early | late))
         if early[i]:

@@ -116,12 +116,14 @@ def snap_step(step: float, tau: float, t_delay: float) -> float:
     """
     if not 0 < step <= FLOAT_MAX:
         raise ConfigError(f"step must be positive, got {step}")
+    if not (-FLOAT_MAX <= tau <= FLOAT_MAX and -FLOAT_MAX <= t_delay <= FLOAT_MAX):
+        raise ConfigError(f"tau and T must be finite, got tau = {tau}, T = {t_delay}")
     if tau / step > MAX_STEPS:
         raise ConfigError(
             f"tau / step = {tau / step:.4g} steps of pre-history exceeds the "
             f"ceiling of {MAX_STEPS}"
         )
-    for n in range(max(1, math.ceil(tau / step - DELAY_MULTIPLE_RTOL)), MAX_STEPS + 1):
+    for n in range(math.ceil(max(1.0, tau / step - DELAY_MULTIPLE_RTOL)), MAX_STEPS + 1):
         h = tau / n
         if h < step / 1000.0:
             break

@@ -62,7 +62,7 @@ class Trajectory(NamedTuple):
         rel = tq / self.step
         n = len(self.x)
         tol = GRID_SNAP * max(1.0, n - 1.0)
-        out_of_range = (rel < -tol) | (rel > (n - 1) + tol)
+        out_of_range = ~((rel >= -tol) & (rel <= (n - 1) + tol))  # NaN is out of range
         if np.any(out_of_range):
             bad = tq.flat[int(np.argmax(out_of_range))]
             raise ModelDomainError(

@@ -3,8 +3,8 @@
 Each type carries the ``tag`` and ``exit_code`` with which ``ratelab``
 reports it: ``cli.main`` prints ``error[<tag>]: <message>`` and exits
 ``exit_code``, and a sweep exits with the largest code among its failed values.
-A condition gets a type of its own only when code catches it apart, it has
-its own tag or code, or it reaches a report or a sweep row as itself.
+A condition gets a type of its own only when code catches it apart or it
+has its own tag or code.
 """
 
 
@@ -20,12 +20,6 @@ class ModelDomainError(RatelabError, ValueError):
     multiples of, or a time outside the recorded run."""
 
 
-class MarginOverflowError(ModelDomainError):
-    """A margin term at a rate of the configured range exceeds the float range."""
-
-    tag, exit_code = "config", 65
-
-
 class IntegrationDivergedError(RatelabError, RuntimeError):
     """The integration produced a non-finite or out-of-domain state."""
 
@@ -36,13 +30,9 @@ class IntegrationDivergedError(RatelabError, RuntimeError):
         self.t_fail = t_fail
 
 
-class EquilibriumBracketError(RatelabError, ValueError):
-    """The equilibrium residual does not change sign on the search bracket."""
-
-    tag, exit_code = "config", 65
-
-
 class ConfigError(RatelabError, ValueError):
-    """A scenario file failed to parse or violated a validation rule."""
+    """Data the program refuses: a scenario that fails to parse or breaks a
+    validation rule, an equilibrium bracket with no sign change, or a margin
+    or plot axis beyond the float range."""
 
     tag, exit_code = "config", 65

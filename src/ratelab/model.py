@@ -136,5 +136,7 @@ def whole_steps(span: float, step: float) -> int:
     """The number of ``step``s in a positive ``span`` when it is whole to within
     the relative DELAY_MULTIPLE_RTOL, and 0 (not whole) otherwise."""
     k = span / step
+    if not -FLOAT_MAX <= k <= FLOAT_MAX:  # no count of steps is infinite
+        return 0
     n = round(k)
     return n if abs(k - n) <= DELAY_MULTIPLE_RTOL * max(1.0, k) else 0

@@ -20,11 +20,9 @@ _MAX_POINTS = 2000
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    """About six round ticks: ``arange(first, hi + step/2, step)`` by its length
-    rule ``ceil((stop - first)/step)`` and its fill ``first, first + step,
-    first + i*((first + step) - first)``, so every tick keeps its bits."""
-    if hi <= lo:
-        return [lo]
+    """About six round ticks on lo < hi, as ``arange(first, hi + step/2, step)``
+    by its length rule ``ceil((stop - first)/step)`` and its fill ``first,
+    first + step, first + i*((first + step) - first)``, so every tick keeps its bits."""
     raw = (hi - lo) / 5  # five intervals: about six ticks
     try:  # an infinite end or tick count cannot become an int
         mag = 10.0 ** math.floor(math.log10(raw))

@@ -49,6 +49,8 @@ BAND_EDGES = "tests/test_analysis.py::TestTheorem2Margin::test_band_edges_match_
 FLOAT_RANGE = "tests/test_model.py::test_an_int_past_the_float_range_is_refused_as_inf_is"
 WRONG_TYPE = "tests/test_scenario.py::TestSweep::test_a_value_of_the_wrong_type_is_a_config_error"
 GRID_BOUNDS = "tests/test_scenario.py::TestGridBounds::"
+SNAP_COUNT = ("tests/test_scenario.py::TestSnapStep::"
+              "test_more_steps_than_a_float_counts_are_not_whole")
 
 LEDGER = (
     Mutant("analysis.py", "elif not f_lo > 0.0 > f_hi:", "elif f_lo * f_hi > 0.0:",
@@ -148,6 +150,37 @@ LEDGER = (
             "test_init_x_reaching_capacity_root_rejected[5-0.0]",)),
     Mutant("analysis.py", "if not c_star > 0.0:", "if not c_star >= 0.0:",
            ("tests/test_cli.py::test_equilibrium_on_capacity_root_is_config_error[check]",)),
+    # the least node count and horizon that each rule accepts
+    Mutant("analysis.py", "if theta_nodes < 3:", "if theta_nodes <= 3:",
+           ("tests/test_analysis.py::TestLyapunovValues::test_three_theta_nodes_are_accepted",)),
+    Mutant("analysis.py", "if horizon < 10.0 * traj.params.tau",
+           "if horizon <= 10.0 * traj.params.tau",
+           ("tests/test_analysis.py::TestClassify::"
+            "test_a_horizon_of_exactly_ten_tau_is_classified_on_its_tail",)),
+    Mutant("svgplot.py", "    raw = (hi - lo) / 5",
+           "    if hi <= lo:\n        return [lo]\n    raw = (hi - lo) / 5",
+           ("tests/test_scenario.py::test_ticks_match_numpy_oracle",
+            "tests/test_scenario.py::TestRunScenario::test_plot_is_well_formed_for_markup_in_names",
+            "tests/test_cli.py::test_plot_axis_near_the_float_maximum",
+            "tests/test_cli.py::test_plot_from_lists_leaves_numpy_unloaded"),
+           equivalent="line_plot_svg, _ticks' one caller, gives lo < hi on both axes: x is "
+                      "[0, t_end] from a run, or [x_lo, x_lo + 1] when flatter than 1e-12, "
+                      "and y is padded by at least 1e-6 or by 5% of a positive span; so the "
+                      "branch that answered a point with one tick never fires"),
+    # a delay snap_step cannot count: not finite, or more steps than a float holds
+    Mutant("config.py", "-FLOAT_MAX <= tau <= FLOAT_MAX", "-FLOAT_MAX <= tau <= 2.0 * FLOAT_MAX",
+           (f"{FLOAT_RANGE}[snap_step tau-2**1024]",)),
+    Mutant("config.py", "-FLOAT_MAX <= t_delay <= FLOAT_MAX",
+           "-FLOAT_MAX <= t_delay <= 2.0 * FLOAT_MAX", (f"{FLOAT_RANGE}[snap_step T-2**1024]",)),
+    Mutant("config.py", "math.ceil(max(1.0, tau / step - DELAY_MULTIPLE_RTOL))",
+           "max(1, math.ceil(tau / step - DELAY_MULTIPLE_RTOL))", (SNAP_COUNT,)),
+    Mutant("model.py", "if not -FLOAT_MAX <= k <= FLOAT_MAX:", "if False:", (SNAP_COUNT,)),
+    # a NaN time fails each span test
+    Mutant("analysis.py", "late = ~(ts <= traj.t_end + slack)", "late = ts > traj.t_end + slack",
+           ("tests/test_analysis.py::TestLyapunovValues::test_a_nan_time_is_beyond_the_run",)),
+    Mutant("dde.py", "out_of_range = ~((rel >= -tol) & (rel <= (n - 1) + tol))",
+           "out_of_range = (rel < -tol) | (rel > (n - 1) + tol)",
+           ("tests/test_dde.py::TestInterpX::test_a_nan_time_is_outside_the_span",)),
 )
 
 

@@ -30,12 +30,7 @@ from ratelab.analysis import (
 )
 from ratelab.config import AFFINE, FIELDS, ScenarioConfig, build_config, config_values
 from ratelab.dde import _require_positive
-from ratelab.errors import (
-    ConfigError,
-    EquilibriumBracketError,
-    MarginOverflowError,
-    ModelDomainError,
-)
+from ratelab.errors import ConfigError, ModelDomainError
 from ratelab.model import CapacityLaw, Equilibrium, ModelParams, capacity
 
 # The margin's 0/0 band, stated here rather than imported, so that a change to
@@ -85,7 +80,7 @@ def stability_margin(x: float, p: ModelParams, law: CapacityLaw, eq: Equilibrium
         lhs = (xs ** -a - x ** -a) / (x - xs)
         rhs = h * (x ** (b + 1.0) * c ** -b - xs ** (b + 1.0) * cs ** -b) / (x - xs)
     except OverflowError as exc:
-        raise MarginOverflowError(
+        raise ConfigError(
             f"margin at x = {x!r} exceeds the float range (a = {a}, b = {b})"
         ) from exc
     return lhs - rhs
@@ -193,7 +188,7 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
     try:
         h_factor = p.h_gain ** (1.0 / p.b)
     except OverflowError:
-        raise EquilibriumBracketError(
+        raise ConfigError(
             f"h**(1/b) exceeds the float range (h = {p.h_gain}, b = {p.b}), so the "
             f"equilibrium residual cannot be evaluated in floating point"
         ) from None
@@ -213,7 +208,7 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
     elif f_hi == 0.0:
         x_star = hi
     elif not f_lo > 0 > f_hi:  # f falls in x: the only bracket is f(x_min) > 0 > f(x_max)
-        raise EquilibriumBracketError(
+        raise ConfigError(
             f"no sign change of the equilibrium residual on [{lo}, {hi}] "
             f"(f({lo}) = {f_lo:.3g}, f({hi}) = {f_hi:.3g})"
         )
@@ -234,7 +229,7 @@ def solve_equilibrium(p: ModelParams, law: CapacityLaw) -> Equilibrium:
     if not c_star > 0:
         # a data problem, not a runtime one: the root lies within rounding
         # of the capacity root, so no x_star has c_star > 0 in floating point
-        raise EquilibriumBracketError(
+        raise ConfigError(
             f"the equilibrium rounds onto the capacity root: g(x_star) = "
             f"{c_star} <= 0 at x_star = {x_star}"
         )

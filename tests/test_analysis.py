@@ -17,7 +17,7 @@ from ratelab import (
     SATURATED,
     UNDETERMINED,
     CapacityLaw,
-    EquilibriumBracketError,
+    ConfigError,
     ModelDomainError,
     ModelParams,
     check_stability,
@@ -80,7 +80,7 @@ class TestSolveEquilibrium:
 
     def test_no_bracket(self):
         p = base_params(0.8, x_min=1.0)
-        with pytest.raises(EquilibriumBracketError, match="sign change"):
+        with pytest.raises(ConfigError, match="sign change"):
             solve_equilibrium(p, CapacityLaw(0.5))
 
     def test_tiny_ends_of_one_sign_are_no_bracket(self):
@@ -90,7 +90,7 @@ class TestSolveEquilibrium:
                         x_min=1e-120, x_max=2e-120)
         message = (r"^no sign change of the equilibrium residual on \[1e-120, 2e-120\] "
                    r"\(f\(1e-120\) = 1e-200, f\(2e-120\) = 1e-200\)$")
-        with pytest.raises(EquilibriumBracketError, match=message):
+        with pytest.raises(ConfigError, match=message):
             solve_equilibrium(p, CapacityLaw(1e-200))
 
     def test_deterministic(self):
@@ -244,7 +244,7 @@ class TestTheorem2Margin:
         # 0.5 ** -1e12 is beyond the float range
         p_steep = base_params(0.2, a=1e12)
         eq_steep = solve_equilibrium(p_steep, BASE_LAW)
-        with pytest.raises(ModelDomainError, match="float range"):
+        with pytest.raises(ConfigError, match="float range"):
             margin_kernel(p_steep, BASE_LAW, eq_steep, [0.5])[0]
 
 
@@ -870,6 +870,25 @@ class TestLyapunovValues:
         with pytest.raises(ModelDomainError, match="t = 250.0 beyond"):
             lyapunov_values(traj, [10.0, 250.0, 2.5], p, eq)
 
+    def test_a_nan_time_is_beyond_the_run(self, fig2_result):
+        # NaN passes no span test: it is refused, in its place among the samples
+        traj, p = fig2_result.trajectory, fig2_result.config.params
+        eq = fig2_result.report.equilibrium
+        with pytest.raises(ModelDomainError, match=r"^t = nan beyond trajectory end 200\.0$"):
+            lyapunov_values(traj, [10.0, math.nan], p, eq)
+        with pytest.raises(ModelDomainError, match="^t = nan beyond"):
+            lyapunov_values(traj, [10.0, math.nan, 2.5], p, eq)
+        with pytest.raises(ModelDomainError, match="^need max"):
+            lyapunov_values(traj, [10.0, 2.5, math.nan], p, eq)
+
+    def test_three_theta_nodes_are_accepted(self, fig2_result):
+        # the fewest nodes the trapezoid takes: the sample matches the reference
+        traj, p = fig2_result.trajectory, fig2_result.config.params
+        eq = fig2_result.report.equilibrium
+        ts = [10.0, 30.0]
+        expected = [reference_lyapunov(traj, t, p, eq, theta_nodes=3) for t in ts]
+        assert lyapunov_values(traj, ts, p, eq, theta_nodes=3).tolist() == expected
+
     def test_empty_batch(self, fig2_result):
         traj, p = fig2_result.trajectory, fig2_result.config.params
         eq = fig2_result.report.equilibrium
@@ -976,6 +995,20 @@ class TestClassify:
         assert cls.tail_peak_to_peak == float(traj.x.max() - traj.x.min())
         assert cls.settling_time is None
         assert cls.final_error == float(abs(traj.x[-1] - eq.x_star))
+
+    def test_a_horizon_of_exactly_ten_tau_is_classified_on_its_tail(self, fig2_path):
+        # fig2 has tau = 3: at t_end = 30 its tail is read and it settles at
+        # 21.67, and so on the slack's edge, 10*tau - HORIZON_SLACK*step; one
+        # float below that edge the whole run stands in for the tail
+        cfg = load_scenario(fig2_path)
+        eq = solve_equilibrium(cfg.params, cfg.law)
+        traj = integrate(cfg.params, cfg.law, cfg.init_x, 30.0, cfg.step)
+        on_tail = (UNDETERMINED, 0.0028051195823739494, 0.011223333672458313, 21.67)
+        assert classify(traj, eq) == on_tail
+        edge = 10.0 * cfg.params.tau - analysis.HORIZON_SLACK * cfg.step
+        assert classify(traj._replace(t_end=edge), eq) == on_tail
+        below = traj._replace(t_end=math.nextafter(edge, 0.0))
+        assert classify(below, eq)[2:] == (0.19110351738981501, None)
 
     def test_window_between_two_samples_is_a_domain_error(self):
         # on a 1 s grid to t = 101 the mid-run window [50.399, 50.601] holds

@@ -317,9 +317,7 @@ def test_sweep_isolates_non_ratelab_errors(fig2_path, tmp_path, monkeypatch, cap
 ERROR_TABLE = {
     "RatelabError": ("runtime", 70),
     "ModelDomainError": ("runtime", 70),
-    "MarginOverflowError": ("config", 65),
     "IntegrationDivergedError": ("diverged", 70),
-    "EquilibriumBracketError": ("config", 65),
     "ConfigError": ("config", 65),
 }
 
@@ -593,8 +591,8 @@ PUBLIC_NAMES = {
                      "solve_equilibrium"], "analysis"),
     **dict.fromkeys(["load_scenario", "snap_step"], "config"),
     **dict.fromkeys(["Trajectory", "integrate"], "dde"),
-    **dict.fromkeys(["ConfigError", "EquilibriumBracketError", "IntegrationDivergedError",
-                     "ModelDomainError", "RatelabError"], "errors"),
+    **dict.fromkeys(["ConfigError", "IntegrationDivergedError", "ModelDomainError",
+                     "RatelabError"], "errors"),
     **dict.fromkeys(["CapacityLaw", "ModelParams", "capacity"], "model"),
     **dict.fromkeys(["run_scenario", "sweep"], "scenario"),
 }

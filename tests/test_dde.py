@@ -167,6 +167,18 @@ class TestInterpX:
         with pytest.raises(ModelDomainError, match="t = 4.5"):
             traj.interp_x(np.array([1.0, 4.5]))
 
+    def test_a_nan_time_is_outside_the_span(self):
+        # NaN fails every comparison, so the span test is written to pass only
+        # a time inside it; the first bad time is the one named
+        traj = self.cubic_trajectory()
+        span = r"^t = nan outside trajectory span \[0\.0, 4\.0\]$"
+        with pytest.raises(ModelDomainError, match=span):
+            traj.interp_x(math.nan)
+        with pytest.raises(ModelDomainError, match="^t = nan outside"):
+            traj.interp_x(np.array([1.0, math.nan, 4.5]))
+        with pytest.raises(ModelDomainError, match="^t = 4.5 outside"):
+            traj.interp_x(np.array([1.0, 4.5, math.nan]))
+
 
 class TestStageKernels:
     @given(

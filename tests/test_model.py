@@ -170,7 +170,11 @@ def _positive(v):
     return 0 < v <= FLOAT_MAX
 
 
-# The nine places that test a number against the float range, each as
+def _finite(v):
+    return -FLOAT_MAX <= v <= FLOAT_MAX
+
+
+# The eleven places that test a number against the float range, each as
 # (call, whether the site accepts v, the error and message of its refusal).
 # An accepted value may still fail a later check: integrate's t_end and step
 # calls stop at the delay and step-count checks, before any history is made.
@@ -188,6 +192,11 @@ FLOAT_RANGE_SITES = {
                           lambda v: f"capacity slope must be finite and >= 0, got {v}"),
     "snap_step step": (lambda v: snap_step(v, 1.0, 1.0), _positive, ConfigError,
                        lambda v: f"step must be positive, got {v}"),
+    # a step past every finite tau ends the search within 1000 tries
+    "snap_step tau": (lambda v: snap_step(FLOAT_MAX, v, 1.0), _finite, ConfigError,
+                      lambda v: f"tau and T must be finite, got tau = {v}, T = 1.0"),
+    "snap_step T": (lambda v: snap_step(1.0, 1.0, v), _finite, ConfigError,
+                    lambda v: f"tau and T must be finite, got tau = 1.0, T = {v}"),
     "integrate t_end": (lambda v: integrate(_UNIT, BASE_LAW, 1.0, v, 2.0), _positive,
                         ModelDomainError, lambda v: f"t_end must be positive, got {v}"),
     "integrate step": (lambda v: integrate(_UNIT, BASE_LAW, 1.0, 5e-324, v), _positive,
@@ -195,8 +204,7 @@ FLOAT_RANGE_SITES = {
     "integrate init_x": (lambda v: integrate(_UNIT, CapacityLaw(5.0), v, 1.0, 1.0), _positive,
                          ModelDomainError,
                          lambda v: f"init_x must be positive and finite, got {v}"),
-    "config number key": (lambda v: apply_param(_FIG2, "t_end", v),
-                          lambda v: -FLOAT_MAX <= v <= FLOAT_MAX, ConfigError,
+    "config number key": (lambda v: apply_param(_FIG2, "t_end", v), _finite, ConfigError,
                           lambda v: f"t_end = {v}: [run] key 't_end' must be finite, got {v!r}"),
 }
 
@@ -220,6 +228,9 @@ def test_an_int_past_the_float_range_is_refused_as_inf_is(site, value):
 @example(site="ModelParams constants", value=int(FLOAT_MAX) + 1)
 @example(site="ModelParams x_max", value=-2 ** 1024)
 @example(site="integrate step", value=FLOAT_MAX)
+@example(site="snap_step tau", value=math.nan)
+@example(site="snap_step T", value=math.nan)
+@example(site="snap_step T", value=-FLOAT_MAX)
 def test_float_range_sites_refuse_what_an_infinite_value_is_refused_for(site, value):
     # each site returns, or raises a RatelabError: for a value it refuses, its
     # own error with the message an infinite value gets; never an OverflowError

@@ -29,7 +29,7 @@ from ratelab import (
     sweep,
 )
 from ratelab import config, scenario
-from ratelab.model import CapacityLaw, ModelParams
+from ratelab.model import FLOAT_MAX, CapacityLaw, ModelParams
 from ratelab.config import (AFFINE, CONSTANT, FIELDS, ScenarioConfig, apply_param, build_config,
                             write_config_echo)
 from ratelab.scenario import EXIT_CODES, RunResult, auto_margin_range, format_report, _execute
@@ -255,6 +255,14 @@ class TestSnapStep:
         # T / h = -100 at h = 0.01 is whole, but no count of steps is negative
         with pytest.raises(ConfigError, match="could not find a step"):
             snap_step(0.01, 1.0, -1.0)
+
+    @pytest.mark.parametrize("step, tau, t_delay", [(1.0, 1.0, -FLOAT_MAX), (0.01, 1.0, 1e308),
+                                                    (5e-324, -FLOAT_MAX, 1.0)])
+    def test_more_steps_than_a_float_counts_are_not_whole(self, step, tau, t_delay):
+        # T / h or tau / step overflows to an infinite count of steps, which is
+        # no whole number: the search refuses the delays as it does any other
+        with pytest.raises(ConfigError, match="^could not find a step"):
+            snap_step(step, tau, t_delay)
 
 
 class TestGridBounds:
